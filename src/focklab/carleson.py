@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet
+from .basis import BasisSet, enumerate_basis
 from .indices import HalfIndex
 from .measures import DEFAULT_ORDER, ball_mass, dimension, variation, weight
 from .toeplitz import assemble_coderivative, berezin_measure
@@ -139,25 +139,25 @@ def kfc_verdict(mu, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER,
     if isinstance(k, (tuple, list)):
         k = HalfIndex.from_doubled(k)
     kk = k.as_integer_index()
-    amu = variation(mu)
-
-    def top_eig(b: BasisSet) -> float:
-        gram = assemble_coderivative(amu, kk, kk, b, order).entries
-        gram = (gram + gram.conj().T) / 2.0
-        return float(np.max(np.linalg.eigvalsh(gram)))
-
-    from .basis import enumerate_basis
-
+    # graded-lex bases of lower degree are prefixes and each Gram entry depends
+    # only on (alpha, beta), so both truncations are leading blocks of one Gram
     coarse = enumerate_basis(basis.n, max(basis.degree // 2, sum(kk)))
-    omega = top_eig(basis)
-    omega_coarse = top_eig(coarse)
+    largest = basis if basis.degree >= coarse.degree else coarse
+    gram = assemble_coderivative(variation(mu), kk, kk, largest, order).entries
+
+    def top_eig(size: int) -> float:
+        block = gram[:size, :size]
+        return float(np.max(np.linalg.eigvalsh((block + block.conj().T) / 2.0)))
+
+    omega = top_eig(basis.size)
+    omega_coarse = top_eig(coarse.size)
+    full = gram[:basis.size, :basis.size]
     rng = np.random.default_rng(seed)
-    gram = assemble_coderivative(amu, kk, kk, basis, order).entries
     probe = 0.0
     for _ in range(8):
         v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
         v /= np.linalg.norm(v)
-        probe = max(probe, float((v.conj() @ gram @ v).real))
+        probe = max(probe, float((v.conj() @ full @ v).real))
     return KfcReport(
         omega=omega,
         omega_coarse=omega_coarse,

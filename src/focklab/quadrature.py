@@ -112,8 +112,15 @@ def integrate_gaussian(f, rule) -> complex:
     return complex(np.sum(wts * vals))
 
 
+@lru_cache(maxsize=64)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [-1, 1] (used for disk and chord masses)."""
+    """Gauss-Legendre nodes/weights on [-1, 1] (used for disk and chord masses).
+
+    Rules are cached; the returned arrays are read-only.
+    """
     if order < 1:
         raise ValueError(f"Gauss-Legendre order must be >= 1, got {order}")
-    return np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights

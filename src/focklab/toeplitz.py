@@ -1,9 +1,11 @@
 """Toeplitz matrices for measure symbols and coderivatives; Berezin transforms.
 
 Matrix convention: entry (beta, alpha) = <T e_alpha, e_beta>, rows and
-columns in the basis' graded-lex order.  All assemblies share one moment
-pass over the measure, so the dominant cost is the monomial evaluation at
-the quadrature nodes, not per-entry integrals.
+columns in the basis' graded-lex order.  Every assembly reads one moment
+table from ``measures.moment_table`` and gathers its entries from it, so no
+entry is integrated on its own.  For horizontal products and Gaussian-grid
+densities that table is sum-factorized from per-axis tables; complex atoms
+and pushforwards pay a Gram product over all their quadrature nodes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .basis import BasisSet, kernel_coefficients
 from .indices import HalfIndex, as_multi_index, factorial, index_add, index_leq, index_sub
 from .measures import (
     DEFAULT_ORDER,
-    Horizontal,
     dimension,
     gaussian_pairing,
     moment_table,
@@ -194,10 +195,6 @@ def berezin_y_variation(mu, x_values, y_values, order: int = DEFAULT_ORDER) -> f
                 for y in y_values]
         worst = max(worst, float(np.max(np.abs(np.asarray(vals) - vals[0]))))
     return worst
-
-
-def is_structurally_horizontal(mu) -> bool:
-    return isinstance(mu, Horizontal)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

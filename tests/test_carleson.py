@@ -100,6 +100,16 @@ def test_kfc_lebesgue_first_order_grows_like_truncation():
     assert rep.growth_detected
 
 
+def test_kfc_coarse_truncation_above_full_degree():
+    # |k| > D: the full Gram vanishes, the coarse one (degree |k|) does not
+    b = enumerate_basis(1, 1)
+    rep = kfc_verdict(lebesgue(1), HalfIndex.from_ints((2,)), b)
+    assert rep.coarse_degree == 2
+    assert rep.omega == pytest.approx(0.0, abs=1e-12)
+    assert rep.omega_coarse == pytest.approx(2.0, abs=1e-9)
+    assert not rep.growth_detected
+
+
 def test_kfc_atom_is_bounded():
     b = enumerate_basis(1, 12)
     rep = kfc_verdict(dirac([0.0]), K1, b)

@@ -142,3 +142,12 @@ def test_gauss_legendre_interval():
     x, w = gauss_legendre(16)
     assert abs(np.sum(w) - 2.0) <= 1e-13
     assert abs(float(np.sum(w * x**4)) - 2.0 / 5.0) <= 1e-13
+
+
+def test_gauss_legendre_is_cached_and_read_only():
+    x, w = gauss_legendre(48)
+    assert gauss_legendre(48)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
