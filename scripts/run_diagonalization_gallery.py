@@ -13,7 +13,7 @@ from pathlib import Path
 from focklab.basis import enumerate_basis
 from focklab.indices import HalfIndex
 from focklab.measures import RealAtoms, real_dirac, real_gaussian
-from focklab.spectral import diagonalization_residual, gamma_samples, norm_and_spectrum
+from focklab.spectral import diagonalization_residual, norm_and_spectrum
 
 GALLERY = {
     "dirac(0)": real_dirac([0.0]),
@@ -37,7 +37,7 @@ def main():
             for d in args.degrees:
                 basis = enumerate_basis(1, d)
                 rep = diagonalization_residual(rho, k, basis)
-                spectrum = norm_and_spectrum(rep.toeplitz, gamma_samples(rho, k))
+                spectrum = norm_and_spectrum(rep.toeplitz, rep.samples)
                 gap = abs(spectrum.operator_norm - spectrum.gamma_sup)
                 rows.append((name, two_k, d, f"{rep.residual:.3e}", f"{rep.berezin_gap:.3e}", f"{gap:.4f}"))
                 print(

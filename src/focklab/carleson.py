@@ -103,8 +103,7 @@ def condition_m(mu, window: float = 2.0, spacing: float = 0.5,
 def carleson_constant(mu, k: HalfIndex, r, window: float = 2.0, spacing: float = 0.5,
                       order: int = DEFAULT_ORDER) -> CarlesonReport:
     """C_k(mu, r) = Gamma(k+1)^2 sup_z (|mu|_k)(B_r(z)) over the lattice."""
-    if isinstance(k, (tuple, list)):
-        k = HalfIndex.from_doubled(k)
+    k = HalfIndex.of(k)
     n = dimension(mu)
     r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
     weighted = weight(variation(mu), k)
@@ -136,9 +135,7 @@ def kfc_verdict(mu, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER,
     Gram matrix is the (k, k) coderivative operator); a random-vector probe
     of the quadratic form cross-checks the eigenvalue from below.
     """
-    if isinstance(k, (tuple, list)):
-        k = HalfIndex.from_doubled(k)
-    kk = k.as_integer_index()
+    kk = HalfIndex.of(k).as_integer_index()
     # graded-lex bases of lower degree are prefixes and each Gram entry depends
     # only on (alpha, beta), so both truncations are leading blocks of one Gram
     coarse = enumerate_basis(basis.n, max(basis.degree // 2, sum(kk)))
@@ -194,10 +191,7 @@ class WeightShiftReport:
 def weight_shift_check(mu, k: HalfIndex, p: HalfIndex, r, window: float = 2.0,
                        spacing: float = 0.5, order: int = DEFAULT_ORDER,
                        tol: float = 1e-9) -> WeightShiftReport:
-    if isinstance(k, (tuple, list)):
-        k = HalfIndex.from_doubled(k)
-    if isinstance(p, (tuple, list)):
-        p = HalfIndex.from_doubled(p)
+    k, p = HalfIndex.of(k), HalfIndex.of(p)
     if not (p.is_nonnegative and k.geq(p)):
         raise ValueError(f"weight shift needs 0 <= p <= k componentwise, got k={k.halves()}, p={p.halves()}")
     c_k = carleson_constant(mu, k, r, window, spacing, order)

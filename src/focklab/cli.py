@@ -28,25 +28,7 @@ from .output import write_complex_grid_csv, write_matrix_csv, write_samples_csv,
 from .spectral import diagonalization_residual, gamma_samples, multiplication_matrix, norm_and_spectrum
 from .toeplitz import assemble_real_coderivative, assemble_toeplitz, berezin_coderivative, berezin_measure, commutator, interior_max_norm
 
-COMMANDS = (
-    "assemble",
-    "berezin",
-    "carleson",
-    "spectral",
-    "verify-diagonalization",
-    "commutativity",
-    "lagrangian",
-)
-
-_PROPERTIES = {
-    "assemble": "dense truncated operator of the measure symbol in the monomial basis",
-    "berezin": "Gaussian-convolution transform of the measure over a lattice",
-    "carleson": "windowed boundedness certification: kernel mass, polydisk mass, embedding constant",
-    "spectral": "spectral function of a horizontal symbol on the quadrature grid",
-    "verify-diagonalization": "horizontal symbol: operator matrix equals multiplication by its spectral function",
-    "commutativity": "operators of horizontal symbols commute on the interior block",
-    "lagrangian": "plane validation, vertical rotation, and translation invariance",
-}
+_OK = [("tolerance", "none"), ("result", "ok")]
 
 
 @dataclass
@@ -73,7 +55,7 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         if self.command not in COMMANDS:
-            raise ValueError(f"field 'command': unknown command {self.command!r}; choose from {COMMANDS}")
+            raise ValueError(f"field 'command': unknown command {self.command!r}; choose from {tuple(COMMANDS)}")
         if self.n < 1:
             raise ValueError(f"field 'n': dimension must be >= 1, got {self.n}")
         if self.truncation < 0:
@@ -114,10 +96,6 @@ def load_config(path: Path) -> ExperimentConfig:
     return ExperimentConfig(**raw).validate()
 
 
-def _half(values) -> HalfIndex:
-    return HalfIndex.from_doubled(values)
-
-
 def _require(config: ExperimentConfig, field_name: str):
     value = getattr(config, field_name)
     if value is None:
@@ -125,18 +103,180 @@ def _require(config: ExperimentConfig, field_name: str):
     return value
 
 
-def _apply_alpha_reduction(config: ExperimentConfig, mu, k: HalfIndex):
-    """Weight an alpha-horizontal symbol by alpha and lower the order to k - alpha.
+def _symbol(config: ExperimentConfig, k: HalfIndex, horizontal: bool = False):
+    """Parse ``measure``, apply the alpha reduction, and check horizontality.
 
-    On a measure of the form rho (x) nu_{n,alpha} this lands on a horizontal
+    On a measure of the form rho (x) nu_{n,alpha} the reduction weights mu by
+    alpha and lowers the order to k - alpha; this lands on a horizontal
     symbol whose order-2(k-alpha) operator carries the same spectral data.
     """
-    if config.alpha is None or all(a == 0 for a in config.alpha):
-        return mu, k
-    alpha = _half(config.alpha)
-    if not (alpha.is_nonnegative and k.geq(alpha)):
-        raise ValueError(f"field 'alpha': reduction needs 0 <= alpha <= k, got alpha={alpha.halves()}, k={k.halves()}")
-    return weight(mu, alpha), k - alpha
+    mu = parse_measure(_require(config, "measure"), config.n)
+    if config.alpha is not None and any(config.alpha):
+        alpha = HalfIndex.from_doubled(config.alpha)
+        if not (alpha.is_nonnegative and k.geq(alpha)):
+            raise ValueError(f"field 'alpha': reduction needs 0 <= alpha <= k, got alpha={alpha.halves()}, k={k.halves()}")
+        mu, k = weight(mu, alpha), k - alpha
+    if horizontal and not isinstance(mu, Horizontal):
+        raise ValueError(f"field 'measure': {config.command} needs a horizontal(...) measure (after alpha reduction)")
+    return mu, k
+
+
+def _assemble(config: ExperimentConfig, k: HalfIndex, out: Path):
+    mu, k = _symbol(config, k)
+    basis = enumerate_basis(config.n, config.truncation)
+    if config.frame is not None:
+        frame = LagrangianFrame(np.asarray(config.frame, dtype=float))
+        op = assemble_l_real_coderivative(mu, k, frame, basis, config.moment_order)
+    else:
+        op = assemble_real_coderivative(mu, k, basis, config.moment_order)
+    write_matrix_csv(op, out / "matrix")
+    return [("basis-size", basis.size), ("hermitian-defect", repr(op.hermitian_defect()))] + _OK, False
+
+
+def _berezin(config: ExperimentConfig, k: HalfIndex, out: Path):
+    mu = parse_measure(_require(config, "measure"), config.n)
+    z, _ = carleson_mod.lattice(config.n, config.window, config.spacing)
+    values = np.array([berezin_measure(mu, zz, config.moment_order) for zz in z])
+    write_complex_grid_csv(z, values, out / "berezin.csv")
+    summary = [("sup-berezin", repr(float(np.max(np.abs(values)))))]
+    if not k.is_zero:
+        cvals = np.array([berezin_coderivative(mu, k, zz, config.moment_order) for zz in z])
+        write_complex_grid_csv(z, cvals, out / "berezin_coderivative.csv")
+        summary += [("sup-coderivative-berezin", repr(float(np.max(np.abs(cvals)))))]
+    return summary + _OK, False
+
+
+def _carleson(config: ExperimentConfig, k: HalfIndex, out: Path):
+    mu = parse_measure(_require(config, "measure"), config.n)
+    cm = carleson_mod.condition_m(mu, config.window, config.spacing, config.moment_order)
+    summary = [
+        ("condition-m-verbatim-sup", repr(cm.verbatim.sup_estimate)),
+        ("condition-m-verbatim-verdict", cm.verbatim.verdict),
+        ("condition-m-normalized-sup", repr(cm.normalized.sup_estimate)),
+        ("condition-m-normalized-verdict", cm.normalized.verdict),
+    ]
+    r = config.r if config.r is not None else [1.0] * config.n
+    ck = carleson_mod.carleson_constant(mu, k, r, config.window, config.spacing, config.moment_order)
+    summary += [
+        ("carleson-constant", repr(ck.sup_estimate)),
+        ("carleson-verdict", ck.verdict),
+        ("carleson-argmax", ck.argmax),
+    ]
+    if k.is_integer and k.is_nonnegative:
+        basis = enumerate_basis(config.n, config.truncation)
+        kfc = carleson_mod.kfc_verdict(mu, k, basis, config.moment_order, seed=config.seed)
+        summary += [
+            ("kfc-omega", repr(kfc.omega)),
+            ("kfc-omega-coarse", repr(kfc.omega_coarse)),
+            ("kfc-growth-detected", kfc.growth_detected),
+        ]
+    if config.p is not None:
+        shift = carleson_mod.weight_shift_check(
+            mu, k, HalfIndex.from_doubled(config.p), r, config.window, config.spacing, config.moment_order
+        )
+        summary += [
+            ("weight-shift-c-k", repr(shift.c_k)),
+            ("weight-shift-stated", repr(shift.stated)),
+            ("weight-shift-prose", repr(shift.prose)),
+            ("weight-shift-stated-matches", shift.stated_matches),
+            ("weight-shift-prose-matches", shift.prose_matches),
+            ("weight-shift-normalized-lhs", repr(shift.normalized_lhs)),
+            ("weight-shift-normalized-rhs", repr(shift.normalized_rhs)),
+        ]
+    return summary + _OK, False
+
+
+def _spectral(config: ExperimentConfig, k: HalfIndex, out: Path):
+    mu, k = _symbol(config, k, horizontal=True)
+    samples = gamma_samples(mu.rho, k, config.spectral_order, config.moment_order)
+    write_samples_csv(samples.grid, samples.values, out / "gamma.csv")
+    return [("sup-gamma", repr(float(np.max(np.abs(samples.values)))))] + _OK, False
+
+
+def _verify_diagonalization(config: ExperimentConfig, k: HalfIndex, out: Path):
+    mu, k = _symbol(config, k, horizontal=True)
+    basis = enumerate_basis(config.n, config.truncation)
+    tolerance = config.tolerance if config.tolerance is not None else 1e-5
+    report = diagonalization_residual(mu, k, basis, config.moment_order, config.spectral_order)
+    write_matrix_csv(report.toeplitz, out / "toeplitz")
+    write_matrix_csv(report.multiplication, out / "multiplication")
+    write_samples_csv(report.samples.grid, report.samples.values, out / "gamma.csv")
+    spectrum = norm_and_spectrum(report.toeplitz, report.samples)
+    failed = report.residual > tolerance
+    return [
+        ("tolerance", repr(float(tolerance))),
+        ("residual", repr(report.residual)),
+        ("interior-degree", report.interior_degree),
+        ("kernel-route-residual", repr(report.berezin_gap)),
+        ("operator-norm", repr(spectrum.operator_norm)),
+        ("spectral-radius", repr(spectrum.spectral_radius)),
+        ("sup-gamma", repr(spectrum.gamma_sup)),
+        ("eig-to-range-distance", repr(spectrum.eig_to_range)),
+        ("result", "fail" if failed else "pass"),
+    ], failed
+
+
+def _commutativity(config: ExperimentConfig, k: HalfIndex, out: Path):
+    mu1 = parse_measure(_require(config, "measure"), config.n)
+    mu2 = parse_measure(_require(config, "measure2"), config.n)
+    basis = enumerate_basis(config.n, config.truncation)
+    tolerance = config.tolerance if config.tolerance is not None else 1e-6
+    op1 = assemble_toeplitz(mu1, basis, config.moment_order)
+    op2 = assemble_toeplitz(mu2, basis, config.moment_order)
+    norm = interior_max_norm(commutator(op1, op2), basis)
+    failed = norm > tolerance
+    return [
+        ("tolerance", repr(float(tolerance))),
+        ("residual", repr(norm)),
+        ("result", "fail" if failed else "pass"),
+    ], failed
+
+
+def _lagrangian(config: ExperimentConfig, k: HalfIndex, out: Path):
+    frame = LagrangianFrame(np.asarray(_require(config, "frame"), dtype=float))
+    defect = rotation_defect(frame, frame.rotation)
+    tolerance = config.tolerance if config.tolerance is not None else 1e-5
+    summary = [
+        ("rotation-defect", repr(defect)),
+        ("rotation", np.array2string(frame.rotation, separator=",")),
+    ]
+    failed = defect > 1e-12
+    if config.measure is not None:
+        mu = parse_measure(config.measure, config.n)
+        basis = enumerate_basis(config.n, config.truncation)
+        inv = l_invariance_test(mu, frame, basis, config.moment_order)
+        summary += [
+            ("berezin-variation", repr(inv.berezin_y_variation)),
+            ("weyl-commutators", tuple(repr(v) for v in inv.weyl_commutators)),
+            ("invariant", inv.invariant),
+        ]
+        rotated = pushforward(mu, frame.rotation.conj().T)
+        if isinstance(rotated, Horizontal):
+            op = assemble_l_real_coderivative(mu, k, frame, basis, config.moment_order)
+            samples = gamma_samples(rotated.rho, k, config.spectral_order, config.moment_order)
+            mult = multiplication_matrix(samples, basis)
+            residual = interior_max_norm(op.entries - mult.entries, basis)
+            write_matrix_csv(op, out / "matrix")
+            write_samples_csv(samples.grid, samples.values, out / "gamma.csv")
+            failed = failed or residual > tolerance
+            summary += [("tolerance", repr(float(tolerance))), ("residual", repr(residual))]
+        else:
+            summary += [("note", "rotated measure is not structurally horizontal; residual skipped")]
+    return summary + [("result", "fail" if failed else "pass")], failed
+
+
+# command -> (handler, the property its summary reports on); a handler writes
+# its artifacts into ``out`` and returns its summary items and whether it failed
+COMMANDS = {
+    "assemble": (_assemble, "dense truncated operator of the measure symbol in the monomial basis"),
+    "berezin": (_berezin, "Gaussian-convolution transform of the measure over a lattice"),
+    "carleson": (_carleson, "windowed boundedness certification: kernel mass, polydisk mass, embedding constant"),
+    "spectral": (_spectral, "spectral function of a horizontal symbol on the quadrature grid"),
+    "verify-diagonalization": (_verify_diagonalization,
+                               "horizontal symbol: operator matrix equals multiplication by its spectral function"),
+    "commutativity": (_commutativity, "operators of horizontal symbols commute on the interior block"),
+    "lagrangian": (_lagrangian, "plane validation, vertical rotation, and translation invariance"),
+}
 
 
 def run(config: ExperimentConfig) -> int:
@@ -145,173 +285,11 @@ def run(config: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     resolved = asdict(config)
     (out / "resolved_config.yaml").write_text(yaml.safe_dump(resolved, sort_keys=True))
-
-    summary: list[tuple[str, object]] = [
-        ("summary-version", 1),
-        ("command", config.command),
-        ("seed", config.seed),
-        ("property", _PROPERTIES[config.command]),
-    ]
-    k = _half(config.k) if config.k is not None else _half([0] * config.n)
-    failed = False
-
-    if config.command == "assemble":
-        mu = parse_measure(_require(config, "measure"), config.n)
-        mu, k = _apply_alpha_reduction(config, mu, k)
-        basis = enumerate_basis(config.n, config.truncation)
-        if config.frame is not None:
-            frame = LagrangianFrame(np.asarray(config.frame, dtype=float))
-            op = assemble_l_real_coderivative(mu, k, frame, basis, config.moment_order)
-        elif not k.is_zero:
-            op = assemble_real_coderivative(mu, k, basis, config.moment_order)
-        else:
-            op = assemble_toeplitz(mu, basis, config.moment_order)
-        write_matrix_csv(op, out / "matrix")
-        summary += [
-            ("basis-size", basis.size),
-            ("hermitian-defect", repr(op.hermitian_defect())),
-            ("tolerance", "none"),
-            ("result", "ok"),
-        ]
-
-    elif config.command == "berezin":
-        mu = parse_measure(_require(config, "measure"), config.n)
-        z, _ = carleson_mod.lattice(config.n, config.window, config.spacing)
-        values = np.array([berezin_measure(mu, zz, config.moment_order) for zz in z])
-        write_complex_grid_csv(z, values, out / "berezin.csv")
-        summary += [("sup-berezin", repr(float(np.max(np.abs(values)))))]
-        if not k.is_zero:
-            cvals = np.array([berezin_coderivative(mu, k, zz, config.moment_order) for zz in z])
-            write_complex_grid_csv(z, cvals, out / "berezin_coderivative.csv")
-            summary += [("sup-coderivative-berezin", repr(float(np.max(np.abs(cvals)))))]
-        summary += [("tolerance", "none"), ("result", "ok")]
-
-    elif config.command == "carleson":
-        mu = parse_measure(_require(config, "measure"), config.n)
-        cm = carleson_mod.condition_m(mu, config.window, config.spacing, config.moment_order)
-        summary += [
-            ("condition-m-verbatim-sup", repr(cm.verbatim.sup_estimate)),
-            ("condition-m-verbatim-verdict", cm.verbatim.verdict),
-            ("condition-m-normalized-sup", repr(cm.normalized.sup_estimate)),
-            ("condition-m-normalized-verdict", cm.normalized.verdict),
-        ]
-        r = config.r if config.r is not None else [1.0] * config.n
-        ck = carleson_mod.carleson_constant(mu, k, r, config.window, config.spacing, config.moment_order)
-        summary += [
-            ("carleson-constant", repr(ck.sup_estimate)),
-            ("carleson-verdict", ck.verdict),
-            ("carleson-argmax", ck.argmax),
-        ]
-        if k.is_integer and k.is_nonnegative:
-            basis = enumerate_basis(config.n, config.truncation)
-            kfc = carleson_mod.kfc_verdict(mu, k, basis, config.moment_order, seed=config.seed)
-            summary += [
-                ("kfc-omega", repr(kfc.omega)),
-                ("kfc-omega-coarse", repr(kfc.omega_coarse)),
-                ("kfc-growth-detected", kfc.growth_detected),
-            ]
-        if config.p is not None:
-            shift = carleson_mod.weight_shift_check(
-                mu, k, _half(config.p), r, config.window, config.spacing, config.moment_order
-            )
-            summary += [
-                ("weight-shift-c-k", repr(shift.c_k)),
-                ("weight-shift-stated", repr(shift.stated)),
-                ("weight-shift-prose", repr(shift.prose)),
-                ("weight-shift-stated-matches", shift.stated_matches),
-                ("weight-shift-prose-matches", shift.prose_matches),
-                ("weight-shift-normalized-lhs", repr(shift.normalized_lhs)),
-                ("weight-shift-normalized-rhs", repr(shift.normalized_rhs)),
-            ]
-        summary += [("tolerance", "none"), ("result", "ok")]
-
-    elif config.command == "spectral":
-        mu = parse_measure(_require(config, "measure"), config.n)
-        mu, k = _apply_alpha_reduction(config, mu, k)
-        if not isinstance(mu, Horizontal):
-            raise ValueError("field 'measure': spectral command needs a horizontal(...) measure (after alpha reduction)")
-        samples = gamma_samples(mu.rho, k, config.spectral_order, config.moment_order)
-        write_samples_csv(samples.grid, samples.values, out / "gamma.csv")
-        summary += [
-            ("sup-gamma", repr(float(np.max(np.abs(samples.values))))),
-            ("tolerance", "none"),
-            ("result", "ok"),
-        ]
-
-    elif config.command == "verify-diagonalization":
-        mu = parse_measure(_require(config, "measure"), config.n)
-        mu, k = _apply_alpha_reduction(config, mu, k)
-        if not isinstance(mu, Horizontal):
-            raise ValueError("field 'measure': verify-diagonalization needs a horizontal(...) measure (after alpha reduction)")
-        basis = enumerate_basis(config.n, config.truncation)
-        tolerance = config.tolerance if config.tolerance is not None else 1e-5
-        report = diagonalization_residual(mu, k, basis, config.moment_order, config.spectral_order)
-        write_matrix_csv(report.toeplitz, out / "toeplitz")
-        write_matrix_csv(report.multiplication, out / "multiplication")
-        samples = gamma_samples(mu.rho, k, config.spectral_order, config.moment_order)
-        write_samples_csv(samples.grid, samples.values, out / "gamma.csv")
-        spectrum = norm_and_spectrum(report.toeplitz, samples)
-        failed = report.residual > tolerance
-        summary += [
-            ("tolerance", repr(float(tolerance))),
-            ("residual", repr(report.residual)),
-            ("interior-degree", report.interior_degree),
-            ("kernel-route-residual", repr(report.berezin_gap)),
-            ("operator-norm", repr(spectrum.operator_norm)),
-            ("spectral-radius", repr(spectrum.spectral_radius)),
-            ("sup-gamma", repr(spectrum.gamma_sup)),
-            ("eig-to-range-distance", repr(spectrum.eig_to_range)),
-            ("result", "fail" if failed else "pass"),
-        ]
-
-    elif config.command == "commutativity":
-        mu1 = parse_measure(_require(config, "measure"), config.n)
-        mu2 = parse_measure(_require(config, "measure2"), config.n)
-        basis = enumerate_basis(config.n, config.truncation)
-        tolerance = config.tolerance if config.tolerance is not None else 1e-6
-        op1 = assemble_toeplitz(mu1, basis, config.moment_order)
-        op2 = assemble_toeplitz(mu2, basis, config.moment_order)
-        norm = interior_max_norm(commutator(op1, op2), basis)
-        failed = norm > tolerance
-        summary += [
-            ("tolerance", repr(float(tolerance))),
-            ("residual", repr(norm)),
-            ("result", "fail" if failed else "pass"),
-        ]
-
-    elif config.command == "lagrangian":
-        frame = LagrangianFrame(np.asarray(_require(config, "frame"), dtype=float))
-        defect = rotation_defect(frame, frame.rotation)
-        tolerance = config.tolerance if config.tolerance is not None else 1e-5
-        summary += [
-            ("rotation-defect", repr(defect)),
-            ("rotation", np.array2string(frame.rotation, separator=",")),
-        ]
-        failed = defect > 1e-12
-        if config.measure is not None:
-            mu = parse_measure(config.measure, config.n)
-            basis = enumerate_basis(config.n, config.truncation)
-            inv = l_invariance_test(mu, frame, basis, config.moment_order)
-            summary += [
-                ("berezin-variation", repr(inv.berezin_y_variation)),
-                ("weyl-commutators", tuple(repr(v) for v in inv.weyl_commutators)),
-                ("invariant", inv.invariant),
-            ]
-            rotated = pushforward(mu, frame.rotation.conj().T)
-            if isinstance(rotated, Horizontal):
-                op = assemble_l_real_coderivative(mu, k, frame, basis, config.moment_order)
-                samples = gamma_samples(rotated.rho, k, config.spectral_order, config.moment_order)
-                mult = multiplication_matrix(samples, basis)
-                residual = interior_max_norm(op.entries - mult.entries, basis)
-                write_matrix_csv(op, out / "matrix")
-                write_samples_csv(samples.grid, samples.values, out / "gamma.csv")
-                failed = failed or residual > tolerance
-                summary += [("tolerance", repr(float(tolerance))), ("residual", repr(residual))]
-            else:
-                summary += [("note", "rotated measure is not structurally horizontal; residual skipped")]
-        summary += [("result", "fail" if failed else "pass")]
-
-    write_summary(out / "summary.txt", summary)
+    handler, prop = COMMANDS[config.command]
+    k = HalfIndex.from_doubled(config.k if config.k is not None else [0] * config.n)
+    items, failed = handler(config, k, out)
+    summary = [("summary-version", 1), ("command", config.command), ("seed", config.seed), ("property", prop)]
+    write_summary(out / "summary.txt", summary + items)
     return 1 if failed else 0
 
 
@@ -327,14 +305,11 @@ def main(argv=None) -> None:
             config.out = args.out
         if args.seed is not None:
             config.seed = args.seed
-    except (ValueError, OSError) as exc:
+        code = run(config)
+    except (ValueError, TypeError, OSError) as exc:
         print(f"fock-lab: invalid input: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    try:
-        raise SystemExit(run(config))
-    except (ValueError, TypeError) as exc:
-        print(f"fock-lab: invalid input: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -171,6 +171,11 @@ class HalfIndex:
         object.__setattr__(self, "doubled", d)
 
     @classmethod
+    def of(cls, value) -> "HalfIndex":
+        """``value`` itself, or the HalfIndex whose doubled entries it lists."""
+        return cls.from_doubled(value) if isinstance(value, (tuple, list)) else value
+
+    @classmethod
     def from_doubled(cls, values) -> "HalfIndex":
         return cls(tuple(int(v) for v in values))
 

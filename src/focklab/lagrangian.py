@@ -204,9 +204,4 @@ def l_invariance_test(mu, frame: LagrangianFrame, basis: BasisSet,
 def assemble_l_real_coderivative(mu, k: HalfIndex, frame: LagrangianFrame, basis: BasisSet,
                                  order: int = DEFAULT_ORDER) -> OperatorMatrix:
     """Real coderivative of the rotated measure mu_{X*}; the L-adapted operator."""
-    if isinstance(k, (tuple, list)):
-        k = HalfIndex.from_doubled(k)
-    rotated = pushforward(mu, frame.rotation.conj().T)
-    if k.is_zero:
-        return assemble_toeplitz(rotated, basis, order)
-    return assemble_real_coderivative(rotated, k, basis, order)
+    return assemble_real_coderivative(pushforward(mu, frame.rotation.conj().T), k, basis, order)

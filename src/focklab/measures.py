@@ -6,6 +6,23 @@ Lebesgue_y, alpha-weighted horizontal products, unitary pushforwards, and
 the (1+x^2)^p (1+y^2)^p weighting calculus.  All pairings against Gaussian
 kernels reduce to node/weight sets: atoms contribute exactly, everything
 else goes through recentered Gauss-Hermite rules.
+
+Every measure type implements one protocol, and the module functions
+(``dimension``, ``variation``, ``weight``, ``pushforward``, ``real_nodes``,
+``gaussian_nodes``, ``ball_mass``, ``moment_table``) validate their
+arguments and dispatch to it:
+
+- all measures: ``n``, ``variation()``, ``times(g)`` (multiply by a density
+  g, where the type can hold the product) and ``pushed(x)``;
+- real measures on R^n: ``real_nodes(center, order, scale)``; the grid
+  types (Lebesgue, densities) share ``weigh(pts, wts)``;
+- measures on C^n (``MeasureSpec``): ``weighted(p)``,
+  ``nodes(center, order, max_nodes)``, ``product_form()``,
+  ``is_density()`` and ``ball_mass(center, r, order)``.
+
+A new measure type is one class.  Methods that recurse into a factor call
+the module functions again, so every node set is requested through
+``gaussian_nodes`` or ``real_nodes``.
 """
 
 from __future__ import annotations
@@ -17,27 +34,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indices import HalfIndex, as_multi_index, monomial_matrix
-from .quadrature import gauss_hermite, gauss_legendre
+from .quadrature import MAX_NODES, gauss_hermite, gauss_legendre, tensor_grid
 
 DEFAULT_ORDER = 40
-_MAX_NODES = 6_000_000
 _CHUNK = 200_000
 _UNITARY_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# real measures on R^n (the rho factor of horizontal products)
+# shared bases
+
+
+class _Measure:
+    """Root of every measure class; types that cannot hold a product with a density refuse it."""
+
+    def times(self, g):
+        raise TypeError(f"{type(self).__name__} cannot be multiplied by a density")
+
+
+class _RealGrid(_Measure):
+    """Real measures discretized on a Gauss-Hermite grid (Lebesgue, densities)."""
+
+    def real_nodes(self, center, order: int, scale: float):
+        rule = gauss_hermite(order)
+        root = np.sqrt(scale)
+        pts, wts = tensor_grid([(c + rule.nodes) / root for c in center], [rule.weights] * self.n)
+        return pts, self.weigh(pts, wts * scale ** (-self.n / 2.0))
 
 
 @dataclass(frozen=True, eq=False)
-class RealAtoms:
-    """Finite atomic measure on R^n: points of shape (m, n), complex weights."""
+class _AtomSet(_Measure):
+    """Finite atomic measure: points of shape (m, n), complex weights."""
 
     points: np.ndarray
     weights: np.ndarray
+    _dtype = float
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.atleast_2d(np.asarray(self.points, dtype=self._dtype))
         wts = np.atleast_1d(np.asarray(self.weights, dtype=complex))
         if pts.shape[0] != wts.shape[0]:
             raise ValueError("atom points and weights must have equal length")
@@ -50,25 +84,95 @@ class RealAtoms:
     def n(self) -> int:
         return self.points.shape[1]
 
+    def variation(self):
+        return type(self)(self.points, np.abs(self.weights))
+
+    def times(self, g):
+        return type(self)(self.points, self.weights * g(self.points))
+
+    def pushed(self, x):
+        return type(self)(self.points @ np.conj(x), self.weights)
+
 
 @dataclass(frozen=True, eq=False)
-class RealDensity:
-    """Density g(t) dt on R^n; g is vectorized over point arrays (m, n).
+class _DensitySet(_Measure):
+    """Density against Lebesgue measure; ``density`` is vectorized over (m, n) arrays.
 
-    ``radius`` declares where the Gaussian-dominated decay of g sets in;
-    quadrature accuracy degrades for mass far outside it.
+    ``radius`` declares where the Gaussian-dominated decay of the density
+    sets in; quadrature accuracy degrades for mass far outside it.
     """
 
     density: object
     n: int
     radius: float = 6.0
 
+    def variation(self):
+        f = self.density
+        return type(self)(lambda pts: np.abs(f(pts)), self.n, self.radius)
+
+    def times(self, g):
+        f = self.density
+        return type(self)(lambda pts: f(pts) * g(pts), self.n, self.radius)
+
+    def pushed(self, x):
+        f = self.density
+        return type(self)(lambda pts: f(pts @ x.T), self.n, self.radius)
+
+    def weigh(self, pts, wts):
+        return wts * np.asarray(self.density(pts))
+
+
+class MeasureSpec(_Measure):
+    """Base of the measures on C^n; the defaults serve atoms and densities."""
+
+    def weighted(self, p: HalfIndex):
+        return self.times(lambda pts: _weight_values(p.doubled, pts))
+
+    def pushed(self, x):
+        return Pushforward(self, x)
+
+    def product_form(self):
+        """(rho, x_exponents_doubled, y_exponents_doubled) if this is a weighted
+        horizontal product, else None.  The y-exponent e means a factor
+        (1+v^2)^{e/2} on that imaginary axis."""
+        return None
+
+    def is_density(self) -> bool:
+        return False
+
+
+# ---------------------------------------------------------------------------
+# real measures on R^n (the rho factor of horizontal products)
+
+
+class RealAtoms(_AtomSet):
+    """Finite atomic measure on R^n: points of shape (m, n), complex weights."""
+
+    def real_nodes(self, center, order: int, scale: float):
+        return self.points, self.weights * np.exp(-np.sum((np.sqrt(scale) * self.points - center) ** 2, axis=1))
+
+
+class RealDensity(_DensitySet, _RealGrid):
+    """Density g(t) dt on R^n; g is vectorized over point arrays (m, n)."""
+
 
 @dataclass(frozen=True)
-class Lebesgue:
+class Lebesgue(_RealGrid):
     """Lebesgue measure on R^n."""
 
     n: int
+
+    def variation(self):
+        return self
+
+    def times(self, g):
+        return RealDensity(g, self.n)
+
+    def pushed(self, x):
+        return self
+
+    def weigh(self, pts, wts):
+        return wts
 
 
 RealMeasure = RealAtoms | RealDensity | Lebesgue
@@ -83,79 +187,182 @@ def real_dirac(point) -> RealAtoms:
 # measures on C^n
 
 
-@dataclass(frozen=True, eq=False)
-class Atoms:
+class Atoms(_AtomSet, MeasureSpec):
     """Finite atomic measure on C^n with complex weights."""
 
-    points: np.ndarray
-    weights: np.ndarray
+    _dtype = complex
 
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=complex))
-        wts = np.atleast_1d(np.asarray(self.weights, dtype=complex))
-        if pts.shape[0] != wts.shape[0]:
-            raise ValueError("atom points and weights must have equal length")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
-            raise ValueError("atom points and weights must be finite")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
+    def nodes(self, center, order: int, max_nodes: int):
+        return self.points, self.weights * np.exp(-np.sum(np.abs(self.points - center) ** 2, axis=1))
 
-    @property
-    def n(self) -> int:
-        return self.points.shape[1]
+    def ball_mass(self, center, r, order: int) -> complex:
+        inside = np.all(np.abs(self.points - center[None, :]) < r[None, :], axis=1)
+        return complex(np.sum(self.weights[inside]))
 
 
-@dataclass(frozen=True, eq=False)
-class Density:
+class Density(_DensitySet, MeasureSpec):
     """Complex density f(w) dnu_{2n}(w); f is vectorized over (m, n) complex arrays."""
 
-    density: object
-    n: int
-    radius: float = 6.0
+    def is_density(self) -> bool:
+        return True
+
+    def nodes(self, center, order: int, max_nodes: int):
+        rule = gauss_hermite(order)
+        n = self.n
+        if rule.order ** (2 * n) > max_nodes:
+            raise ValueError(f"density discretization needs {rule.order ** (2 * n)} nodes (cap {max_nodes})")
+        axes = [c.real + rule.nodes for c in center] + [c.imag + rule.nodes for c in center]
+        pts2, wts = tensor_grid(axes, [rule.weights] * (2 * n))
+        pts = pts2[:, :n] + 1j * pts2[:, n:]
+        return pts, self.weigh(pts, wts)
+
+    def ball_mass(self, center, r, order: int) -> complex:
+        """Per-axis polar rules: Gauss-Legendre in the radius, equispaced angles."""
+        qr = min(order, 48)
+        gl_nodes, gl_weights = gauss_legendre(qr)
+        qth = max(16, 2 * qr)
+        theta = 2.0 * math.pi * np.arange(qth) / qth
+        wth = np.full(qth, 2.0 * math.pi / qth)
+        axes, weights = [], []
+        for j in range(self.n):
+            rr = 0.5 * r[j] * (gl_nodes + 1.0)
+            wr = 0.5 * r[j] * gl_weights * rr  # polar Jacobian
+            axes.append((center[j] + rr[:, None] * np.exp(1j * theta[None, :])).ravel())
+            weights.append((wr[:, None] * wth[None, :]).ravel())
+        pts, wts = tensor_grid(axes, weights)
+        return complex(np.sum(self.weigh(pts, wts)))
 
 
 @dataclass(frozen=True, eq=False)
-class Horizontal:
-    """mu = rho (x) Lebesgue on the imaginary directions."""
-
-    rho: RealMeasure
-
-
-@dataclass(frozen=True, eq=False)
-class AlphaHorizontal:
+class AlphaHorizontal(MeasureSpec):
     """mu = rho (x) nu_{n,alpha} with d nu_{n,alpha} = prod (1+y_j^2)^{-alpha_j} dy_j.
 
     ``alpha_doubled`` stores 2*alpha so half-integer exponents arising from
-    the weighting calculus stay exact.
+    the weighting calculus stay exact; it defaults to alpha = 0.
     """
 
     rho: RealMeasure
-    alpha_doubled: tuple[int, ...]
+    alpha_doubled: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_doubled", tuple(int(a) for a in self.alpha_doubled))
+        alpha = tuple(int(a) for a in self.alpha_doubled) or (0,) * self.rho.n
+        object.__setattr__(self, "alpha_doubled", alpha)
+
+    @property
+    def n(self) -> int:
+        return self.rho.n
+
+    def variation(self):
+        return type(self)(variation(self.rho), self.alpha_doubled)
+
+    def weighted(self, p: HalfIndex):
+        alpha = tuple(a - d for a, d in zip(self.alpha_doubled, p.doubled))
+        rho = weight_real(self.rho, p)
+        if all(a == 0 for a in alpha):
+            return Horizontal(rho)
+        return AlphaHorizontal(rho, alpha)
+
+    def product_form(self):
+        return self.rho, (0,) * self.n, tuple(-a for a in self.alpha_doubled)
+
+    def nodes(self, center, order: int, max_nodes: int):
+        tpts, twts = real_nodes(self.rho, center.real, order)
+        rule = gauss_hermite(order)
+        vaxes = [c.imag + rule.nodes for c in center]
+        vweights = [rule.weights if a == 0 else rule.weights * (1.0 + v**2) ** (-a / 2.0)
+                    for v, a in zip(vaxes, self.alpha_doubled)]
+        vpts, vwts = tensor_grid(vaxes, vweights)
+        if tpts.shape[0] * vpts.shape[0] > max_nodes:
+            raise ValueError(f"horizontal discretization needs {tpts.shape[0] * vpts.shape[0]} nodes (cap {max_nodes})")
+        pts = (tpts[:, None, :] + 1j * vpts[None, :, :]).reshape(-1, self.n)
+        return pts, (twts[:, None] * vwts[None, :]).ravel()
+
+    def ball_mass(self, center, r, order: int) -> complex:
+        return _ball_mass_product(*self.product_form(), center, r)
+
+
+class Horizontal(AlphaHorizontal):
+    """mu = rho (x) Lebesgue on the imaginary directions (alpha = 0)."""
+
+    def pushed(self, x):
+        # the Lebesgue factor is invariant under any real orthogonal rotation
+        if np.max(np.abs(x.imag)) < _UNITARY_TOL:
+            return Horizontal(self.rho.pushed(x.real))
+        return Pushforward(self, x)
 
 
 @dataclass(frozen=True, eq=False)
-class Pushforward:
+class Pushforward(MeasureSpec):
     """mu_X(E) = mu(X E) for a unitary X; integrates g via g(X* w)."""
 
-    base: "MeasureSpec"
+    base: MeasureSpec
     matrix: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
 
+    @property
+    def n(self) -> int:
+        return self.base.n
+
+    def variation(self):
+        return Pushforward(variation(self.base), self.matrix)
+
+    def weighted(self, p: HalfIndex):
+        return Weighted(self, p)
+
+    def pushed(self, x):
+        combined = self.matrix @ x
+        if np.max(np.abs(combined - np.eye(self.n))) < _UNITARY_TOL:
+            return self.base
+        return pushforward(self.base, combined)
+
+    def nodes(self, center, order: int, max_nodes: int):
+        pts, wts = gaussian_nodes(self.base, self.matrix @ center, order, max_nodes)
+        return pts @ np.conj(self.matrix), wts
+
+    def ball_mass(self, center, r, order: int) -> complex:
+        raise TypeError("polydisk mass for a rotated measure is not supported; rotate the polydisk instead")
+
 
 @dataclass(frozen=True, eq=False)
-class Weighted:
+class Weighted(MeasureSpec):
     """mu_p with density prod_j (1+x_j^2)^{p_j} (1+y_j^2)^{p_j} against the base."""
 
-    base: "MeasureSpec"
+    base: MeasureSpec
     p: HalfIndex
 
+    @property
+    def n(self) -> int:
+        return self.base.n
 
-MeasureSpec = Atoms | Density | Horizontal | AlphaHorizontal | Pushforward | Weighted
+    def variation(self):
+        return Weighted(variation(self.base), self.p)
+
+    def weighted(self, p: HalfIndex):
+        q = self.p + p
+        return self.base if q.is_zero else weight(self.base, q)
+
+    def product_form(self):
+        form = self.base.product_form()
+        if form is None:
+            return None
+        rho, xe, ye = form
+        d = self.p.doubled
+        return rho, tuple(a + b for a, b in zip(xe, d)), tuple(a + b for a, b in zip(ye, d))
+
+    def is_density(self) -> bool:
+        return self.base.is_density()
+
+    def nodes(self, center, order: int, max_nodes: int):
+        pts, wts = gaussian_nodes(self.base, center, order, max_nodes)
+        return pts, wts * _weight_values(self.p.doubled, pts)
+
+    def ball_mass(self, center, r, order: int) -> complex:
+        form = self.product_form()
+        if form is not None:
+            return _ball_mass_product(*form, center, r)
+        return ball_mass(self.base.times(lambda pts: _weight_values(self.p.doubled, pts)), center, r, order)
 
 
 def dirac(point) -> Atoms:
@@ -180,51 +387,23 @@ def real_gaussian(n: int, sigma: float = 1.0) -> RealDensity:
     return RealDensity(lambda pts: np.exp(-np.sum(pts**2, axis=1) / s2), n, radius=4.0 * sigma)
 
 
+# ---------------------------------------------------------------------------
+# the protocol's entry points
+
+
 def dimension(mu) -> int:
-    if isinstance(mu, (Atoms, RealAtoms)):
-        return mu.n
-    if isinstance(mu, (Density, RealDensity, Lebesgue)):
-        return mu.n
-    if isinstance(mu, (Horizontal, AlphaHorizontal)):
-        return dimension(mu.rho)
-    if isinstance(mu, (Pushforward, Weighted)):
-        return dimension(mu.base)
-    raise TypeError(f"not a measure spec: {mu!r}")
+    return mu.n
 
 
 def variation(mu):
     """|mu|, formed structurally (moduli of weights, |f| for densities)."""
-    if isinstance(mu, Atoms):
-        return Atoms(mu.points, np.abs(mu.weights))
-    if isinstance(mu, RealAtoms):
-        return RealAtoms(mu.points, np.abs(mu.weights))
-    if isinstance(mu, Density):
-        f = mu.density
-        return Density(lambda pts: np.abs(f(pts)), mu.n, mu.radius)
-    if isinstance(mu, RealDensity):
-        f = mu.density
-        return RealDensity(lambda pts: np.abs(f(pts)), mu.n, mu.radius)
-    if isinstance(mu, Lebesgue):
-        return mu
-    if isinstance(mu, Horizontal):
-        return Horizontal(variation(mu.rho))
-    if isinstance(mu, AlphaHorizontal):
-        return AlphaHorizontal(variation(mu.rho), mu.alpha_doubled)
-    if isinstance(mu, Pushforward):
-        return Pushforward(variation(mu.base), mu.matrix)
-    if isinstance(mu, Weighted):
-        return Weighted(variation(mu.base), mu.p)
-    raise TypeError(f"not a measure spec: {mu!r}")
+    return mu.variation()
 
 
-# ---------------------------------------------------------------------------
-# the weighting calculus mu_p
-
-
-def _weight_values(p: HalfIndex, pts: np.ndarray) -> np.ndarray:
-    """prod_j (1+x_j^2)^{p_j} (1+y_j^2)^{p_j} at complex points (m, n)."""
+def _weight_values(doubled, pts: np.ndarray) -> np.ndarray:
+    """prod_j (1+x_j^2)^{p_j} (1+y_j^2)^{p_j} at complex points (m, n), with 2p = doubled."""
     out = np.ones(pts.shape[0])
-    for j, d in enumerate(p.doubled):
+    for j, d in enumerate(doubled):
         if d == 0:
             continue
         e = d / 2.0
@@ -232,9 +411,9 @@ def _weight_values(p: HalfIndex, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_weight_values(p: HalfIndex, pts: np.ndarray) -> np.ndarray:
+def _real_weight_values(doubled, pts: np.ndarray) -> np.ndarray:
     out = np.ones(pts.shape[0])
-    for j, d in enumerate(p.doubled):
+    for j, d in enumerate(doubled):
         if d != 0:
             out = out * (1.0 + pts[:, j] ** 2) ** (d / 2.0)
     return out
@@ -244,45 +423,19 @@ def weight_real(rho, p: HalfIndex):
     """Fold the x-part weight prod (1+t_j^2)^{p_j} into a real measure."""
     if p.is_zero:
         return rho
-    if isinstance(rho, RealAtoms):
-        return RealAtoms(rho.points, rho.weights * _real_weight_values(p, rho.points))
-    if isinstance(rho, RealDensity):
-        f = rho.density
-        return RealDensity(lambda pts: f(pts) * _real_weight_values(p, pts), rho.n, rho.radius)
-    if isinstance(rho, Lebesgue):
-        return RealDensity(lambda pts: _real_weight_values(p, pts), rho.n)
-    raise TypeError(f"not a real measure: {rho!r}")
+    return rho.times(lambda pts: _real_weight_values(p.doubled, pts))
 
 
 def weight(mu, p: HalfIndex):
-    """The measure mu_p; repeated weightings collapse to a single normal form."""
+    """The measure mu_p; repeated weightings collapse to a single normal form.
+
+    A tuple ``p`` is read in integers (``HalfIndex.from_ints``).
+    """
     if isinstance(p, (tuple, list)):
         p = HalfIndex.from_ints(p)
     if p.is_zero:
         return mu
-    if isinstance(mu, Weighted):
-        q = mu.p + p
-        return mu.base if q.is_zero else weight(mu.base, q)
-    if isinstance(mu, Atoms):
-        return Atoms(mu.points, mu.weights * _weight_values(p, mu.points))
-    if isinstance(mu, Density):
-        f = mu.density
-        return Density(lambda pts: f(pts) * _weight_values(p, pts), mu.n, mu.radius)
-    if isinstance(mu, Horizontal):
-        return AlphaHorizontal(weight_real(mu.rho, p), tuple(-d for d in p.doubled))
-    if isinstance(mu, AlphaHorizontal):
-        alpha = tuple(a - d for a, d in zip(mu.alpha_doubled, p.doubled))
-        rho = weight_real(mu.rho, p)
-        if all(a == 0 for a in alpha):
-            return Horizontal(rho)
-        return AlphaHorizontal(rho, alpha)
-    if isinstance(mu, Pushforward):
-        return Weighted(mu, p)
-    raise TypeError(f"not a measure spec: {mu!r}")
-
-
-# ---------------------------------------------------------------------------
-# pushforward under unitaries
+    return mu.weighted(p)
 
 
 def _check_unitary(x: np.ndarray, n: int) -> np.ndarray:
@@ -293,18 +446,6 @@ def _check_unitary(x: np.ndarray, n: int) -> np.ndarray:
     if defect > _UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: max |X*X - I| = {defect:.2e}")
     return x
-
-
-def _real_pushforward(rho, o: np.ndarray):
-    """Image of a real measure under t -> O^T t for real orthogonal O."""
-    if isinstance(rho, Lebesgue):
-        return rho
-    if isinstance(rho, RealAtoms):
-        return RealAtoms(rho.points @ o, rho.weights)
-    if isinstance(rho, RealDensity):
-        f = rho.density
-        return RealDensity(lambda pts: f(pts @ o.T), rho.n, rho.radius)
-    raise TypeError(f"not a real measure: {rho!r}")
 
 
 def pushforward(mu, x):
@@ -318,99 +459,34 @@ def pushforward(mu, x):
     x = _check_unitary(x, n)
     if np.max(np.abs(x - np.eye(n))) < _UNITARY_TOL:
         return mu
-    if isinstance(mu, Atoms):
-        return Atoms(mu.points @ np.conj(x), mu.weights)
-    if isinstance(mu, Density):
-        f = mu.density
-        return Density(lambda pts: f(pts @ x.T), mu.n, mu.radius)
-    if isinstance(mu, Pushforward):
-        combined = mu.matrix @ x
-        if np.max(np.abs(combined - np.eye(n))) < 1e-12:
-            return mu.base
-        return pushforward(mu.base, combined)
-    if isinstance(mu, Horizontal) and np.max(np.abs(x.imag)) < _UNITARY_TOL:
-        return Horizontal(_real_pushforward(mu.rho, x.real))
-    return Pushforward(mu, x)
+    return mu.pushed(x)
 
 
 # ---------------------------------------------------------------------------
 # node/weight discretizations for Gaussian pairings
 
 
-def _tensor_nodes(axis_nodes, axis_weights):
-    grids = np.meshgrid(*axis_nodes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = axis_weights[0]
-    for aw in axis_weights[1:]:
-        w = np.multiply.outer(w, aw)
-    return pts, w.ravel()
-
-
-def real_nodes(rho, center, order: int = DEFAULT_ORDER):
-    """Nodes/weights with int g(t) e^{-|t-c|^2} drho(t) ~ sum w_i g(t_i).
+def real_nodes(rho, center, order: int = DEFAULT_ORDER, scale: float = 1.0):
+    """Nodes/weights with int g(t) e^{-|sqrt(scale) t - c|^2} drho(t) ~ sum w_i g(t_i).
 
     The Gaussian kernel is folded into the weights; Lebesgue and density
-    factors are discretized by Gauss-Hermite recentered at c.
+    factors are discretized by Gauss-Hermite recentered at c / sqrt(scale).
+    Berezin transforms use scale 1, the spectral functions gamma scale 2.
     """
     n = dimension(rho)
     center = np.broadcast_to(np.asarray(center, dtype=float), (n,))
-    if isinstance(rho, RealAtoms):
-        wts = rho.weights * np.exp(-np.sum((rho.points - center) ** 2, axis=1))
-        return rho.points, wts
-    rule = gauss_hermite(order)
-    axes = [center[j] + rule.nodes for j in range(n)]
-    pts, wts = _tensor_nodes(axes, [rule.weights] * n)
-    if isinstance(rho, RealDensity):
-        wts = wts * np.asarray(rho.density(pts))
-    elif not isinstance(rho, Lebesgue):
-        raise TypeError(f"not a real measure: {rho!r}")
-    return pts, wts
+    return rho.real_nodes(center, order, scale)
 
 
-def gaussian_nodes(mu, center, order: int = DEFAULT_ORDER, max_nodes: int = _MAX_NODES):
+def gaussian_nodes(mu, center, order: int = DEFAULT_ORDER, max_nodes: int = MAX_NODES):
     """Nodes/weights with int F(w) e^{-|w-c|^2} dmu(w) ~ sum w_i F(w_i).
 
     This single contract drives moments, Berezin transforms, and the
     sesquilinear pairings: the Gaussian and all structural densities are in
     the weights, F alone stays with the caller.
     """
-    n = dimension(mu)
-    center = np.broadcast_to(np.asarray(center, dtype=complex), (n,))
-    if isinstance(mu, Atoms):
-        wts = mu.weights * np.exp(-np.sum(np.abs(mu.points - center) ** 2, axis=1))
-        return mu.points, wts
-    if isinstance(mu, Density):
-        rule = gauss_hermite(order)
-        if rule.order ** (2 * n) > max_nodes:
-            raise ValueError(f"density discretization needs {rule.order ** (2 * n)} nodes (cap {max_nodes})")
-        axes = [center[j].real + rule.nodes for j in range(n)]
-        axes += [center[j].imag + rule.nodes for j in range(n)]
-        pts2, wts = _tensor_nodes(axes, [rule.weights] * (2 * n))
-        pts = pts2[:, :n] + 1j * pts2[:, n:]
-        return pts, wts * np.asarray(mu.density(pts))
-    if isinstance(mu, (Horizontal, AlphaHorizontal)):
-        tpts, twts = real_nodes(mu.rho, center.real, order)
-        rule = gauss_hermite(order)
-        vaxes = [center[j].imag + rule.nodes for j in range(n)]
-        vweights = []
-        for j in range(n):
-            w = rule.weights
-            if isinstance(mu, AlphaHorizontal) and mu.alpha_doubled[j] != 0:
-                w = w * (1.0 + vaxes[j] ** 2) ** (-mu.alpha_doubled[j] / 2.0)
-            vweights.append(w)
-        vpts, vwts = _tensor_nodes(vaxes, vweights)
-        if tpts.shape[0] * vpts.shape[0] > max_nodes:
-            raise ValueError(f"horizontal discretization needs {tpts.shape[0] * vpts.shape[0]} nodes (cap {max_nodes})")
-        pts = (tpts[:, None, :] + 1j * vpts[None, :, :]).reshape(-1, n)
-        wts = (twts[:, None] * vwts[None, :]).ravel()
-        return pts, wts
-    if isinstance(mu, Weighted):
-        pts, wts = gaussian_nodes(mu.base, center, order, max_nodes)
-        return pts, wts * _weight_values(mu.p, pts)
-    if isinstance(mu, Pushforward):
-        pts, wts = gaussian_nodes(mu.base, mu.matrix @ center, order, max_nodes)
-        return pts @ np.conj(mu.matrix), wts
-    raise TypeError(f"not a measure spec: {mu!r}")
+    center = np.broadcast_to(np.asarray(center, dtype=complex), (dimension(mu),))
+    return mu.nodes(center, order, max_nodes)
 
 
 def gaussian_pairing(mu, center, f=None, order: int = DEFAULT_ORDER) -> complex:
@@ -430,26 +506,6 @@ def gaussian_pairing(mu, center, f=None, order: int = DEFAULT_ORDER) -> complex:
 # moments m_{alpha,beta}(mu) = int w^alpha conj(w)^beta e^{-|w|^2} dmu(w)
 
 
-def _product_form(mu):
-    """(rho, x_exponents_doubled, y_exponents_doubled) if mu is a weighted
-    horizontal product, else None.  The y-exponent e means a factor
-    (1+v^2)^{e/2} on that imaginary axis."""
-    if isinstance(mu, Horizontal):
-        n = dimension(mu)
-        return mu.rho, (0,) * n, (0,) * n
-    if isinstance(mu, AlphaHorizontal):
-        n = dimension(mu)
-        return mu.rho, (0,) * n, tuple(-a for a in mu.alpha_doubled)
-    if isinstance(mu, Weighted):
-        form = _product_form(mu.base)
-        if form is None:
-            return None
-        rho, xe, ye = form
-        d = mu.p.doubled
-        return rho, tuple(a + b for a, b in zip(xe, d)), tuple(a + b for a, b in zip(ye, d))
-    return None
-
-
 def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     """All moments m_{alpha,beta} for alpha, beta in ``indices`` as one pass.
 
@@ -467,10 +523,10 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     """
     indices = [tuple(a) for a in indices]
     maxdeg = max(sum(a) for a in indices)
-    form = _product_form(mu)
+    form = mu.product_form()
     if form is not None:
         tables, grid = _product_grid(*form, maxdeg, order)
-    elif _is_density_form(mu):
+    elif mu.is_density():
         tables, grid = _density_grid(mu, maxdeg, order)
     else:
         return _moment_table_nodes(mu, indices, order)
@@ -488,12 +544,6 @@ def _moment_table_nodes(mu, indices, order: int) -> np.ndarray:
         pows = monomial_matrix(pts[sl], indices)
         table += (pows * wts[sl, None]).T @ np.conj(pows)
     return table
-
-
-def _is_density_form(mu) -> bool:
-    if isinstance(mu, Weighted):
-        return _is_density_form(mu.base)
-    return isinstance(mu, Density)
 
 
 def _powers(z: np.ndarray, maxdeg: int) -> np.ndarray:
@@ -637,41 +687,10 @@ def ball_mass(mu, center, r, order: int = DEFAULT_ORDER) -> complex:
     r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
     if np.any(r <= 0):
         raise ValueError(f"polydisk radii must be positive, got {r}")
-    if isinstance(mu, Atoms):
-        inside = np.all(np.abs(mu.points - center[None, :]) < r[None, :], axis=1)
-        return complex(np.sum(mu.weights[inside]))
-    if isinstance(mu, Density):
-        return _ball_mass_density(mu, center, r, order)
-    if isinstance(mu, (Horizontal, AlphaHorizontal, Weighted)):
-        form = _product_form(mu)
-        if form is not None:
-            return _ball_mass_product(*form, center, r, order)
-        if isinstance(mu, Weighted) and isinstance(mu.base, (Atoms, Density)):
-            return ball_mass(weight(mu.base, mu.p), center, r, order)
-        raise TypeError(f"polydisk mass unsupported for {type(mu).__name__} over {type(mu.base).__name__}")
-    if isinstance(mu, Pushforward):
-        raise TypeError("polydisk mass for a rotated product measure is not supported; rotate the polydisk instead")
-    raise TypeError(f"not a measure spec: {mu!r}")
+    return mu.ball_mass(center, r, order)
 
 
-def _ball_mass_density(mu: Density, center, r, order: int) -> complex:
-    qr = min(order, 48)
-    gl_nodes, gl_weights = gauss_legendre(qr)
-    rho_axis = []
-    for j in range(mu.n):
-        rr = 0.5 * r[j] * (gl_nodes + 1.0)
-        wr = 0.5 * r[j] * gl_weights * rr  # polar Jacobian
-        qth = max(16, 2 * qr)
-        theta = 2.0 * math.pi * np.arange(qth) / qth
-        wth = np.full(qth, 2.0 * math.pi / qth)
-        pts_j = center[j] + rr[:, None] * np.exp(1j * theta[None, :])
-        wts_j = wr[:, None] * wth[None, :]
-        rho_axis.append((pts_j.ravel(), wts_j.ravel()))
-    pts, wts = _tensor_nodes([a[0] for a in rho_axis], [a[1] for a in rho_axis])
-    return complex(np.sum(wts * np.asarray(mu.density(pts))))
-
-
-def _ball_mass_product(rho, x_exp, y_exp, center, r, order: int) -> complex:
+def _ball_mass_product(rho, x_exp, y_exp, center, r) -> complex:
     n = len(x_exp)
     x0, y0 = center.real, center.imag
     s, sw = _chord_rule()
@@ -688,30 +707,15 @@ def _ball_mass_product(rho, x_exp, y_exp, center, r, order: int) -> complex:
             out = out * (c[:, None] * f * sw[None, :]).sum(axis=1)
         return out
 
-    def xweight(tpts):
-        out = np.ones(tpts.shape[0])
-        for j, e in enumerate(x_exp):
-            if e != 0:
-                out = out * (1.0 + tpts[:, j] ** 2) ** (e / 2.0)
-        return out
-
     if isinstance(rho, RealAtoms):
         inside = np.all(np.abs(rho.points - x0[None, :]) < r[None, :], axis=1)
         if not np.any(inside):
             return 0.0 + 0.0j
         pts = rho.points[inside]
-        return complex(np.sum(rho.weights[inside] * xweight(pts) * chords(pts)))
+        return complex(np.sum(rho.weights[inside] * _real_weight_values(x_exp, pts) * chords(pts)))
     # Lebesgue or density rho: per-axis substitution t = x0 + r sin(phi)
-    phi_s, phi_w = _chord_rule()
-    axes = [x0[j] + r[j] * phi_s for j in range(n)]
-    axws = [r[j] * phi_w for j in range(n)]
-    tpts, twts = _tensor_nodes(axes, axws)
-    vals = xweight(tpts) * chords(tpts)
-    if isinstance(rho, RealDensity):
-        vals = vals * np.asarray(rho.density(tpts))
-    elif not isinstance(rho, Lebesgue):
-        raise TypeError(f"not a real measure: {rho!r}")
-    return complex(np.sum(twts * vals))
+    tpts, twts = tensor_grid([x0[j] + r[j] * s for j in range(n)], [r[j] * sw for j in range(n)])
+    return complex(np.sum(twts * rho.weigh(tpts, _real_weight_values(x_exp, tpts) * chords(tpts))))
 
 
 # ---------------------------------------------------------------------------
@@ -808,29 +812,47 @@ def _parse_point(text: str, n: int, real: bool):
     return pt
 
 
-def parse_real_measure(text: str, n: int):
-    """Parse the real-measure grammar: lebesgue | dirac(..) | gaussian(s) | atoms(..) | density(..)."""
+def _parse(text: str, n: int, real: bool):
     head, body = _head_body(text)
     if head == "lebesgue" and body is None:
-        return Lebesgue(n)
+        return Lebesgue(n) if real else lebesgue(n)
     if head == "dirac":
-        return real_dirac(_parse_point(body, n, real=True))
+        return (real_dirac if real else dirac)(_parse_point(body, n, real))
     if head == "gaussian":
-        return real_gaussian(n, float(body))
+        return (real_gaussian if real else gaussian_density)(n, float(body))
     if head == "atoms":
         points, weights = [], []
         for item in _split_top(body, ","):
             loc, _, wt = item.rpartition(":")
-            points.append(_parse_point(loc, n, real=True))
+            points.append(_parse_point(loc, n, real))
             weights.append(complex(ast.literal_eval(wt.strip())))
-        return RealAtoms(np.array(points), np.array(weights))
+        return (RealAtoms if real else Atoms)(np.array(points), np.array(weights))
     if head == "density":
         parts = _split_top(body, ";")
         radius = 6.0
         if len(parts) == 2:
             radius = float(parts[1].split("=")[-1])
-        return RealDensity(compile_density_expression(parts[0], n, real=True), n, radius)
-    raise ValueError(f"cannot parse real measure spec {text!r}")
+        return (RealDensity if real else Density)(compile_density_expression(parts[0], n, real), n, radius)
+    if not real and head == "horizontal":
+        return Horizontal(_parse(body, n, True))
+    if not real and head == "alpha_horizontal":
+        rho_text, alpha_text = _split_top(body, ";")
+        alpha = [float(a) for a in _split_top(alpha_text, ",")]
+        return AlphaHorizontal(_parse(rho_text, n, True), HalfIndex.from_halves(alpha).doubled)
+    if not real and head == "weighted":
+        mu_text, p_text = _split_top(body, ";")
+        p = HalfIndex.from_halves([float(a) for a in _split_top(p_text, ",")])
+        return weight(_parse(mu_text, n, False), p)
+    if not real and head == "pushforward":
+        mu_text, x_text = _split_top(body, ";")
+        x = np.atleast_2d(np.asarray(ast.literal_eval(x_text), dtype=complex))
+        return pushforward(_parse(mu_text, n, False), x)
+    raise ValueError(f"cannot parse {'real ' if real else ''}measure spec {text!r}")
+
+
+def parse_real_measure(text: str, n: int):
+    """Parse the real-measure grammar: lebesgue | dirac(..) | gaussian(s) | atoms(..) | density(..)."""
+    return _parse(text, n, real=True)
 
 
 def parse_measure(text: str, n: int):
@@ -841,38 +863,4 @@ def parse_measure(text: str, n: int):
     ``alpha_horizontal(rho; a1,..,an)``, ``weighted(mu; p1,..,pn)``,
     ``pushforward(mu; X)``.  Complex literals use Python syntax (1+2j).
     """
-    head, body = _head_body(text)
-    if head == "lebesgue" and body is None:
-        return lebesgue(n)
-    if head == "dirac":
-        return dirac(_parse_point(body, n, real=False))
-    if head == "gaussian":
-        return gaussian_density(n, float(body))
-    if head == "atoms":
-        points, weights = [], []
-        for item in _split_top(body, ","):
-            loc, _, wt = item.rpartition(":")
-            points.append(_parse_point(loc, n, real=False))
-            weights.append(complex(ast.literal_eval(wt.strip())))
-        return Atoms(np.array(points), np.array(weights))
-    if head == "density":
-        parts = _split_top(body, ";")
-        radius = 6.0
-        if len(parts) == 2:
-            radius = float(parts[1].split("=")[-1])
-        return Density(compile_density_expression(parts[0], n, real=False), n, radius)
-    if head == "horizontal":
-        return Horizontal(parse_real_measure(body, n))
-    if head == "alpha_horizontal":
-        rho_text, alpha_text = _split_top(body, ";")
-        alpha = [float(a) for a in _split_top(alpha_text, ",")]
-        return AlphaHorizontal(parse_real_measure(rho_text, n), HalfIndex.from_halves(alpha).doubled)
-    if head == "weighted":
-        mu_text, p_text = _split_top(body, ";")
-        p = HalfIndex.from_halves([float(a) for a in _split_top(p_text, ",")])
-        return weight(parse_measure(mu_text, n), p)
-    if head == "pushforward":
-        mu_text, x_text = _split_top(body, ";")
-        x = np.atleast_2d(np.asarray(ast.literal_eval(x_text), dtype=complex))
-        return pushforward(parse_measure(mu_text, n), x)
-    raise ValueError(f"cannot parse measure spec {text!r}")
+    return _parse(text, n, real=False)

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 MAX_ORDER = 200
+MAX_NODES = 6_000_000  # largest node set any tensor discretization may materialize
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,7 +23,8 @@ class QuadRule:
     """One-axis rule: sum(weights * f(nodes)) ~ int f(t) e^{-t^2} dt.
 
     ``folded`` marks whether the Gaussian weight is folded into the weights
-    (the default) or left to the integrand.
+    (the default) or left to the integrand.  Rules are cached and shared, so
+    their arrays are read-only copies.
     """
 
     nodes: np.ndarray
@@ -30,14 +32,19 @@ class QuadRule:
     order: int
     folded: bool = True
 
+    def __post_init__(self):
+        for name in ("nodes", "weights"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
 
 @lru_cache(maxsize=64)
 def gauss_hermite(order: int) -> QuadRule:
     """Gauss-Hermite nodes/weights by the symmetric tridiagonal eigenvalue method.
 
     Exact for polynomials of degree <= 2*order - 1 against e^{-t^2}; orders
-    beyond the stable range are rejected.  Rules are cached and must be
-    treated as immutable.
+    beyond the stable range are rejected.  Rules are cached and immutable.
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"Gauss-Hermite order must be in [1, {MAX_ORDER}], got {order}")
@@ -71,19 +78,31 @@ class TensorRule:
     def size(self) -> int:
         return math.prod(r.order for r in self.rules)
 
-    def points(self, max_nodes: int = 6_000_000) -> np.ndarray:
+    def grid(self, max_nodes: int = MAX_NODES) -> tuple[np.ndarray, np.ndarray]:
+        """Points (size, dim) and weights (size,) of the product rule."""
         if self.size > max_nodes:
             raise ValueError(f"tensor rule would materialize {self.size} nodes (cap {max_nodes})")
-        grids = np.meshgrid(*(r.nodes for r in self.rules), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return tensor_grid([r.nodes for r in self.rules], [r.weights for r in self.rules])
 
-    def weights(self, max_nodes: int = 6_000_000) -> np.ndarray:
-        if self.size > max_nodes:
-            raise ValueError(f"tensor rule would materialize {self.size} nodes (cap {max_nodes})")
-        w = self.rules[0].weights
-        for r in self.rules[1:]:
-            w = np.multiply.outer(w, r.weights)
-        return w.ravel()
+    def points(self, max_nodes: int = MAX_NODES) -> np.ndarray:
+        return self.grid(max_nodes)[0]
+
+    def weights(self, max_nodes: int = MAX_NODES) -> np.ndarray:
+        return self.grid(max_nodes)[1]
+
+
+def tensor_grid(axes, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor product of per-axis nodes and weights, laid out in C order.
+
+    Returns points of shape (m, d) and weights of shape (m,) with
+    m = prod_j len(axes[j]); the last axis varies fastest.
+    """
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    w = weights[0]
+    for aw in weights[1:]:
+        w = np.multiply.outer(w, aw)
+    return pts, w.ravel()
 
 
 def tensor_rule(orders) -> TensorRule:
@@ -100,8 +119,7 @@ def integrate_gaussian(f, rule) -> complex:
     """
     if isinstance(rule, QuadRule):
         rule = TensorRule((rule,))
-    pts = rule.points()
-    wts = rule.weights()
+    pts, wts = rule.grid()
     vals = np.asarray(f(pts))
     if vals.shape != (pts.shape[0],):
         raise ValueError(f"integrand returned shape {vals.shape}, expected ({pts.shape[0]},)")

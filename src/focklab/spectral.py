@@ -17,20 +17,11 @@ import numpy as np
 
 from .basis import BasisSet
 from .indices import HalfIndex, hermite_values
-from .measures import (
-    DEFAULT_ORDER,
-    Horizontal,
-    Lebesgue,
-    RealAtoms,
-    RealDensity,
-    dimension,
-    real_nodes,
-)
+from .measures import DEFAULT_ORDER, Horizontal, MeasureSpec, dimension, real_nodes
 from .quadrature import tensor_rule
 from .toeplitz import (
     OperatorMatrix,
     assemble_real_coderivative,
-    assemble_toeplitz,
     berezin_operator,
     berezin_y_variation,
     horizontal_berezin_profile,
@@ -52,53 +43,27 @@ class SpectralSamples:
     quad_order: int | None = None
 
 
-def _shifted_real_nodes(rho, x, order):
-    """Nodes/weights for int g(y) e^{-(x - sqrt2 y)^2} drho(y) via u = sqrt2 y - x."""
-    n = dimension(rho)
-    if isinstance(rho, RealAtoms):
-        w = rho.weights * np.exp(-np.sum((np.sqrt(2.0) * rho.points - x[None, :]) ** 2, axis=1))
-        return rho.points, w
-    rule = tensor_rule([order] * n)
-    u = rule.points()
-    ypts = (u + x[None, :]) / np.sqrt(2.0)
-    wts = rule.weights() * (2.0 ** (-n / 2.0))
-    if isinstance(rho, RealDensity):
-        wts = wts * np.asarray(rho.density(ypts))
-    elif not isinstance(rho, Lebesgue):
-        raise TypeError(f"not a real measure: {rho!r}")
-    return ypts, wts
-
-
 def gamma_plain(rho, grid, order: int = DEFAULT_ORDER) -> np.ndarray:
     """gamma_rho(x) = (2/pi)^{n/2} int e^{-(x - sqrt2 y)^2} drho(y) on the grid."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    n = dimension(rho)
-    out = np.empty(grid.shape[0], dtype=complex)
-    c = (2.0 / math.pi) ** (n / 2.0)
-    for i, x in enumerate(grid):
-        _, wts = _shifted_real_nodes(rho, x, order)
-        out[i] = c * np.sum(wts)
-    return out
+    return gamma_2k(rho, (0,) * dimension(rho), grid, order)
 
 
 def gamma_2k(rho, k: HalfIndex, grid, order: int = DEFAULT_ORDER) -> np.ndarray:
     """gamma_{rho,2k}(x) = (2/pi)^{n/2} int H_{2k}(sqrt2 x - y) e^{-(x - sqrt2 y)^2} drho(y)."""
-    if isinstance(k, (tuple, list)):
-        k = HalfIndex.from_doubled(k)
-    two_k = k.order_index()
-    if k.is_zero:
-        return gamma_plain(rho, grid, order)
+    two_k = HalfIndex.of(k).order_index()
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     n = dimension(rho)
     out = np.empty(grid.shape[0], dtype=complex)
     c = (2.0 / math.pi) ** (n / 2.0)
     for i, x in enumerate(grid):
-        ypts, wts = _shifted_real_nodes(rho, x, order)
-        arg = np.sqrt(2.0) * x[None, :] - ypts
-        h = np.ones(ypts.shape[0])
-        for j in range(n):
-            h = h * hermite_values(two_k[j], arg[:, j])[two_k[j]]
-        out[i] = c * np.sum(wts * h)
+        ypts, wts = real_nodes(rho, x, order, scale=2.0)
+        if any(two_k):
+            arg = np.sqrt(2.0) * x[None, :] - ypts
+            h = np.ones(ypts.shape[0])
+            for j in range(n):
+                h = h * hermite_values(two_k[j], arg[:, j])[two_k[j]]
+            wts = wts * h
+        out[i] = c * np.sum(wts)
     return out
 
 
@@ -155,9 +120,7 @@ def multiplication_matrix(gamma, basis: BasisSet, order: int = DEFAULT_SPECTRAL_
     needed = basis.degree + degree_hint // 2 + _ORDER_MARGIN
     if order < needed:
         raise ValueError(f"quadrature order {order} is insufficient for degree {basis.degree} (need >= {needed})")
-    rule = tensor_rule([order] * basis.n)
-    pts = rule.points()
-    wts = rule.weights()
+    pts, wts = tensor_rule([order] * basis.n).grid()
     if isinstance(gamma, SpectralSamples):
         if gamma.grid.shape != pts.shape or not np.allclose(gamma.grid, pts, atol=1e-12):
             raise ValueError("SpectralSamples grid does not match the quadrature nodes of its order")
@@ -178,14 +141,10 @@ class DiagonalizationReport:
     berezin_gap: float
     toeplitz: OperatorMatrix = field(repr=False)
     multiplication: OperatorMatrix = field(repr=False)
-
-
-HORIZONTALITY_TOL = 1e-8
+    samples: SpectralSamples = field(repr=False)
 
 
 def _extract_rho(mu_or_rho, order: int):
-    from .measures import MeasureSpec
-
     if isinstance(mu_or_rho, Horizontal):
         return mu_or_rho.rho
     if isinstance(mu_or_rho, MeasureSpec):
@@ -210,14 +169,9 @@ def diagonalization_residual(mu_or_rho, k: HalfIndex, basis: BasisSet,
     carries the truncation error of the kernel expansion and shrinks as D
     grows, unlike the entrywise residual which is quadrature-limited.
     """
-    if isinstance(k, (tuple, list)):
-        k = HalfIndex.from_doubled(k)
+    k = HalfIndex.of(k)
     rho = _extract_rho(mu_or_rho, moment_order)
-    mu = Horizontal(rho)
-    if k.is_zero:
-        top = assemble_toeplitz(mu, basis, moment_order)
-    else:
-        top = assemble_real_coderivative(mu, k, basis, moment_order)
+    top = assemble_real_coderivative(Horizontal(rho), k, basis, moment_order)
     samples = gamma_samples(rho, k, spectral_order, moment_order)
     mult = multiplication_matrix(samples, basis)
     residual = interior_max_norm(top.entries - mult.entries, basis)
@@ -230,7 +184,7 @@ def diagonalization_residual(mu_or_rho, k: HalfIndex, basis: BasisSet,
         front = 2.0 ** sum(two_k) * math.prod(float(z[j].real) ** two_k[j] for j in range(basis.n))
         expected = front * horizontal_berezin_profile(rho, z.real, moment_order)
         gap = max(gap, abs(seen - expected))
-    return DiagonalizationReport(residual, basis.degree // 2, gap, top, mult)
+    return DiagonalizationReport(residual, basis.degree // 2, gap, top, mult, samples)
 
 
 @dataclass(frozen=True)

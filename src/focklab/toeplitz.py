@@ -109,13 +109,13 @@ def assemble_coderivative(mu, a, b, basis: BasisSet, order: int = DEFAULT_ORDER,
 def assemble_real_coderivative(mu, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER) -> OperatorMatrix:
     """Binomial sum over b <= 2k of the (2k-b, b) coderivative operators.
 
-    Reduces to assemble_toeplitz when |k| = 0; Hermitian for positive mu.
+    Is assemble_toeplitz when |k| = 0; Hermitian for positive mu.
     """
-    if isinstance(k, (tuple, list)):
-        k = HalfIndex.from_doubled(k)
-    two_k = k.order_index()
+    two_k = HalfIndex.of(k).order_index()
     if len(two_k) != basis.n:
         raise ValueError(f"k has {len(two_k)} axes, basis has {basis.n}")
+    if not any(two_k):
+        return assemble_toeplitz(mu, basis, order)
     table = moment_table(mu, list(basis.indices), order)
     _locate_bad_entry(table, basis)
     entries = np.zeros((basis.size, basis.size), dtype=complex)
@@ -148,9 +148,7 @@ def berezin_measure(mu, z, order: int = DEFAULT_ORDER) -> complex:
 
 def berezin_coderivative(mu, k: HalfIndex, z, order: int = DEFAULT_ORDER) -> complex:
     """2^{|2k|} pi^{-n} (Re z)^{2k} int e^{-|z-w|^2} dmu(w); closed in the 2k factor."""
-    if isinstance(k, (tuple, list)):
-        k = HalfIndex.from_doubled(k)
-    two_k = k.order_index()
+    two_k = HalfIndex.of(k).order_index()
     z = np.broadcast_to(np.asarray(z, dtype=complex), (dimension(mu),))
     front = 2.0 ** sum(two_k) * math.prod(float(z[j].real) ** two_k[j] for j in range(len(two_k)))
     if front == 0.0:

@@ -1,8 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
+from focklab import cli, spectral
 from focklab.cli import ExperimentConfig, load_config, main, run
+from focklab.spectral import gamma_samples
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, name="cfg.yaml", **fields):
@@ -268,3 +274,40 @@ def test_main_rejects_bad_measure_grammar(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("mistyped", [{"n": "two"}, {"k": 2}, {"orders": 5}], ids=["n", "k", "orders"])
+def test_main_mistyped_field_exits_two(tmp_path, capsys, mistyped):
+    cfg = write_config(tmp_path, command="assemble", truncation=4, measure="lebesgue", out=str(tmp_path / "o"), **mistyped)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_verify_diagonalization_samples_gamma_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return gamma_samples(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "gamma_samples", counting)
+    monkeypatch.setattr(cli, "gamma_samples", counting)
+    cfg = ExperimentConfig(command="verify-diagonalization", n=1, truncation=8,
+                           measure="horizontal(dirac(0.0))", out=str(tmp_path / "run"))
+    assert run(cfg) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_config_reruns_byte_identical(tmp_path, path):
+    written = []
+    for i in range(2):
+        config = load_config(path)
+        config.out = str(tmp_path / f"run{i}")
+        assert run(config) == 0
+        files = sorted(p for p in Path(config.out).iterdir() if p.suffix == ".csv" or p.name == "summary.txt")
+        written.append({p.name: p.read_bytes() for p in files})
+    assert "summary.txt" in written[0]
+    assert written[0] == written[1]

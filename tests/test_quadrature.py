@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focklab.basis import enumerate_basis
 from focklab.indices import hermite
+from focklab.measures import Lebesgue, lebesgue, real_nodes
 from focklab.quadrature import (
     gauss_hermite,
     gauss_legendre,
@@ -13,6 +15,7 @@ from focklab.quadrature import (
     raw_weights,
     tensor_rule,
 )
+from focklab.toeplitz import assemble_toeplitz
 
 
 def gaussian_moment(m: int) -> float:
@@ -151,3 +154,19 @@ def test_gauss_legendre_is_cached_and_read_only():
         x[0] = 0.0
     with pytest.raises(ValueError):
         w *= 2.0
+
+
+def test_cached_rule_arrays_are_read_only():
+    # a caller writing into a cached rule would change every later integral
+    rule = gauss_hermite(40)
+    with pytest.raises(ValueError):
+        rule.weights *= 2.0
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        tensor_rule([40]).weights()[0] = 0.0
+    # node sets built from a rule either copy its weights or inherit the lock
+    _, w = real_nodes(Lebesgue(1), 0.0)
+    assert not (w.flags.writeable and np.shares_memory(w, rule.weights))
+    assert assemble_toeplitz(lebesgue(1), enumerate_basis(1, 4)).entries[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(gauss_hermite(40).weights) == pytest.approx(math.sqrt(math.pi), rel=1e-12)

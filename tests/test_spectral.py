@@ -252,3 +252,12 @@ def test_alpha_horizontal_reduction_diagonalizes():
     samples = gamma_samples(weight_real(rho, alpha), k - alpha)
     m = multiplication_matrix(samples, b)
     assert interior_max_norm(t.entries - m.entries, b) <= 1e-8
+
+
+def test_diagonalization_report_carries_its_gamma_samples():
+    b = enumerate_basis(1, 8)
+    rep = diagonalization_residual(real_gaussian(1), K1, b, 40, 60)
+    again = gamma_samples(real_gaussian(1), K1, 60, 40)
+    assert rep.samples.k == K1 and rep.samples.quad_order == 60
+    np.testing.assert_array_equal(rep.samples.grid, again.grid)
+    np.testing.assert_array_equal(rep.samples.values, again.values)
