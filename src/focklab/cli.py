@@ -23,9 +23,9 @@ from . import carleson as carleson_mod
 from .basis import enumerate_basis
 from .indices import HalfIndex
 from .lagrangian import LagrangianFrame, assemble_l_real_coderivative, l_invariance_test, rotation_defect
-from .measures import Horizontal, parse_measure, pushforward, weight
+from .measures import DEFAULT_ORDER, Horizontal, parse_measure, pushforward, weight
 from .output import write_complex_grid_csv, write_matrix_csv, write_samples_csv, write_summary
-from .spectral import diagonalization_residual, gamma_samples, multiplication_matrix, norm_and_spectrum
+from .spectral import DEFAULT_SPECTRAL_ORDER, diagonalization_residual, gamma_samples, multiplication_matrix, norm_and_spectrum
 from .toeplitz import assemble_real_coderivative, assemble_toeplitz, berezin_coderivative, berezin_measure, commutator, interior_max_norm
 
 _OK = [("tolerance", "none"), ("result", "ok")]
@@ -44,8 +44,8 @@ class ExperimentConfig:
     p: list[int] | None = None
     alpha: list[int] | None = None
     frame: list[list[float]] | None = None
-    moment_order: int = 40
-    spectral_order: int = 80
+    moment_order: int = DEFAULT_ORDER
+    spectral_order: int = DEFAULT_SPECTRAL_ORDER
     window: float = 2.0
     spacing: float = 0.5
     r: list[float] | None = None
@@ -60,6 +60,9 @@ class ExperimentConfig:
             raise ValueError(f"field 'n': dimension must be >= 1, got {self.n}")
         if self.truncation < 0:
             raise ValueError(f"field 'truncation': degree must be >= 0, got {self.truncation}")
+        for name in ("measure", "measure2"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"field {name!r}: expected a measure spec string, got {getattr(self, name)!r}")
         for name in ("k", "p", "alpha"):
             value = getattr(self, name)
             if value is not None:
@@ -81,12 +84,14 @@ def load_config(path: Path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must be a mapping of fields")
     orders = raw.pop("orders", None)
+    if orders is not None and not isinstance(orders, dict):
+        raise ValueError(f"field 'orders': expected a mapping of moment/spectral orders, got {orders!r}")
     if orders:
         bad = set(orders) - {"moment", "spectral"}
         if bad:
             raise ValueError(f"field 'orders': unknown keys {sorted(bad)} (expected moment/spectral)")
-        raw.setdefault("moment_order", orders.get("moment", 40))
-        raw.setdefault("spectral_order", orders.get("spectral", 80))
+        raw.setdefault("moment_order", orders.get("moment", DEFAULT_ORDER))
+        raw.setdefault("spectral_order", orders.get("spectral", DEFAULT_SPECTRAL_ORDER))
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = set(raw) - known
     if unknown:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite import hermvander
 
 MultiIndex = tuple[int, ...]
 
@@ -104,13 +105,7 @@ def monomial_matrix(points: np.ndarray, indices: list[MultiIndex]) -> np.ndarray
 def hermite_values(m: int, x) -> np.ndarray:
     """H_0(x) .. H_m(x) stacked along the first axis (physicists' convention)."""
     x = np.asarray(x, dtype=float)
-    out = np.empty((m + 1,) + x.shape)
-    out[0] = 1.0
-    if m >= 1:
-        out[1] = 2.0 * x
-    for j in range(1, m):
-        out[j + 1] = 2.0 * x * out[j] - 2.0 * j * out[j - 1]
-    return out
+    return np.moveaxis(hermvander(x, m), -1, 0).reshape((m + 1,) + x.shape)
 
 
 def hermite(m: int, x):

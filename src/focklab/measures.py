@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyvander
 
 from .indices import HalfIndex, as_multi_index, monomial_matrix
 from .quadrature import MAX_NODES, gauss_hermite, gauss_legendre, tensor_grid
@@ -392,6 +393,8 @@ def real_gaussian(n: int, sigma: float = 1.0) -> RealDensity:
 
 
 def dimension(mu) -> int:
+    if not isinstance(mu, _Measure):
+        raise TypeError(f"expected a measure, got {type(mu).__name__}")
     return mu.n
 
 
@@ -514,6 +517,10 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     violated decay contract surfaces as a non-finite value located by the
     caller.
 
+    ``order`` is a floor: the rule has max(order, D + 1) nodes per axis, the
+    fewest exact for the polynomial part of every entry; past order 200 or
+    the node cap the request is refused.
+
     Weighted horizontal products and densities on a Gauss-Hermite grid
     factor per axis: their moments come from per-axis tables on the distinct
     node values, contracted against the weight grid one axis at a time
@@ -523,6 +530,7 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     """
     indices = [tuple(a) for a in indices]
     maxdeg = max(sum(a) for a in indices)
+    order = max(order, maxdeg + 1)
     form = mu.product_form()
     if form is not None:
         tables, grid = _product_grid(*form, maxdeg, order)
@@ -546,19 +554,11 @@ def _moment_table_nodes(mu, indices, order: int) -> np.ndarray:
     return table
 
 
-def _powers(z: np.ndarray, maxdeg: int) -> np.ndarray:
-    """z^0 .. z^maxdeg stacked along a new last axis."""
-    pows = np.empty(z.shape + (maxdeg + 1,), dtype=complex)
-    pows[..., 0] = 1.0
-    for a in range(maxdeg):
-        pows[..., a + 1] = pows[..., a] * z
-    return pows
-
-
 def _product_grid(rho, x_exp, y_exp, maxdeg: int, order: int):
     """Per-axis tables g_j[i, a, b] = sum_v w(v) (t_i+iv)^a (t_i-iv)^b (1+t_i^2)^{x_j/2}
     on the distinct t-values of each axis, and the t-weights on their grid."""
     n = len(x_exp)
+    rule = gauss_hermite(order)
     tpts, twts = real_nodes(rho, np.zeros(n), order)
     if isinstance(rho, RealAtoms):
         axes, where = zip(*(np.unique(tpts[:, j], return_inverse=True) for j in range(n)))
@@ -566,17 +566,15 @@ def _product_grid(rho, x_exp, y_exp, maxdeg: int, order: int):
         np.add.at(grid, where, twts)
     else:
         # real_nodes lays the Gauss-Hermite tensor grid out in C order
-        rule = gauss_hermite(order)
         axes = (rule.nodes,) * n
         grid = twts.reshape((rule.order,) * n)
-    vrule = gauss_hermite(max(order, maxdeg + 1))
-    v = vrule.nodes
+    v = rule.nodes
     tables = []
     for j in range(n):
-        wv = vrule.weights
+        wv = rule.weights
         if y_exp[j] != 0:
             wv = wv * (1.0 + v**2) ** (y_exp[j] / 2.0)
-        pows = _powers(axes[j][:, None] + 1j * v[None, :], maxdeg)
+        pows = polyvander(axes[j][:, None] + 1j * v[None, :], maxdeg)
         g = np.swapaxes(pows * wv[None, :, None], 1, 2) @ np.conj(pows)
         if x_exp[j] != 0:
             g = g * ((1.0 + axes[j] ** 2) ** (x_exp[j] / 2.0))[:, None, None]
@@ -595,7 +593,7 @@ def _density_grid(mu, maxdeg: int, order: int):
     # interleave them so (x_j, y_j) becomes one complex axis of q^2 nodes
     pairing = [a for j in range(n) for a in (j, n + j)]
     grid = wts.reshape((q,) * (2 * n)).transpose(pairing).reshape((q * q,) * n)
-    pows = _powers((rule.nodes[:, None] + 1j * rule.nodes[None, :]).ravel(), maxdeg)
+    pows = polyvander((rule.nodes[:, None] + 1j * rule.nodes[None, :]).ravel(), maxdeg)
     g = pows[:, :, None] * np.conj(pows)[:, None, :]
     return [g] * n, grid
 
@@ -647,10 +645,12 @@ def _contract_axes(tables, grid, maxdeg: int):
 
 
 def moment(mu, alpha, beta, order: int = DEFAULT_ORDER) -> complex:
-    """m_{alpha,beta}(mu) = int w^alpha conj(w)^beta e^{-|w|^2} dmu(w)."""
+    """m_{alpha,beta}(mu) = int w^alpha conj(w)^beta e^{-|w|^2} dmu(w), node by node
+    at the order floor max(order, |alpha| + 1, |beta| + 1)."""
     n = dimension(mu)
     alpha = as_multi_index(alpha, n)
     beta = as_multi_index(beta, n)
+    order = max(order, sum(alpha) + 1, sum(beta) + 1)
     pts, wts = gaussian_nodes(mu, np.zeros(n), order)
     vals = np.ones(pts.shape[0], dtype=complex)
     for j in range(n):

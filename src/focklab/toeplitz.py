@@ -10,6 +10,7 @@ and pushforwards pay a Gram product over all their quadrature nodes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -119,19 +120,11 @@ def assemble_real_coderivative(mu, k: HalfIndex, basis: BasisSet, order: int = D
     table = moment_table(mu, list(basis.indices), order)
     _locate_bad_entry(table, basis)
     entries = np.zeros((basis.size, basis.size), dtype=complex)
-    b = [0] * basis.n
-    while True:
-        coef = math.prod(math.comb(two_k[j], b[j]) for j in range(basis.n))
-        entries += coef * _coderivative_from_table(table, index_sub(two_k, tuple(b)), tuple(b), basis)
-        j = 0
-        while j < basis.n:
-            b[j] += 1
-            if b[j] <= two_k[j]:
-                break
-            b[j] = 0
-            j += 1
-        if j == basis.n:
-            break
+    # the first axis of b varies fastest
+    for reversed_b in itertools.product(*(range(t + 1) for t in reversed(two_k))):
+        b = reversed_b[::-1]
+        coef = math.prod(math.comb(t, bj) for t, bj in zip(two_k, b))
+        entries += coef * _coderivative_from_table(table, index_sub(two_k, b), b, basis)
     return OperatorMatrix(basis, entries)
 
 

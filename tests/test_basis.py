@@ -152,3 +152,22 @@ def test_weyl_two_axes_factorizes():
     lhs = w @ vac
     rhs = math.exp(-(abs(h[0]) ** 2 + abs(h[1]) ** 2) / 2) * kernel_coefficients(h, b2)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+
+def _laguerre_weyl_entry(mp, h, g, a):
+    """<e_g, W_h e_a> from the Laguerre closed form, summed in mpmath (Cahill-Glauber)."""
+    x = abs(h) ** 2
+    lo, s = min(g, a), abs(g - a)
+    lag = mp.fsum((-1) ** j * mp.binomial(lo + s, lo - j) * x**j / mp.factorial(j) for j in range(lo + 1))
+    shift = mp.conj(h) if g >= a else -h
+    return mp.sqrt(mp.factorial(lo) / mp.factorial(lo + s)) * shift**s * lag * mp.exp(-x / 2)
+
+
+def test_weyl_entries_match_laguerre_closed_form():
+    mp = pytest.importorskip("mpmath")
+    b = enumerate_basis(1, 40)
+    h = 3 * complex(math.cos(0.7), math.sin(0.7))
+    with mp.workdps(50):
+        ref = np.array([[complex(_laguerre_weyl_entry(mp, mp.mpc(h), g[0], a[0])) for a in b.indices]
+                        for g in b.indices])
+    assert np.max(np.abs(weyl_matrix([h], b) - ref)) <= 1e-13

@@ -276,9 +276,11 @@ def test_main_rejects_bad_measure_grammar(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("mistyped", [{"n": "two"}, {"k": 2}, {"orders": 5}], ids=["n", "k", "orders"])
+@pytest.mark.parametrize("mistyped", [{"n": "two"}, {"k": 2}, {"orders": 5}, {"orders": ["moment"]}, {"measure": 5}],
+                         ids=["n", "k", "orders", "orders-list", "measure"])
 def test_main_mistyped_field_exits_two(tmp_path, capsys, mistyped):
-    cfg = write_config(tmp_path, command="assemble", truncation=4, measure="lebesgue", out=str(tmp_path / "o"), **mistyped)
+    fields = {"command": "assemble", "truncation": 4, "measure": "lebesgue", "out": str(tmp_path / "o")}
+    cfg = write_config(tmp_path, **{**fields, **mistyped})
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg)])
     assert exc.value.code == 2

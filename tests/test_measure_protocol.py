@@ -18,6 +18,7 @@ from focklab.measures import (
     RealDensity,
     Weighted,
     ball_mass,
+    dimension,
     dirac,
     gaussian_density,
     gaussian_nodes,
@@ -164,3 +165,8 @@ def test_real_and_complex_grammar_share_their_built_ins():
     assert isinstance(parse_measure("lebesgue", 2), Horizontal)
     with pytest.raises(ValueError, match="real measure"):
         parse_real_measure("weighted(lebesgue; 1)", 1)
+
+
+def test_dimension_of_a_non_measure_is_a_type_error():
+    with pytest.raises(TypeError, match="BasisSet"):
+        dimension(enumerate_basis(1, 3))

@@ -271,3 +271,11 @@ def test_parse_rejects_garbage():
         parse_measure("spherical(1)", 1)
     with pytest.raises(ValueError):
         parse_measure("horizontal(dirac(0)", 1)
+
+
+def test_moment_matches_table_past_default_order():
+    # m_{a,a}(Lebesgue) = pi a!; degree 45 needs more than the default 40 nodes
+    table = moment_table(lebesgue(1), [(a,) for a in range(46)])
+    exact = math.pi * math.factorial(45)
+    assert table[45, 45] == pytest.approx(exact, rel=1e-13)
+    assert moment(lebesgue(1), (45,), (45,)) == pytest.approx(table[45, 45], rel=1e-13)

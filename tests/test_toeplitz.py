@@ -39,6 +39,14 @@ def test_identity_symbol_gives_identity():
         assert np.max(np.abs(t.entries - np.eye(b.size))) <= 1e-10
 
 
+@pytest.mark.parametrize("n, degree", [(1, 30), (1, 41), (1, 60), (1, 80), (2, 40)])
+def test_lebesgue_identity_past_the_default_order(n, degree):
+    # the moment order follows D, so degrees past the default order 40 stay exact
+    b = enumerate_basis(n, degree)
+    t = assemble_toeplitz(lebesgue(n), b)
+    assert np.max(np.abs(t.entries - np.eye(b.size))) <= 1e-13
+
+
 def test_atom_at_origin_single_entry():
     b = enumerate_basis(1, 6)
     t = assemble_toeplitz(dirac([0.0]), b)
