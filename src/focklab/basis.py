@@ -44,10 +44,9 @@ class BasisSet:
     def sqrt_factorials(self) -> np.ndarray:
         return np.array([math.sqrt(factorial(a)) for a in self.indices])
 
-    def interior_positions(self, max_degree: int | None = None) -> np.ndarray:
-        """Positions of the interior block, |alpha| <= degree // 2 by default."""
-        cut = self.degree // 2 if max_degree is None else max_degree
-        return np.nonzero(self.degrees <= cut)[0]
+    def interior_positions(self) -> np.ndarray:
+        """Positions of the interior block, |alpha| <= degree // 2."""
+        return np.nonzero(self.degrees <= self.degree // 2)[0]
 
 
 def enumerate_basis(n: int, degree: int, max_size: int = MAX_BASIS_SIZE) -> BasisSet:

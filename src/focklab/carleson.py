@@ -52,14 +52,13 @@ def lattice(n: int, window: float, spacing: float):
     return z, boundary
 
 
-def _scan(values: np.ndarray, z: np.ndarray, boundary: np.ndarray, window, spacing, r,
-          growth_factor: float = GROWTH_FACTOR) -> CarlesonReport:
+def _scan(values: np.ndarray, z: np.ndarray, boundary: np.ndarray, window, spacing, r) -> CarlesonReport:
     values = np.asarray(values, dtype=float)
     top = int(np.argmax(values))
     interior = values[~boundary]
     interior_max = float(np.max(interior)) if interior.size else 0.0
     boundary_max = float(np.max(values[boundary])) if np.any(boundary) else 0.0
-    grew = boundary_max > growth_factor * max(interior_max, 1e-300)
+    grew = boundary_max > GROWTH_FACTOR * max(interior_max, 1e-300)
     return CarlesonReport(
         sup_estimate=float(values[top]),
         argmax=tuple(complex(v) for v in z[top]),
@@ -126,8 +125,7 @@ class KfcReport:
     method: str
 
 
-def kfc_verdict(mu, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER,
-                growth_factor: float = GROWTH_FACTOR, seed: int = 0) -> KfcReport:
+def kfc_verdict(mu, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER, seed: int = 0) -> KfcReport:
     """Top eigenvalue of the derivative pairing form of |mu| as the omega estimate.
 
     Computed at the full truncation and a coarser one; growth of the estimate
@@ -160,7 +158,7 @@ def kfc_verdict(mu, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER,
         omega_coarse=omega_coarse,
         degree=basis.degree,
         coarse_degree=coarse.degree,
-        growth_detected=bool(omega > growth_factor * max(omega_coarse, 1e-300)),
+        growth_detected=bool(omega > GROWTH_FACTOR * max(omega_coarse, 1e-300)),
         random_probe=probe,
         method="gram-eigenvalue",
     )
@@ -189,8 +187,7 @@ class WeightShiftReport:
 
 
 def weight_shift_check(mu, k: HalfIndex, p: HalfIndex, r, window: float = 2.0,
-                       spacing: float = 0.5, order: int = DEFAULT_ORDER,
-                       tol: float = 1e-9) -> WeightShiftReport:
+                       spacing: float = 0.5, order: int = DEFAULT_ORDER) -> WeightShiftReport:
     k, p = HalfIndex.of(k), HalfIndex.of(p)
     if not (p.is_nonnegative and k.geq(p)):
         raise ValueError(f"weight shift needs 0 <= p <= k componentwise, got k={k.halves()}, p={p.halves()}")
@@ -206,8 +203,8 @@ def weight_shift_check(mu, k: HalfIndex, p: HalfIndex, r, window: float = 2.0,
         prose=prose.sup_estimate,
         normalized_lhs=norm_lhs,
         normalized_rhs=norm_rhs,
-        stated_matches=bool(abs(stated.sup_estimate - c_k.sup_estimate) <= tol * scale),
-        prose_matches=bool(abs(prose.sup_estimate - c_k.sup_estimate) <= tol * scale),
+        stated_matches=bool(abs(stated.sup_estimate - c_k.sup_estimate) <= 1e-9 * scale),
+        prose_matches=bool(abs(prose.sup_estimate - c_k.sup_estimate) <= 1e-9 * scale),
         stated_ratio=stated.sup_estimate / c_k.sup_estimate if c_k.sup_estimate else math.nan,
         prose_ratio=prose.sup_estimate / c_k.sup_estimate if c_k.sup_estimate else math.nan,
     )

@@ -25,7 +25,7 @@ from .indices import HalfIndex
 from .lagrangian import LagrangianFrame, assemble_l_real_coderivative, l_invariance_test, rotation_defect
 from .measures import DEFAULT_ORDER, Horizontal, parse_measure, pushforward, weight
 from .output import write_complex_grid_csv, write_matrix_csv, write_samples_csv, write_summary
-from .spectral import DEFAULT_SPECTRAL_ORDER, diagonalization_residual, gamma_samples, multiplication_matrix, norm_and_spectrum
+from .spectral import DEFAULT_SPECTRAL_ORDER, diagonalization_residual, gamma_samples, norm_and_spectrum
 from .toeplitz import assemble_real_coderivative, assemble_toeplitz, berezin_coderivative, berezin_measure, commutator, interior_max_norm
 
 _OK = [("tolerance", "none"), ("result", "ok")]
@@ -83,15 +83,6 @@ def load_config(path: Path) -> ExperimentConfig:
         raise ValueError(f"cannot parse config {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must be a mapping of fields")
-    orders = raw.pop("orders", None)
-    if orders is not None and not isinstance(orders, dict):
-        raise ValueError(f"field 'orders': expected a mapping of moment/spectral orders, got {orders!r}")
-    if orders:
-        bad = set(orders) - {"moment", "spectral"}
-        if bad:
-            raise ValueError(f"field 'orders': unknown keys {sorted(bad)} (expected moment/spectral)")
-        raw.setdefault("moment_order", orders.get("moment", DEFAULT_ORDER))
-        raw.setdefault("spectral_order", orders.get("spectral", DEFAULT_SPECTRAL_ORDER))
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = set(raw) - known
     if unknown:
@@ -257,14 +248,11 @@ def _lagrangian(config: ExperimentConfig, k: HalfIndex, out: Path):
         ]
         rotated = pushforward(mu, frame.rotation.conj().T)
         if isinstance(rotated, Horizontal):
-            op = assemble_l_real_coderivative(mu, k, frame, basis, config.moment_order)
-            samples = gamma_samples(rotated.rho, k, config.spectral_order, config.moment_order)
-            mult = multiplication_matrix(samples, basis)
-            residual = interior_max_norm(op.entries - mult.entries, basis)
-            write_matrix_csv(op, out / "matrix")
-            write_samples_csv(samples.grid, samples.values, out / "gamma.csv")
-            failed = failed or residual > tolerance
-            summary += [("tolerance", repr(float(tolerance))), ("residual", repr(residual))]
+            report = diagonalization_residual(rotated, k, basis, config.moment_order, config.spectral_order)
+            write_matrix_csv(report.toeplitz, out / "matrix")
+            write_samples_csv(report.samples.grid, report.samples.values, out / "gamma.csv")
+            failed = failed or report.residual > tolerance
+            summary += [("tolerance", repr(float(tolerance))), ("residual", repr(report.residual))]
         else:
             summary += [("note", "rotated measure is not structurally horizontal; residual skipped")]
     return summary + [("result", "fail" if failed else "pass")], failed

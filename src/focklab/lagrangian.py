@@ -46,12 +46,12 @@ def symplectic_defect(vectors: np.ndarray) -> float:
     return float(np.max(np.abs(omega)))
 
 
-def is_lagrangian(vectors, tol: float = LAGRANGIAN_TOL) -> tuple[bool, float]:
+def is_lagrangian(vectors) -> tuple[bool, float]:
     """Whether the span is a Lagrangian plane, and the worst form violation."""
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     defect = symplectic_defect(v)
     full_rank = np.linalg.matrix_rank(v, tol=1e-10) == v.shape[0]
-    return bool(defect <= tol and full_rank), defect
+    return bool(defect <= LAGRANGIAN_TOL and full_rank), defect
 
 
 def complex_identification(vectors) -> np.ndarray:
@@ -171,14 +171,13 @@ class InvarianceReport:
 
 
 def l_invariance_test(mu, frame: LagrangianFrame, basis: BasisSet,
-                      order: int = DEFAULT_ORDER, tol: float = 1e-8,
-                      commutator_tol: float = 1e-4, step: float = 0.4) -> InvarianceReport:
+                      order: int = DEFAULT_ORDER) -> InvarianceReport:
     """Two-route invariance check for translations along the frame's plane.
 
     Route 1: the rotated measure mu_{X*} must have a Berezin transform
-    independent of the imaginary part.  Route 2: the assembled Toeplitz
-    matrix must commute with Weyl translations W_h for sampled h in L, on
-    the interior block.
+    independent of the imaginary part (to 1e-8 relative).  Route 2: the
+    assembled Toeplitz matrix must commute with the Weyl translations W_h,
+    h = 0.4 times each unit frame vector, on the interior block (to 1e-4).
     """
     x = frame.rotation
     rotated = pushforward(mu, x.conj().T)
@@ -194,10 +193,10 @@ def l_invariance_test(mu, frame: LagrangianFrame, basis: BasisSet,
     c = complex_identification(frame.vectors)
     c = c / np.linalg.norm(c, axis=0, keepdims=True)
     for j in range(frame.n):
-        h = step * c[:, j]
+        h = 0.4 * c[:, j]
         w = weyl_matrix(h, basis)
         commutators.append(interior_max_norm(t @ w - w @ t, basis))
-    invariant = variation_y <= tol * max(scale, 1e-12) and all(v <= commutator_tol for v in commutators)
+    invariant = variation_y <= 1e-8 * max(scale, 1e-12) and all(v <= 1e-4 for v in commutators)
     return InvarianceReport(variation_y, scale, tuple(commutators), bool(invariant))
 
 

@@ -16,8 +16,8 @@ arguments and dispatch to it:
   g, where the type can hold the product) and ``pushed(x)``;
 - real measures on R^n: ``real_nodes(center, order, scale)``; the grid
   types (Lebesgue, densities) share ``weigh(pts, wts)``;
-- measures on C^n (``MeasureSpec``): ``weighted(p)``,
-  ``nodes(center, order, max_nodes)``, ``product_form()``,
+- measures on C^n (``MeasureSpec``): ``weighted(p)``, ``nodes(center, order)``
+  (capped at ``quadrature.MAX_NODES`` nodes), ``product_form()``,
   ``is_density()`` and ``ball_mass(center, r, order)``.
 
 A new measure type is one class.  Methods that recurse into a factor call
@@ -193,7 +193,7 @@ class Atoms(_AtomSet, MeasureSpec):
 
     _dtype = complex
 
-    def nodes(self, center, order: int, max_nodes: int):
+    def nodes(self, center, order: int):
         return self.points, self.weights * np.exp(-np.sum(np.abs(self.points - center) ** 2, axis=1))
 
     def ball_mass(self, center, r, order: int) -> complex:
@@ -207,11 +207,11 @@ class Density(_DensitySet, MeasureSpec):
     def is_density(self) -> bool:
         return True
 
-    def nodes(self, center, order: int, max_nodes: int):
+    def nodes(self, center, order: int):
         rule = gauss_hermite(order)
         n = self.n
-        if rule.order ** (2 * n) > max_nodes:
-            raise ValueError(f"density discretization needs {rule.order ** (2 * n)} nodes (cap {max_nodes})")
+        if rule.order ** (2 * n) > MAX_NODES:
+            raise ValueError(f"density discretization needs {rule.order ** (2 * n)} nodes (cap {MAX_NODES})")
         axes = [c.real + rule.nodes for c in center] + [c.imag + rule.nodes for c in center]
         pts2, wts = tensor_grid(axes, [rule.weights] * (2 * n))
         pts = pts2[:, :n] + 1j * pts2[:, n:]
@@ -266,15 +266,15 @@ class AlphaHorizontal(MeasureSpec):
     def product_form(self):
         return self.rho, (0,) * self.n, tuple(-a for a in self.alpha_doubled)
 
-    def nodes(self, center, order: int, max_nodes: int):
+    def nodes(self, center, order: int):
         tpts, twts = real_nodes(self.rho, center.real, order)
         rule = gauss_hermite(order)
         vaxes = [c.imag + rule.nodes for c in center]
         vweights = [rule.weights if a == 0 else rule.weights * (1.0 + v**2) ** (-a / 2.0)
                     for v, a in zip(vaxes, self.alpha_doubled)]
         vpts, vwts = tensor_grid(vaxes, vweights)
-        if tpts.shape[0] * vpts.shape[0] > max_nodes:
-            raise ValueError(f"horizontal discretization needs {tpts.shape[0] * vpts.shape[0]} nodes (cap {max_nodes})")
+        if tpts.shape[0] * vpts.shape[0] > MAX_NODES:
+            raise ValueError(f"horizontal discretization needs {tpts.shape[0] * vpts.shape[0]} nodes (cap {MAX_NODES})")
         pts = (tpts[:, None, :] + 1j * vpts[None, :, :]).reshape(-1, self.n)
         return pts, (twts[:, None] * vwts[None, :]).ravel()
 
@@ -318,8 +318,8 @@ class Pushforward(MeasureSpec):
             return self.base
         return pushforward(self.base, combined)
 
-    def nodes(self, center, order: int, max_nodes: int):
-        pts, wts = gaussian_nodes(self.base, self.matrix @ center, order, max_nodes)
+    def nodes(self, center, order: int):
+        pts, wts = gaussian_nodes(self.base, self.matrix @ center, order)
         return pts @ np.conj(self.matrix), wts
 
     def ball_mass(self, center, r, order: int) -> complex:
@@ -355,8 +355,8 @@ class Weighted(MeasureSpec):
     def is_density(self) -> bool:
         return self.base.is_density()
 
-    def nodes(self, center, order: int, max_nodes: int):
-        pts, wts = gaussian_nodes(self.base, center, order, max_nodes)
+    def nodes(self, center, order: int):
+        pts, wts = gaussian_nodes(self.base, center, order)
         return pts, wts * _weight_values(self.p.doubled, pts)
 
     def ball_mass(self, center, r, order: int) -> complex:
@@ -376,15 +376,21 @@ def lebesgue(n: int) -> Horizontal:
     return Horizontal(Lebesgue(n))
 
 
+def _check_sigma(sigma) -> float:
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"Gaussian width sigma must be positive and finite, got {sigma}")
+    return float(sigma)
+
+
 def gaussian_density(n: int, sigma: float = 1.0) -> Density:
     """Density exp(-|w|^2 / sigma^2) on C^n."""
-    s2 = float(sigma) ** 2
+    s2 = _check_sigma(sigma) ** 2
     return Density(lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1) / s2), n, radius=4.0 * sigma)
 
 
 def real_gaussian(n: int, sigma: float = 1.0) -> RealDensity:
     """Density exp(-|t|^2 / sigma^2) on R^n."""
-    s2 = float(sigma) ** 2
+    s2 = _check_sigma(sigma) ** 2
     return RealDensity(lambda pts: np.exp(-np.sum(pts**2, axis=1) / s2), n, radius=4.0 * sigma)
 
 
@@ -481,7 +487,7 @@ def real_nodes(rho, center, order: int = DEFAULT_ORDER, scale: float = 1.0):
     return rho.real_nodes(center, order, scale)
 
 
-def gaussian_nodes(mu, center, order: int = DEFAULT_ORDER, max_nodes: int = MAX_NODES):
+def gaussian_nodes(mu, center, order: int = DEFAULT_ORDER):
     """Nodes/weights with int F(w) e^{-|w-c|^2} dmu(w) ~ sum w_i F(w_i).
 
     This single contract drives moments, Berezin transforms, and the
@@ -489,20 +495,12 @@ def gaussian_nodes(mu, center, order: int = DEFAULT_ORDER, max_nodes: int = MAX_
     the weights, F alone stays with the caller.
     """
     center = np.broadcast_to(np.asarray(center, dtype=complex), (dimension(mu),))
-    return mu.nodes(center, order, max_nodes)
+    return mu.nodes(center, order)
 
 
-def gaussian_pairing(mu, center, f=None, order: int = DEFAULT_ORDER) -> complex:
-    """int F(w) e^{-|w-c|^2} dmu(w), with F = 1 when ``f`` is None."""
-    pts, wts = gaussian_nodes(mu, center, order)
-    if f is None:
-        return complex(np.sum(wts))
-    vals = np.asarray(f(pts))
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"integrand is not finite at node {i}, w = {pts[i]} (growth contract violated?)")
-    return complex(np.sum(wts * vals))
+def gaussian_pairing(mu, center, order: int = DEFAULT_ORDER) -> complex:
+    """int e^{-|w-c|^2} dmu(w)."""
+    return complex(np.sum(gaussian_nodes(mu, center, order)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +658,7 @@ def moment(mu, alpha, beta, order: int = DEFAULT_ORDER) -> complex:
             vals = vals * np.conj(pts[:, j]) ** beta[j]
     out = complex(np.sum(wts * vals))
     if not np.isfinite(out):
-        raise ValueError(f"moment ({alpha}, {beta}) is not finite; growth contract violated")
+        raise ValueError(f"moment ({alpha}, {beta}) is not finite: past the float range, or growth contract violated")
     return out
 
 
@@ -668,9 +666,9 @@ def moment(mu, alpha, beta, order: int = DEFAULT_ORDER) -> complex:
 # polydisk masses
 
 
-def _chord_rule(order: int = 48):
+def _chord_rule():
     # theta-substitution v = y + c sin(theta) removes the sqrt endpoint
-    gl_nodes, gl_weights = gauss_legendre(order)
+    gl_nodes, gl_weights = gauss_legendre(48)
     theta = 0.5 * math.pi * gl_nodes
     return np.sin(theta), np.cos(theta) * 0.5 * math.pi * gl_weights
 
@@ -828,11 +826,14 @@ def _parse(text: str, n: int, real: bool):
             weights.append(complex(ast.literal_eval(wt.strip())))
         return (RealAtoms if real else Atoms)(np.array(points), np.array(weights))
     if head == "density":
-        parts = _split_top(body, ";")
+        expr, *options = _split_top(body, ";")
         radius = 6.0
-        if len(parts) == 2:
-            radius = float(parts[1].split("=")[-1])
-        return (RealDensity if real else Density)(compile_density_expression(parts[0], n, real), n, radius)
+        if options:
+            key, _, value = options[0].partition("=")
+            if len(options) > 1 or key.strip() != "radius":
+                raise ValueError(f"density spec {text!r} takes one option, radius=R")
+            radius = float(value)
+        return (RealDensity if real else Density)(compile_density_expression(expr, n, real), n, radius)
     if not real and head == "horizontal":
         return Horizontal(_parse(body, n, True))
     if not real and head == "alpha_horizontal":

@@ -22,15 +22,13 @@ MAX_NODES = 6_000_000  # largest node set any tensor discretization may material
 class QuadRule:
     """One-axis rule: sum(weights * f(nodes)) ~ int f(t) e^{-t^2} dt.
 
-    ``folded`` marks whether the Gaussian weight is folded into the weights
-    (the default) or left to the integrand.  Rules are cached and shared, so
-    their arrays are read-only copies.
+    The Gaussian weight is folded into the weights.  Rules are cached and
+    shared, so their arrays are read-only copies.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     order: int
-    folded: bool = True
 
     def __post_init__(self):
         for name in ("nodes", "weights"):
@@ -52,13 +50,6 @@ def gauss_hermite(order: int) -> QuadRule:
     return QuadRule(*np.polynomial.hermite.hermgauss(order), order)
 
 
-def raw_weights(rule: QuadRule) -> QuadRule:
-    """Unfold the Gaussian: weights for integrands that carry e^{-t^2} themselves."""
-    if not rule.folded:
-        return rule
-    return QuadRule(rule.nodes, rule.weights * np.exp(rule.nodes**2), rule.order, folded=False)
-
-
 @dataclass(frozen=True, eq=False)
 class TensorRule:
     """Tensor product of one-axis rules over R^d."""
@@ -73,17 +64,17 @@ class TensorRule:
     def size(self) -> int:
         return math.prod(r.order for r in self.rules)
 
-    def grid(self, max_nodes: int = MAX_NODES) -> tuple[np.ndarray, np.ndarray]:
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Points (size, dim) and weights (size,) of the product rule."""
-        if self.size > max_nodes:
-            raise ValueError(f"tensor rule would materialize {self.size} nodes (cap {max_nodes})")
+        if self.size > MAX_NODES:
+            raise ValueError(f"tensor rule would materialize {self.size} nodes (cap {MAX_NODES})")
         return tensor_grid([r.nodes for r in self.rules], [r.weights for r in self.rules])
 
-    def points(self, max_nodes: int = MAX_NODES) -> np.ndarray:
-        return self.grid(max_nodes)[0]
+    def points(self) -> np.ndarray:
+        return self.grid()[0]
 
-    def weights(self, max_nodes: int = MAX_NODES) -> np.ndarray:
-        return self.grid(max_nodes)[1]
+    def weights(self) -> np.ndarray:
+        return self.grid()[1]
 
 
 def tensor_grid(axes, weights) -> tuple[np.ndarray, np.ndarray]:

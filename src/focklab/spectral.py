@@ -23,7 +23,6 @@ from .toeplitz import (
     OperatorMatrix,
     assemble_real_coderivative,
     berezin_operator,
-    berezin_y_variation,
     horizontal_berezin_profile,
     interior_max_norm,
 )
@@ -40,12 +39,12 @@ class SpectralSamples:
     values: np.ndarray
     rho: object
     k: HalfIndex
-    quad_order: int | None = None
+    quad_order: int
 
 
-def gamma_plain(rho, grid, order: int = DEFAULT_ORDER) -> np.ndarray:
+def gamma_plain(rho, grid) -> np.ndarray:
     """gamma_rho(x) = (2/pi)^{n/2} int e^{-(x - sqrt2 y)^2} drho(y) on the grid."""
-    return gamma_2k(rho, (0,) * dimension(rho), grid, order)
+    return gamma_2k(rho, (0,) * dimension(rho), grid)
 
 
 def gamma_2k(rho, k: HalfIndex, grid, order: int = DEFAULT_ORDER) -> np.ndarray:
@@ -77,7 +76,7 @@ def gamma_samples(rho, k: HalfIndex, order: int = DEFAULT_SPECTRAL_ORDER,
                   rho_order: int = DEFAULT_ORDER) -> SpectralSamples:
     grid = spectral_grid(dimension(rho), order)
     values = gamma_2k(rho, k, grid, rho_order)
-    return SpectralSamples(grid, values, rho, k, quad_order=order)
+    return SpectralSamples(grid, values, rho, k, order)
 
 
 def hermite_function_matrix(basis: BasisSet, points: np.ndarray) -> np.ndarray:
@@ -106,17 +105,16 @@ def hermite_function_matrix(basis: BasisSet, points: np.ndarray) -> np.ndarray:
     return phi
 
 
-def multiplication_matrix(gamma, basis: BasisSet, order: int = DEFAULT_SPECTRAL_ORDER,
-                          degree_hint: int = 0) -> OperatorMatrix:
+def multiplication_matrix(gamma, basis: BasisSet, order: int = DEFAULT_SPECTRAL_ORDER) -> OperatorMatrix:
     """Matrix of multiplication by gamma in the orthonormal Hermite-function basis.
 
     ``gamma`` is either SpectralSamples on the default node grid or a callable
     on point arrays.  Quadrature order must cover the basis degree plus the
     polynomial content of gamma; insufficient orders are rejected.
     """
+    degree_hint = 0
     if isinstance(gamma, SpectralSamples):
-        order = gamma.quad_order or order
-        degree_hint = max(degree_hint, gamma.k.total_order())
+        order, degree_hint = gamma.quad_order, gamma.k.total_order()
     needed = basis.degree + degree_hint // 2 + _ORDER_MARGIN
     if order < needed:
         raise ValueError(f"quadrature order {order} is insufficient for degree {basis.degree} (need >= {needed})")
@@ -144,17 +142,12 @@ class DiagonalizationReport:
     samples: SpectralSamples = field(repr=False)
 
 
-def _extract_rho(mu_or_rho, order: int):
+def _extract_rho(mu_or_rho):
     if isinstance(mu_or_rho, Horizontal):
         return mu_or_rho.rho
     if isinstance(mu_or_rho, MeasureSpec):
-        n = dimension(mu_or_rho)
-        xs = np.linspace(-1.0, 1.0, 3)
-        grid_x = np.stack([xs] * n, axis=-1)
-        variation_y = berezin_y_variation(mu_or_rho, grid_x, [-1.0, 0.0, 1.0], order)
         raise ValueError(
-            "diagonalization needs a horizontal symbol (rho or Horizontal(rho)); "
-            f"got {type(mu_or_rho).__name__} with Berezin y-variation {variation_y:.2e}"
+            f"diagonalization needs a horizontal symbol (rho or Horizontal(rho)); got {type(mu_or_rho).__name__}"
         )
     return mu_or_rho
 
@@ -170,7 +163,7 @@ def diagonalization_residual(mu_or_rho, k: HalfIndex, basis: BasisSet,
     grows, unlike the entrywise residual which is quadrature-limited.
     """
     k = HalfIndex.of(k)
-    rho = _extract_rho(mu_or_rho, moment_order)
+    rho = _extract_rho(mu_or_rho)
     top = assemble_real_coderivative(Horizontal(rho), k, basis, moment_order)
     samples = gamma_samples(rho, k, spectral_order, moment_order)
     mult = multiplication_matrix(samples, basis)

@@ -27,6 +27,8 @@ from .measures import (
     real_nodes,
 )
 
+KERNEL_NORM_FLOOR = 0.99  # truncated kernel mass below which a Berezin value is flagged
+
 
 class AccuracyDomainWarning(UserWarning):
     """Raised (as a warning) when a request leaves the documented accuracy domain."""
@@ -43,10 +45,10 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
 
-def interior_max_norm(matrix, basis: BasisSet, max_degree: int | None = None) -> float:
-    """Max-entry norm over the interior block (degrees <= D//2 by default)."""
+def interior_max_norm(matrix, basis: BasisSet) -> float:
+    """Max-entry norm over the interior block (degrees <= D//2)."""
     entries = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix)
-    pos = basis.interior_positions(max_degree)
+    pos = basis.interior_positions()
     return float(np.max(np.abs(entries[np.ix_(pos, pos)])))
 
 
@@ -56,7 +58,7 @@ def _locate_bad_entry(table: np.ndarray, basis: BasisSet):
         i, j = np.unravel_index(int(np.argmax(bad)), table.shape)
         raise ValueError(
             f"moment quadrature produced a non-finite value at (alpha, beta) = "
-            f"({basis.indices[i]}, {basis.indices[j]}); growth contract violated"
+            f"({basis.indices[i]}, {basis.indices[j]}): past the float range, or growth contract violated"
         )
 
 
@@ -136,7 +138,7 @@ def berezin_measure(mu, z, order: int = DEFAULT_ORDER) -> complex:
     pi^{-n/2} int e^{-(t-x)^2} drho(t).
     """
     n = dimension(mu)
-    return math.pi ** (-n) * gaussian_pairing(mu, z, None, order)
+    return math.pi ** (-n) * gaussian_pairing(mu, z, order)
 
 
 def berezin_coderivative(mu, k: HalfIndex, z, order: int = DEFAULT_ORDER) -> complex:
@@ -157,7 +159,7 @@ def horizontal_berezin_profile(rho, x, order: int = DEFAULT_ORDER) -> complex:
     return math.pi ** (-n / 2.0) * complex(np.sum(wts))
 
 
-def berezin_operator(op: OperatorMatrix, z, kernel_norm_floor: float = 0.99) -> complex:
+def berezin_operator(op: OperatorMatrix, z) -> complex:
     """S~(z) = <S K_z, K_z> / <K_z, K_z> on the truncated kernel.
 
     Outside the accuracy domain (truncated kernel mass below the floor) the
@@ -167,10 +169,10 @@ def berezin_operator(op: OperatorMatrix, z, kernel_norm_floor: float = 0.99) -> 
     kz = kernel_coefficients(z, op.basis)
     norm2 = float(np.sum(np.abs(kz) ** 2))
     captured = norm2 * math.exp(-float(np.sum(np.abs(z) ** 2)))
-    if captured < kernel_norm_floor:
+    if captured < KERNEL_NORM_FLOOR:
         warnings.warn(
             f"truncated kernel at z={z} captures {captured:.3f} of its mass "
-            f"(floor {kernel_norm_floor}); Berezin value is degraded",
+            f"(floor {KERNEL_NORM_FLOOR}); Berezin value is degraded",
             AccuracyDomainWarning,
             stacklevel=2,
         )

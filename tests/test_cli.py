@@ -50,9 +50,13 @@ def test_load_config_validates_field_types(tmp_path):
 
 
 def test_load_config_orders_section(tmp_path):
-    path = write_config(tmp_path, command="assemble", orders={"moment": 24, "spectral": 60})
+    path = write_config(tmp_path, command="assemble", moment_order=24, spectral_order=60)
     cfg = load_config(path)
     assert cfg.moment_order == 24 and cfg.spectral_order == 60
+    # the orders are set by their own fields only; an ``orders:`` mapping is an unknown field
+    path = write_config(tmp_path, command="assemble", orders={"moment": 24, "spectral": 60})
+    with pytest.raises(ValueError, match="unknown config fields.*orders"):
+        load_config(path)
 
 
 def test_assemble_lebesgue_writes_identity(tmp_path):

@@ -266,11 +266,20 @@ def test_parse_real_measure():
     assert rho3.points.shape == (2, 1)
 
 
-def test_parse_rejects_garbage():
+@pytest.mark.parametrize("spec", [
+    "spherical(1)",
+    "horizontal(dirac(0)",
+    "gaussian(0)",
+    "gaussian(-1)",
+    "gaussian(inf)",
+    "horizontal(gaussian(0))",
+    "density(exp(-r2); radius=3; junk)",
+    "density(exp(-r2); foo=3)",
+], ids=["unknown-head", "unbalanced", "gaussian-zero", "gaussian-negative", "gaussian-inf",
+        "real-gaussian-zero", "density-extra-option", "density-unknown-key"])
+def test_parse_rejects_garbage(spec):
     with pytest.raises(ValueError):
-        parse_measure("spherical(1)", 1)
-    with pytest.raises(ValueError):
-        parse_measure("horizontal(dirac(0)", 1)
+        parse_measure(spec, 1)
 
 
 def test_moment_matches_table_past_default_order():

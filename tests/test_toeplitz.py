@@ -13,6 +13,7 @@ from focklab.measures import (
     dirac,
     gaussian_density,
     lebesgue,
+    moment,
     real_dirac,
     real_gaussian,
 )
@@ -256,3 +257,12 @@ def test_moment_growth_surfaces_with_location():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="alpha"):
             assemble_toeplitz(bad, b, order=150)
+
+
+def test_float_range_refusal_names_both_causes():
+    # Lebesgue measure meets the growth contract; at D = 150 its moments leave the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"\(\(103,\), \(150,\)\): past the float range, or growth contract"):
+            assemble_toeplitz(lebesgue(1), enumerate_basis(1, 150))
+        with pytest.raises(ValueError, match="float range"):
+            moment(lebesgue(1), (150,), (150,))
