@@ -36,10 +36,6 @@ def as_multi_index(alpha, n: int | None = None) -> MultiIndex:
     return tuple(out)
 
 
-def degree(alpha) -> int:
-    return int(sum(alpha))
-
-
 def index_leq(alpha, beta) -> bool:
     """Componentwise partial order alpha <= beta."""
     return all(a <= b for a, b in zip(alpha, beta))
@@ -81,6 +77,15 @@ def graded_lex_indices(n: int, max_degree: int) -> list[MultiIndex]:
     return idx
 
 
+def _steps(indices: list[MultiIndex]):
+    """(column, j, parent column) of each nonconstant alpha = parent + e_j, j its first nonzero axis."""
+    position = {a: i for i, a in enumerate(indices)}
+    for col, alpha in enumerate(indices):
+        if any(alpha):
+            j = next(i for i, a in enumerate(alpha) if a > 0)
+            yield col, j, position[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]]
+
+
 def monomial_matrix(points: np.ndarray, indices: list[MultiIndex]) -> np.ndarray:
     """Evaluate w^alpha for every point (rows) and multi-index (columns).
 
@@ -89,17 +94,31 @@ def monomial_matrix(points: np.ndarray, indices: list[MultiIndex]) -> np.ndarray
     parent index with one fewer exponent.
     """
     pts = np.atleast_2d(np.asarray(points))
-    m = pts.shape[0]
-    pows = np.empty((m, len(indices)), dtype=complex)
-    position = {a: i for i, a in enumerate(indices)}
-    for col, alpha in enumerate(indices):
-        if sum(alpha) == 0:
-            pows[:, col] = 1.0
-            continue
-        j = next(i for i, a in enumerate(alpha) if a > 0)
-        parent = tuple(a - 1 if i == j else a for i, a in enumerate(alpha))
-        pows[:, col] = pows[:, position[parent]] * pts[:, j]
+    pows = np.ones((pts.shape[0], len(indices)), dtype=complex)
+    for col, j, parent in _steps(indices):
+        pows[:, col] = pows[:, parent] * pts[:, j]
     return pows
+
+
+def substitution_matrix(xstar: np.ndarray, indices: list[MultiIndex]) -> np.ndarray:
+    """Coefficients C with (X* u)^alpha = sum_gamma C[gamma, alpha] u^gamma.
+
+    The substitution preserves total degree, so C is block diagonal.  Every
+    multi-index up to the top degree must be in ``indices``, parents first;
+    column alpha is its parent's column times the linear form (X* u)_j.
+    """
+    xstar = np.asarray(xstar, dtype=complex)
+    position = {a: i for i, a in enumerate(indices)}
+    top = max(sum(a) for a in indices)
+    # multiplying by u_m moves the coefficient of u^gamma (rows ``low``) to u^(gamma + e_m) (rows up[m])
+    low = [i for i, a in enumerate(indices) if sum(a) < top]
+    up = [np.array([position[index_add(indices[i], e)] for i in low], dtype=int)
+          for e in np.eye(len(xstar), dtype=int).tolist()]
+    c = np.diag([complex(not any(a)) for a in indices])
+    for col, j, parent in _steps(indices):
+        for m, rows in enumerate(up):
+            c[rows, col] += xstar[j, m] * c[low, parent]
+    return c
 
 
 def hermite_values(m: int, x) -> np.ndarray:
@@ -113,22 +132,6 @@ def hermite(m: int, x):
     if m < 0:
         raise ValueError("Hermite degree must be nonnegative")
     return hermite_values(m, x)[m]
-
-
-def hermite_product(m, t):
-    """prod_j H_{m_j}(t_j) for t a point of R^n or an array of shape (..., n)."""
-    m = as_multi_index(m)
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        t = t[None]
-    if t.shape[-1] != len(m):
-        raise ValueError(f"point dimension {t.shape[-1]} does not match index length {len(m)}")
-    vals = np.ones(t.shape[:-1])
-    for j, mj in enumerate(m):
-        vals = vals * hermite(mj, t[..., j])
-    if vals.ndim == 0:
-        return float(vals)
-    return vals
 
 
 def gamma_half_plus_one(doubled: int) -> float:

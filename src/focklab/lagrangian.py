@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import BasisSet, weyl_matrix
-from .indices import HalfIndex
+from .indices import HalfIndex, substitution_matrix
 from .measures import DEFAULT_ORDER, pushforward
 from .toeplitz import (
     OperatorMatrix,
@@ -134,30 +134,13 @@ def rotation_defect(frame, x: np.ndarray) -> float:
 def vx_matrix(x: np.ndarray, basis: BasisSet) -> np.ndarray:
     """Matrix of V_X f(z) = f(X* z) on the truncated basis.
 
-    V_X preserves total degree, so it is materialized blockwise and stays
-    exactly unitary in truncation.
+    In monomials V_X is ``substitution_matrix(X*)``; the basis e_alpha =
+    z^alpha / sqrt(alpha!) rescales rows and columns.  V_X preserves total
+    degree, so it is block diagonal and stays exactly unitary in truncation.
     """
-    x = np.asarray(x, dtype=complex)
-    n = basis.n
-    xstar = x.conj().T
-    entries = np.zeros((basis.size, basis.size), dtype=complex)
-    for col, alpha in enumerate(basis.indices):
-        # expand prod_j (sum_m xstar[j,m] z_m)^{alpha_j} into monomial coefficients
-        coeffs = {(0,) * n: 1.0 + 0.0j}
-        for j in range(n):
-            for _ in range(alpha[j]):
-                new: dict = {}
-                for idx, cv in coeffs.items():
-                    for m in range(n):
-                        if xstar[j, m] == 0:
-                            continue
-                        nidx = tuple(v + (1 if t == m else 0) for t, v in enumerate(idx))
-                        new[nidx] = new.get(nidx, 0.0 + 0.0j) + cv * xstar[j, m]
-                coeffs = new
-        for idx, cv in coeffs.items():
-            row = basis.position[idx]
-            entries[row, col] = cv * basis.sqrt_factorials[row] / basis.sqrt_factorials[col]
-    return entries
+    sf = basis.sqrt_factorials
+    c = substitution_matrix(np.conj(np.asarray(x, dtype=complex)).T, list(basis.indices))
+    return c * sf[:, None] / sf[None, :]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ arguments and dispatch to it:
   types (Lebesgue, densities) share ``weigh(pts, wts)``;
 - measures on C^n (``MeasureSpec``): ``weighted(p)``, ``nodes(center, order)``
   (capped at ``quadrature.MAX_NODES`` nodes), ``product_form()``,
-  ``is_density()`` and ``ball_mass(center, r, order)``.
+  ``is_density()``, ``moments(maxdeg, order)`` and
+  ``ball_mass(center, r, order)``.
 
 A new measure type is one class.  Methods that recurse into a factor call
 the module functions again, so every node set is requested through
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyvander
 
-from .indices import HalfIndex, as_multi_index, monomial_matrix
+from .indices import HalfIndex, as_multi_index, graded_lex_indices, monomial_matrix, substitution_matrix
 from .quadrature import MAX_NODES, gauss_hermite, gauss_legendre, tensor_grid
 
 DEFAULT_ORDER = 40
@@ -140,6 +141,21 @@ class MeasureSpec(_Measure):
 
     def is_density(self) -> bool:
         return False
+
+    def moments(self, maxdeg: int, order: int):
+        """(keys, table): the moments over all multi-indices of degree <= maxdeg."""
+        form = self.product_form()
+        if form is not None:
+            return _contract_axes(*_product_grid(*form, maxdeg, order), maxdeg)
+        if self.is_density():
+            return _contract_axes(*_density_grid(self, maxdeg, order), maxdeg)
+        keys = graded_lex_indices(self.n, maxdeg)
+        pts, wts = gaussian_nodes(self, np.zeros(self.n), order)
+        table = np.zeros((len(keys), len(keys)), dtype=complex)
+        for start in range(0, pts.shape[0], _CHUNK):
+            pows = monomial_matrix(pts[start:start + _CHUNK], keys)
+            table += (pows * wts[start:start + _CHUNK, None]).T @ np.conj(pows)
+        return keys, table
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +337,12 @@ class Pushforward(MeasureSpec):
     def nodes(self, center, order: int):
         pts, wts = gaussian_nodes(self.base, self.matrix @ center, order)
         return pts @ np.conj(self.matrix), wts
+
+    def moments(self, maxdeg: int, order: int):
+        # T_{mu_X} = V_X* T_mu V_X, exact on every degree block since V_X preserves degree
+        keys = graded_lex_indices(self.n, maxdeg)
+        c = substitution_matrix(np.conj(self.matrix).T, keys)
+        return keys, c.T @ moment_table(self.base, keys, order) @ np.conj(c)
 
     def ball_mass(self, center, r, order: int) -> complex:
         raise TypeError("polydisk mass for a rotated measure is not supported; rotate the polydisk instead")
@@ -510,46 +532,29 @@ def gaussian_pairing(mu, center, order: int = DEFAULT_ORDER) -> complex:
 def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     """All moments m_{alpha,beta} for alpha, beta in ``indices`` as one pass.
 
-    ``indices`` must be downward closed (graded-lex enumerations are).  The
-    table is the shared input for every operator assembly; entry growth or a
-    violated decay contract surfaces as a non-finite value located by the
-    caller.
+    ``indices`` may be any set of multi-indices, in any order.  The table is
+    the shared input for every operator assembly; entry growth or a violated
+    decay contract surfaces as a non-finite value located by the caller.
 
     ``order`` is a floor: the rule has max(order, D + 1) nodes per axis, the
     fewest exact for the polynomial part of every entry; past order 200 or
     the node cap the request is refused.
 
-    Weighted horizontal products and densities on a Gauss-Hermite grid
-    factor per axis: their moments come from per-axis tables on the distinct
-    node values, contracted against the weight grid one axis at a time
-    (sum factorization), for about (D+1)^2 operations per grid point instead
-    of N^2 per node.  Complex atoms and pushforwards have no grid and go
-    through the per-node Gram product over their node set.
+    The measure's ``moments`` gives the table over all degrees <= D, which
+    is gathered into the caller's order.  Weighted horizontal products and
+    Gauss-Hermite-grid densities contract per-axis tables on the distinct
+    node values one axis at a time (sum factorization), about (D+1)^2
+    operations per grid point instead of N^2 per node.  A pushforward mu_X
+    conjugates its base's table by the substitution matrix of X* (V_X in
+    monomials).  Complex atoms and weighted pushforwards, whose weight is
+    not rotation invariant, pay a Gram product over their nodes.
     """
     indices = [tuple(a) for a in indices]
     maxdeg = max(sum(a) for a in indices)
-    order = max(order, maxdeg + 1)
-    form = mu.product_form()
-    if form is not None:
-        tables, grid = _product_grid(*form, maxdeg, order)
-    elif mu.is_density():
-        tables, grid = _density_grid(mu, maxdeg, order)
-    else:
-        return _moment_table_nodes(mu, indices, order)
-    keys, table = _contract_axes(tables, grid, maxdeg)
+    keys, table = mu.moments(maxdeg, max(order, maxdeg + 1))
     position = {a: i for i, a in enumerate(keys)}
     sel = [position[a] for a in indices]
     return table[np.ix_(sel, sel)]
-
-
-def _moment_table_nodes(mu, indices, order: int) -> np.ndarray:
-    pts, wts = gaussian_nodes(mu, np.zeros(dimension(mu)), order)
-    table = np.zeros((len(indices), len(indices)), dtype=complex)
-    for start in range(0, pts.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        pows = monomial_matrix(pts[sl], indices)
-        table += (pows * wts[sl, None]).T @ np.conj(pows)
-    return table
 
 
 def _product_grid(rho, x_exp, y_exp, maxdeg: int, order: int):
@@ -651,12 +656,14 @@ def moment(mu, alpha, beta, order: int = DEFAULT_ORDER) -> complex:
     order = max(order, sum(alpha) + 1, sum(beta) + 1)
     pts, wts = gaussian_nodes(mu, np.zeros(n), order)
     vals = np.ones(pts.shape[0], dtype=complex)
-    for j in range(n):
-        if alpha[j]:
-            vals = vals * pts[:, j] ** alpha[j]
-        if beta[j]:
-            vals = vals * np.conj(pts[:, j]) ** beta[j]
-    out = complex(np.sum(wts * vals))
+    # past the float range the powers overflow; the refusal below locates it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            if alpha[j]:
+                vals = vals * pts[:, j] ** alpha[j]
+            if beta[j]:
+                vals = vals * np.conj(pts[:, j]) ** beta[j]
+        out = complex(np.sum(wts * vals))
     if not np.isfinite(out):
         raise ValueError(f"moment ({alpha}, {beta}) is not finite: past the float range, or growth contract violated")
     return out
@@ -814,6 +821,8 @@ def _parse(text: str, n: int, real: bool):
     head, body = _head_body(text)
     if head == "lebesgue" and body is None:
         return Lebesgue(n) if real else lebesgue(n)
+    if body is None:
+        raise ValueError(f"cannot parse measure spec {text!r}: only lebesgue is written without an argument list")
     if head == "dirac":
         return (real_dirac if real else dirac)(_parse_point(body, n, real))
     if head == "gaussian":

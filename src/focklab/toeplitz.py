@@ -4,8 +4,9 @@ Matrix convention: entry (beta, alpha) = <T e_alpha, e_beta>, rows and
 columns in the basis' graded-lex order.  Every assembly reads one moment
 table from ``measures.moment_table`` and gathers its entries from it, so no
 entry is integrated on its own.  For horizontal products and Gaussian-grid
-densities that table is sum-factorized from per-axis tables; complex atoms
-and pushforwards pay a Gram product over all their quadrature nodes.
+densities that table is sum-factorized from per-axis tables, a pushforward
+conjugates its base's table by V_X, and complex atoms and weighted
+pushforwards pay a Gram product over all their quadrature nodes.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ from focklab.indices import (
     gamma_half_plus_one,
     graded_lex_indices,
     hermite,
-    hermite_product,
     hermite_values,
     monomial_matrix,
+    substitution_matrix,
 )
 
 
@@ -107,15 +107,6 @@ def test_hermite_orthogonality_via_quadrature():
                 assert abs(val) <= 1e-10 * math.sqrt(scale(a) * scale(b))
 
 
-def test_hermite_product_examples():
-    assert hermite_product((0, 0, 0), (0.3, -1.0, 2.0)) == 1.0
-    assert hermite_product((1,), (0.5,)) == 1.0
-    assert hermite_product((2,), (0.0,)) == -2.0
-    # grid form
-    grid = np.array([[0.0, 0.0], [1.0, 0.5]])
-    np.testing.assert_allclose(hermite_product((2, 1), grid), [-2.0 * 0.0, 2.0 * 1.0])
-
-
 def test_graded_lex_enumeration():
     assert graded_lex_indices(1, 3) == [(0,), (1,), (2,), (3,)]
     idx = graded_lex_indices(2, 2)
@@ -168,3 +159,16 @@ def test_half_index_rejects_bad_input():
         HalfIndex.from_doubled((-1,)).order_index()
     with pytest.raises(ValueError):
         HalfIndex.from_doubled((1,)).as_integer_index()
+
+
+@pytest.mark.parametrize("n, degree", [(2, 6), (3, 4)])
+def test_substitution_matrix_expands_rotated_monomials(n, degree):
+    # (X* u)^alpha at sample points u equals sum_gamma C[gamma, alpha] u^gamma
+    rng = np.random.default_rng(n)
+    xstar = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
+    idx = graded_lex_indices(n, degree)
+    c = substitution_matrix(xstar, idx)
+    np.testing.assert_allclose(monomial_matrix(u @ xstar.T, idx), monomial_matrix(u, idx) @ c, rtol=1e-12, atol=1e-12)
+    degrees = np.array([sum(a) for a in idx])
+    assert np.all(c[degrees[:, None] != degrees[None, :]] == 0)

@@ -111,17 +111,19 @@ def test_two_rotations_differ_by_real_orthogonal():
 
 
 def test_vx_matrix_is_unitary_and_degree_block():
-    b = enumerate_basis(2, 5)
     theta = 0.6
-    x = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]) @ np.diag(
+    x2 = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]) @ np.diag(
         [np.exp(0.4j), np.exp(-0.2j)]
     )
-    v = vx_matrix(x, b)
-    np.testing.assert_allclose(v.conj().T @ v, np.eye(b.size), atol=1e-12)
-    for i, a in enumerate(b.indices):
-        for j, c in enumerate(b.indices):
-            if sum(a) != sum(c):
-                assert v[i, j] == 0
+    rng = np.random.default_rng(3)
+    x3, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    for x, b in [(x2, enumerate_basis(2, 5)), (x3, enumerate_basis(3, 4))]:
+        v = vx_matrix(x, b)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(b.size), atol=1e-12)
+        for i, a in enumerate(b.indices):
+            for j, c in enumerate(b.indices):
+                if sum(a) != sum(c):
+                    assert v[i, j] == 0
 
 
 def test_pushforward_assembly_compatible_with_vx_conjugation():

@@ -275,8 +275,18 @@ def test_parse_real_measure():
     "horizontal(gaussian(0))",
     "density(exp(-r2); radius=3; junk)",
     "density(exp(-r2); foo=3)",
+    "dirac",
+    "horizontal",
+    "gaussian",
+    "atoms",
+    "density",
+    "alpha_horizontal",
+    "weighted",
+    "pushforward",
 ], ids=["unknown-head", "unbalanced", "gaussian-zero", "gaussian-negative", "gaussian-inf",
-        "real-gaussian-zero", "density-extra-option", "density-unknown-key"])
+        "real-gaussian-zero", "density-extra-option", "density-unknown-key", "bare-dirac", "bare-horizontal",
+        "bare-gaussian", "bare-atoms", "bare-density", "bare-alpha-horizontal", "bare-weighted",
+        "bare-pushforward"])
 def test_parse_rejects_garbage(spec):
     with pytest.raises(ValueError):
         parse_measure(spec, 1)

@@ -11,11 +11,13 @@ from focklab.basis import enumerate_basis
 from focklab.indices import HalfIndex, graded_lex_indices
 from focklab.measures import (
     AlphaHorizontal,
+    Atoms,
     Density,
     Horizontal,
     Lebesgue,
     RealAtoms,
     RealDensity,
+    Pushforward,
     Weighted,
     dimension,
     gaussian_density,
@@ -153,3 +155,36 @@ def test_product_path_growth_surfaces_with_location():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="alpha"):
             assemble_toeplitz(bad, enumerate_basis(1, 2), order=150)
+
+
+def _unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+@pytest.mark.parametrize("n, degree", [(2, 8), (3, 5)])
+def test_pushforward_of_atoms_is_atoms_at_rotated_points(n, degree):
+    # mu_X(E) = mu(X E) moves the atom at p to X* p
+    pts = np.array([[0.5 + 0.2j, -0.3 + 0.1j, 0.4j], [0.1 - 0.4j, 0.2 + 0.2j, -0.6], [0.7, -0.5j, 0.3 - 0.3j]])[:, :n]
+    wts = np.array([1.0, 0.7j, -0.4])
+    x = _unitary(n, n)
+    idx = graded_lex_indices(n, degree)
+    rotated = Atoms((x.conj().T @ pts.T).T, wts)
+    assert_tables_match(moment_table(Pushforward(Atoms(pts, wts), x), idx), moment_table(rotated, idx))
+
+
+def test_pushforward_of_product_matches_per_node_sum():
+    mu = Pushforward(AlphaHorizontal(real_gaussian(2), (2, 1)), _unitary(2, 5))
+    idx = graded_lex_indices(2, 6)
+    assert_tables_match(moment_table(mu, idx, ORDER), per_node_table(mu, idx))
+
+
+@pytest.mark.parametrize("idx", [[(0, 0), (1, 0), (2, 0)], [(2, 0), (0, 1)]], ids=["downward-closed", "scattered"])
+def test_pushforward_on_degree_incomplete_indices(idx):
+    # X* mixes the axes, so (2, 0) needs the base's (1, 1) and (0, 2) moments
+    mu = Pushforward(Horizontal(real_gaussian(2)), _unitary(2, 6))
+    full = graded_lex_indices(2, 2)
+    sel = [full.index(a) for a in idx]
+    assert_tables_match(moment_table(mu, idx), moment_table(mu, full)[np.ix_(sel, sel)])
+    assert_tables_match(moment_table(mu, idx, ORDER), per_node_table(mu, idx))
