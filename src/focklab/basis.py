@@ -49,15 +49,15 @@ class BasisSet:
         return np.nonzero(self.degrees <= self.degree // 2)[0]
 
 
-def enumerate_basis(n: int, degree: int, max_size: int = MAX_BASIS_SIZE) -> BasisSet:
-    """Build the truncated basis; size C(n + D, n) beyond ``max_size`` is rejected."""
+def enumerate_basis(n: int, degree: int) -> BasisSet:
+    """Build the truncated basis; size C(n + D, n) beyond ``MAX_BASIS_SIZE`` is rejected."""
     if n < 1 or degree < 0:
         raise ValueError(f"need n >= 1 and degree >= 0, got n={n}, D={degree}")
     size = math.comb(n + degree, n)
-    if size > max_size:
+    if size > MAX_BASIS_SIZE:
         mem = 16 * size * size / 1e6
         raise ValueError(
-            f"basis would have {size} elements; a dense matrix needs ~{mem:.0f} MB (cap {max_size} elements)"
+            f"basis would have {size} elements; a dense matrix needs ~{mem:.0f} MB (cap {MAX_BASIS_SIZE} elements)"
         )
     return BasisSet(n, degree, tuple(graded_lex_indices(n, degree)))
 

@@ -53,11 +53,13 @@ def lattice(n: int, window: float, spacing: float):
 
 
 def _scan(values: np.ndarray, z: np.ndarray, boundary: np.ndarray, window, spacing, r) -> CarlesonReport:
+    if np.all(boundary):
+        # the lone lattice point is on the boundary, so growth could not be told from a bound
+        raise ValueError(f"window {window} < spacing {spacing}: the lattice has no interior points")
     values = np.asarray(values, dtype=float)
     top = int(np.argmax(values))
-    interior = values[~boundary]
-    interior_max = float(np.max(interior)) if interior.size else 0.0
-    boundary_max = float(np.max(values[boundary])) if np.any(boundary) else 0.0
+    interior_max = float(np.max(values[~boundary]))
+    boundary_max = float(np.max(values[boundary]))
     grew = boundary_max > GROWTH_FACTOR * max(interior_max, 1e-300)
     return CarlesonReport(
         sup_estimate=float(values[top]),

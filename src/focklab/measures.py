@@ -1,11 +1,11 @@
 """Measure symbols on C^n and the integration primitives behind every formula.
 
-A measure is described structurally: finite atom sets, densities with a
-declared Gaussian-dominated growth region, horizontal products rho (x)
-Lebesgue_y, alpha-weighted horizontal products, unitary pushforwards, and
-the (1+x^2)^p (1+y^2)^p weighting calculus.  All pairings against Gaussian
-kernels reduce to node/weight sets: atoms contribute exactly, everything
-else goes through recentered Gauss-Hermite rules.
+A measure is described structurally: finite atom sets, densities,
+horizontal products rho (x) Lebesgue_y, alpha-weighted horizontal products,
+unitary pushforwards, and the (1+x^2)^p (1+y^2)^p weighting calculus.  All
+pairings against Gaussian kernels reduce to node/weight sets: atoms
+contribute exactly, everything else goes through recentered Gauss-Hermite
+rules.
 
 Every measure type implements one protocol, and the module functions
 (``dimension``, ``variation``, ``weight``, ``pushforward``, ``real_nodes``,
@@ -17,9 +17,9 @@ arguments and dispatch to it:
 - real measures on R^n: ``real_nodes(center, order, scale)``; the grid
   types (Lebesgue, densities) share ``weigh(pts, wts)``;
 - measures on C^n (``MeasureSpec``): ``weighted(p)``, ``nodes(center, order)``
-  (capped at ``quadrature.MAX_NODES`` nodes), ``product_form()``,
-  ``is_density()``, ``moments(maxdeg, order)`` and
-  ``ball_mass(center, r, order)``.
+  (capped at ``quadrature.MAX_NODES`` nodes), ``moments(maxdeg, order)``
+  (each type's own moment route; the default is a Gram product over the
+  nodes) and ``ball_mass(center, r, order)``.
 
 A new measure type is one class.  Methods that recurse into a factor call
 the module functions again, so every node set is requested through
@@ -98,34 +98,29 @@ class _AtomSet(_Measure):
 
 @dataclass(frozen=True, eq=False)
 class _DensitySet(_Measure):
-    """Density against Lebesgue measure; ``density`` is vectorized over (m, n) arrays.
-
-    ``radius`` declares where the Gaussian-dominated decay of the density
-    sets in; quadrature accuracy degrades for mass far outside it.
-    """
+    """Density against Lebesgue measure; ``density`` is vectorized over (m, n) arrays."""
 
     density: object
     n: int
-    radius: float = 6.0
 
     def variation(self):
         f = self.density
-        return type(self)(lambda pts: np.abs(f(pts)), self.n, self.radius)
+        return type(self)(lambda pts: np.abs(f(pts)), self.n)
 
     def times(self, g):
         f = self.density
-        return type(self)(lambda pts: f(pts) * g(pts), self.n, self.radius)
+        return type(self)(lambda pts: f(pts) * g(pts), self.n)
 
     def pushed(self, x):
         f = self.density
-        return type(self)(lambda pts: f(pts @ x.T), self.n, self.radius)
+        return type(self)(lambda pts: f(pts @ x.T), self.n)
 
     def weigh(self, pts, wts):
         return wts * np.asarray(self.density(pts))
 
 
 class MeasureSpec(_Measure):
-    """Base of the measures on C^n; the defaults serve atoms and densities."""
+    """Base of the measures on C^n; the defaults serve atoms, densities and ``Weighted``."""
 
     def weighted(self, p: HalfIndex):
         return self.times(lambda pts: _weight_values(p.doubled, pts))
@@ -133,22 +128,8 @@ class MeasureSpec(_Measure):
     def pushed(self, x):
         return Pushforward(self, x)
 
-    def product_form(self):
-        """(rho, x_exponents_doubled, y_exponents_doubled) if this is a weighted
-        horizontal product, else None.  The y-exponent e means a factor
-        (1+v^2)^{e/2} on that imaginary axis."""
-        return None
-
-    def is_density(self) -> bool:
-        return False
-
     def moments(self, maxdeg: int, order: int):
-        """(keys, table): the moments over all multi-indices of degree <= maxdeg."""
-        form = self.product_form()
-        if form is not None:
-            return _contract_axes(*_product_grid(*form, maxdeg, order), maxdeg)
-        if self.is_density():
-            return _contract_axes(*_density_grid(self, maxdeg, order), maxdeg)
+        """(keys, table): the moments over all degrees <= maxdeg, by a Gram product over the nodes."""
         keys = graded_lex_indices(self.n, maxdeg)
         pts, wts = gaussian_nodes(self, np.zeros(self.n), order)
         table = np.zeros((len(keys), len(keys)), dtype=complex)
@@ -220,8 +201,8 @@ class Atoms(_AtomSet, MeasureSpec):
 class Density(_DensitySet, MeasureSpec):
     """Complex density f(w) dnu_{2n}(w); f is vectorized over (m, n) complex arrays."""
 
-    def is_density(self) -> bool:
-        return True
+    def moments(self, maxdeg: int, order: int):
+        return _contract_axes(*_density_grid(self, maxdeg, order), maxdeg)
 
     def nodes(self, center, order: int):
         rule = gauss_hermite(order)
@@ -279,8 +260,8 @@ class AlphaHorizontal(MeasureSpec):
             return Horizontal(rho)
         return AlphaHorizontal(rho, alpha)
 
-    def product_form(self):
-        return self.rho, (0,) * self.n, tuple(-a for a in self.alpha_doubled)
+    def moments(self, maxdeg: int, order: int):
+        return _contract_axes(*_product_grid(self.rho, self.alpha_doubled, maxdeg, order), maxdeg)
 
     def nodes(self, center, order: int):
         tpts, twts = real_nodes(self.rho, center.real, order)
@@ -295,7 +276,7 @@ class AlphaHorizontal(MeasureSpec):
         return pts, (twts[:, None] * vwts[None, :]).ravel()
 
     def ball_mass(self, center, r, order: int) -> complex:
-        return _ball_mass_product(*self.product_form(), center, r)
+        return _ball_mass_product(self.rho, self.alpha_doubled, center, r)
 
 
 class Horizontal(AlphaHorizontal):
@@ -350,7 +331,8 @@ class Pushforward(MeasureSpec):
 
 @dataclass(frozen=True, eq=False)
 class Weighted(MeasureSpec):
-    """mu_p with density prod_j (1+x_j^2)^{p_j} (1+y_j^2)^{p_j} against the base."""
+    """mu_p with density prod_j (1+x_j^2)^{p_j} (1+y_j^2)^{p_j} against the base;
+    ``weight()`` builds it only over a pushforward, every other type folds the weight in."""
 
     base: MeasureSpec
     p: HalfIndex
@@ -366,25 +348,11 @@ class Weighted(MeasureSpec):
         q = self.p + p
         return self.base if q.is_zero else weight(self.base, q)
 
-    def product_form(self):
-        form = self.base.product_form()
-        if form is None:
-            return None
-        rho, xe, ye = form
-        d = self.p.doubled
-        return rho, tuple(a + b for a, b in zip(xe, d)), tuple(a + b for a, b in zip(ye, d))
-
-    def is_density(self) -> bool:
-        return self.base.is_density()
-
     def nodes(self, center, order: int):
         pts, wts = gaussian_nodes(self.base, center, order)
         return pts, wts * _weight_values(self.p.doubled, pts)
 
     def ball_mass(self, center, r, order: int) -> complex:
-        form = self.product_form()
-        if form is not None:
-            return _ball_mass_product(*form, center, r)
         return ball_mass(self.base.times(lambda pts: _weight_values(self.p.doubled, pts)), center, r, order)
 
 
@@ -407,13 +375,13 @@ def _check_sigma(sigma) -> float:
 def gaussian_density(n: int, sigma: float = 1.0) -> Density:
     """Density exp(-|w|^2 / sigma^2) on C^n."""
     s2 = _check_sigma(sigma) ** 2
-    return Density(lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1) / s2), n, radius=4.0 * sigma)
+    return Density(lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1) / s2), n)
 
 
 def real_gaussian(n: int, sigma: float = 1.0) -> RealDensity:
     """Density exp(-|t|^2 / sigma^2) on R^n."""
     s2 = _check_sigma(sigma) ** 2
-    return RealDensity(lambda pts: np.exp(-np.sum(pts**2, axis=1) / s2), n, radius=4.0 * sigma)
+    return RealDensity(lambda pts: np.exp(-np.sum(pts**2, axis=1) / s2), n)
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +509,13 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     the node cap the request is refused.
 
     The measure's ``moments`` gives the table over all degrees <= D, which
-    is gathered into the caller's order.  Weighted horizontal products and
-    Gauss-Hermite-grid densities contract per-axis tables on the distinct
-    node values one axis at a time (sum factorization), about (D+1)^2
-    operations per grid point instead of N^2 per node.  A pushforward mu_X
-    conjugates its base's table by the substitution matrix of X* (V_X in
-    monomials).  Complex atoms and weighted pushforwards, whose weight is
-    not rotation invariant, pay a Gram product over their nodes.
+    is gathered into the caller's order.  ``AlphaHorizontal`` (every weighted
+    horizontal product) and ``Density`` contract per-axis tables on the
+    distinct node values one axis at a time (sum factorization), about
+    (D+1)^2 operations per grid point instead of N^2 per node.  A pushforward
+    mu_X conjugates its base's table by the substitution matrix of X* (V_X in
+    monomials).  Complex atoms and weighted pushforwards, whose weight is not
+    rotation invariant, pay a Gram product over their nodes.
     """
     indices = [tuple(a) for a in indices]
     maxdeg = max(sum(a) for a in indices)
@@ -557,10 +525,10 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     return table[np.ix_(sel, sel)]
 
 
-def _product_grid(rho, x_exp, y_exp, maxdeg: int, order: int):
-    """Per-axis tables g_j[i, a, b] = sum_v w(v) (t_i+iv)^a (t_i-iv)^b (1+t_i^2)^{x_j/2}
+def _product_grid(rho, alpha_doubled, maxdeg: int, order: int):
+    """Per-axis tables g_j[i, a, b] = sum_v w(v) (t_i+iv)^a (t_i-iv)^b (1+v^2)^{-alpha_j}
     on the distinct t-values of each axis, and the t-weights on their grid."""
-    n = len(x_exp)
+    n = len(alpha_doubled)
     rule = gauss_hermite(order)
     tpts, twts = real_nodes(rho, np.zeros(n), order)
     if isinstance(rho, RealAtoms):
@@ -575,13 +543,10 @@ def _product_grid(rho, x_exp, y_exp, maxdeg: int, order: int):
     tables = []
     for j in range(n):
         wv = rule.weights
-        if y_exp[j] != 0:
-            wv = wv * (1.0 + v**2) ** (y_exp[j] / 2.0)
+        if alpha_doubled[j] != 0:
+            wv = wv * (1.0 + v**2) ** (-alpha_doubled[j] / 2.0)
         pows = polyvander(axes[j][:, None] + 1j * v[None, :], maxdeg)
-        g = np.swapaxes(pows * wv[None, :, None], 1, 2) @ np.conj(pows)
-        if x_exp[j] != 0:
-            g = g * ((1.0 + axes[j] ** 2) ** (x_exp[j] / 2.0))[:, None, None]
-        tables.append(g)
+        tables.append(np.swapaxes(pows * wv[None, :, None], 1, 2) @ np.conj(pows))
     return tables, grid
 
 
@@ -695,8 +660,8 @@ def ball_mass(mu, center, r, order: int = DEFAULT_ORDER) -> complex:
     return mu.ball_mass(center, r, order)
 
 
-def _ball_mass_product(rho, x_exp, y_exp, center, r) -> complex:
-    n = len(x_exp)
+def _ball_mass_product(rho, alpha_doubled, center, r) -> complex:
+    n = len(alpha_doubled)
     x0, y0 = center.real, center.imag
     s, sw = _chord_rule()
 
@@ -707,8 +672,8 @@ def _ball_mass_product(rho, x_exp, y_exp, center, r) -> complex:
             c = np.sqrt(np.maximum(c, 0.0))
             v = y0[j] + c[:, None] * s[None, :]
             f = np.ones_like(v)
-            if y_exp[j] != 0:
-                f = (1.0 + v**2) ** (y_exp[j] / 2.0)
+            if alpha_doubled[j] != 0:
+                f = (1.0 + v**2) ** (-alpha_doubled[j] / 2.0)
             out = out * (c[:, None] * f * sw[None, :]).sum(axis=1)
         return out
 
@@ -717,10 +682,10 @@ def _ball_mass_product(rho, x_exp, y_exp, center, r) -> complex:
         if not np.any(inside):
             return 0.0 + 0.0j
         pts = rho.points[inside]
-        return complex(np.sum(rho.weights[inside] * _real_weight_values(x_exp, pts) * chords(pts)))
+        return complex(np.sum(rho.weights[inside] * chords(pts)))
     # Lebesgue or density rho: per-axis substitution t = x0 + r sin(phi)
     tpts, twts = tensor_grid([x0[j] + r[j] * s for j in range(n)], [r[j] * sw for j in range(n)])
-    return complex(np.sum(twts * rho.weigh(tpts, _real_weight_values(x_exp, tpts) * chords(tpts))))
+    return complex(np.sum(twts * rho.weigh(tpts, chords(tpts))))
 
 
 # ---------------------------------------------------------------------------
@@ -804,14 +769,18 @@ def _head_body(text: str):
     return head.strip().lower(), rest[:-1]
 
 
-def _parse_point(text: str, n: int, real: bool):
-    text = text.strip()
+def _literal(text: str, spec: str):
+    try:
+        return ast.literal_eval(text.strip())
+    except (SyntaxError, ValueError):
+        raise ValueError(f"malformed literal {text.strip()!r} in measure spec {spec!r}") from None
+
+
+def _parse_point(text: str, n: int, real: bool, spec: str):
+    # a point is one number, or a bracketed or comma-separated list of them
+    values = _literal(text, spec)
     conv = float if real else complex
-    if text.startswith("["):
-        values = ast.literal_eval(text)
-        pt = [conv(v) for v in values]
-    else:
-        pt = [conv(ast.literal_eval(part)) for part in _split_top(text, ",")]
+    pt = [conv(v) for v in (values if isinstance(values, (list, tuple)) else [values])]
     if len(pt) != n:
         raise ValueError(f"point {text!r} has {len(pt)} components, expected {n}")
     return pt
@@ -824,25 +793,21 @@ def _parse(text: str, n: int, real: bool):
     if body is None:
         raise ValueError(f"cannot parse measure spec {text!r}: only lebesgue is written without an argument list")
     if head == "dirac":
-        return (real_dirac if real else dirac)(_parse_point(body, n, real))
+        return (real_dirac if real else dirac)(_parse_point(body, n, real, text))
     if head == "gaussian":
         return (real_gaussian if real else gaussian_density)(n, float(body))
     if head == "atoms":
         points, weights = [], []
         for item in _split_top(body, ","):
             loc, _, wt = item.rpartition(":")
-            points.append(_parse_point(loc, n, real))
-            weights.append(complex(ast.literal_eval(wt.strip())))
+            points.append(_parse_point(loc, n, real, text))
+            weights.append(complex(_literal(wt, text)))
         return (RealAtoms if real else Atoms)(np.array(points), np.array(weights))
     if head == "density":
         expr, *options = _split_top(body, ";")
-        radius = 6.0
         if options:
-            key, _, value = options[0].partition("=")
-            if len(options) > 1 or key.strip() != "radius":
-                raise ValueError(f"density spec {text!r} takes one option, radius=R")
-            radius = float(value)
-        return (RealDensity if real else Density)(compile_density_expression(expr, n, real), n, radius)
+            raise ValueError(f"density spec {text!r}: density takes no options")
+        return (RealDensity if real else Density)(compile_density_expression(expr, n, real), n)
     if not real and head == "horizontal":
         return Horizontal(_parse(body, n, True))
     if not real and head == "alpha_horizontal":
@@ -855,7 +820,7 @@ def _parse(text: str, n: int, real: bool):
         return weight(_parse(mu_text, n, False), p)
     if not real and head == "pushforward":
         mu_text, x_text = _split_top(body, ";")
-        x = np.atleast_2d(np.asarray(ast.literal_eval(x_text), dtype=complex))
+        x = np.atleast_2d(np.asarray(_literal(x_text, text), dtype=complex))
         return pushforward(_parse(mu_text, n, False), x)
     raise ValueError(f"cannot parse {'real ' if real else ''}measure spec {text!r}")
 
@@ -869,7 +834,7 @@ def parse_measure(text: str, n: int):
     """Parse the measure grammar used by experiment configs.
 
     Built-ins: ``lebesgue``, ``dirac(point)``, ``gaussian(sigma)``.  Composites:
-    ``atoms(p: w, ...)``, ``density(expr[; radius=R])``, ``horizontal(rho)``,
+    ``atoms(p: w, ...)``, ``density(expr)``, ``horizontal(rho)``,
     ``alpha_horizontal(rho; a1,..,an)``, ``weighted(mu; p1,..,pn)``,
     ``pushforward(mu; X)``.  Complex literals use Python syntax (1+2j).
     """

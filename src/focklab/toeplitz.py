@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet, kernel_coefficients
-from .indices import HalfIndex, as_multi_index, factorial, index_add, index_leq, index_sub
+from .indices import HalfIndex, as_multi_index, factorial, index_leq, index_sub
 from .measures import (
     DEFAULT_ORDER,
     dimension,
@@ -95,16 +95,10 @@ def _coderivative_from_table(table: np.ndarray, a, b, basis: BasisSet) -> np.nda
     return entries
 
 
-def assemble_coderivative(mu, a, b, basis: BasisSet, order: int = DEFAULT_ORDER,
-                          k: HalfIndex | None = None) -> OperatorMatrix:
-    """Operator of the sesquilinear form pi^{-n} int d^a f conj(d^b g) e^{-|w|^2} dmu.
-
-    ``a + b`` must equal the declared derivative order 2k when k is given.
-    """
+def assemble_coderivative(mu, a, b, basis: BasisSet, order: int = DEFAULT_ORDER) -> OperatorMatrix:
+    """Operator of the sesquilinear form pi^{-n} int d^a f conj(d^b g) e^{-|w|^2} dmu."""
     a = as_multi_index(a, basis.n)
     b = as_multi_index(b, basis.n)
-    if k is not None and index_add(a, b) != k.order_index():
-        raise ValueError(f"coderivative orders a={a}, b={b} do not sum to 2k={k.order_index()}")
     table = moment_table(mu, list(basis.indices), order)
     _locate_bad_entry(table, basis)
     return OperatorMatrix(basis, _coderivative_from_table(table, a, b, basis))

@@ -24,7 +24,7 @@ def test_enumeration_sizes():
 
 def test_enumeration_cap_reports_memory():
     with pytest.raises(ValueError, match="MB"):
-        enumerate_basis(6, 40, max_size=1000)
+        enumerate_basis(6, 40)  # 9,366,819 elements
 
 
 def test_kernel_at_origin():

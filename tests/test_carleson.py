@@ -32,6 +32,15 @@ def test_lattice_shape_and_boundary():
     assert np.any(np.all(z == 0, axis=1))
 
 
+def test_window_below_spacing_is_refused():
+    # the lattice is then the origin alone, a boundary point, so growth could not be told from a bound
+    assert lattice(1, 0.4, 0.5)[1].tolist() == [True]
+    with pytest.raises(ValueError, match="window 0.4 < spacing 0.5"):
+        carleson_constant(lebesgue(1), (2,), (1.0,), window=0.4, spacing=0.5)
+    with pytest.raises(ValueError, match="no interior"):
+        condition_m(lebesgue(1), window=0.4, spacing=0.5)
+
+
 def test_condition_m_unit_atom_is_flat():
     rep = condition_m(dirac([0.0]))
     assert rep.verbatim.sup_estimate == pytest.approx(1.0, rel=1e-12)

@@ -281,8 +281,10 @@ def test_main_rejects_bad_measure_grammar(tmp_path):
 
 
 @pytest.mark.parametrize("mistyped", [{"n": "two"}, {"k": 2}, {"orders": 5}, {"orders": ["moment"]}, {"measure": 5},
-                                      {"measure": "dirac"}],
-                         ids=["n", "k", "orders", "orders-list", "measure", "bare-builtin"])
+                                      {"measure": "dirac"}, {"measure": "dirac(1 +)"},
+                                      {"command": "carleson", "window": 0.4, "spacing": 0.5}],
+                         ids=["n", "k", "orders", "orders-list", "measure", "bare-builtin", "malformed-literal",
+                              "window-below-spacing"])
 def test_main_mistyped_field_exits_two(tmp_path, capsys, mistyped):
     fields = {"command": "assemble", "truncation": 4, "measure": "lebesgue", "out": str(tmp_path / "o")}
     cfg = write_config(tmp_path, **{**fields, **mistyped})

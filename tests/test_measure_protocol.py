@@ -40,17 +40,17 @@ PTS1 = np.array([[0.3 - 0.2j], [-1.1 + 0.4j], [0.0]])
 
 
 def test_variation_of_real_density_takes_modulus():
-    rho = RealDensity(lambda t: -2.0 * np.exp(-t[:, 0] ** 2) * np.sin(3.0 * t[:, 0]), 1, radius=5.0)
+    rho = RealDensity(lambda t: -2.0 * np.exp(-t[:, 0] ** 2) * np.sin(3.0 * t[:, 0]), 1)
     v = variation(rho)
-    assert isinstance(v, RealDensity) and v.n == 1 and v.radius == 5.0
+    assert isinstance(v, RealDensity) and v.n == 1
     t = np.array([[0.4], [-0.7], [1.3]])
     np.testing.assert_array_equal(v.density(t), np.abs(rho.density(t)))
 
 
 def test_variation_of_complex_density_takes_modulus():
-    mu = Density(lambda w: (1j - w[:, 0]) * np.exp(-np.abs(w[:, 0]) ** 2), 1, radius=3.0)
+    mu = Density(lambda w: (1j - w[:, 0]) * np.exp(-np.abs(w[:, 0]) ** 2), 1)
     v = variation(mu)
-    assert isinstance(v, Density) and v.radius == 3.0
+    assert isinstance(v, Density)
     np.testing.assert_array_equal(v.density(PTS1), np.abs(mu.density(PTS1)))
 
 
@@ -100,21 +100,22 @@ def test_horizontal_is_alpha_horizontal_with_zero_alpha():
     rho = real_gaussian(2)
     mu = Horizontal(rho)
     assert isinstance(mu, AlphaHorizontal) and mu.alpha_doubled == (0, 0)
-    assert mu.product_form() == (rho, (0, 0), (0, 0))
     same = AlphaHorizontal(rho, (0, 0))
     b = enumerate_basis(2, 3)
     np.testing.assert_array_equal(assemble_toeplitz(mu, b).entries, assemble_toeplitz(same, b).entries)
 
 
-def test_product_form_and_density_flags():
-    rho = Lebesgue(1)
-    assert AlphaHorizontal(rho, (2,)).product_form() == (rho, (0,), (-2,))
-    w = Weighted(AlphaHorizontal(rho, (2,)), HalfIndex.from_doubled([1]))
-    assert w.product_form() == (rho, (1,), (-1,))
-    assert dirac([0.0]).product_form() is None and not dirac([0.0]).is_density()
-    assert gaussian_density(1).is_density()
-    assert Weighted(gaussian_density(1), HalfIndex.from_ints([1])).is_density()
-    assert Weighted(dirac([0.0]), HalfIndex.from_ints([1])).product_form() is None
+def test_weight_keeps_the_normal_form():
+    # the weight folds into a horizontal product, a density or an atom set; only a pushforward is wrapped
+    p = HalfIndex.from_doubled([1])
+    for mu, kind in [(lebesgue(1), AlphaHorizontal), (AlphaHorizontal(Lebesgue(1), (2,)), AlphaHorizontal),
+                     (gaussian_density(1), Density), (dirac([0.5j]), Atoms)]:
+        assert isinstance(weight(mu, p), kind)
+    assert type(weight(AlphaHorizontal(Lebesgue(1), (1,)), p)) is Horizontal
+    rotated = pushforward(lebesgue(1), np.array([[np.exp(0.4j)]]))
+    w = weight(rotated, p)
+    assert type(w) is Weighted and type(w.base) is Pushforward
+    assert weight(w, HalfIndex.from_doubled([-1])) is rotated
 
 
 def test_real_nodes_scale_two_is_gamma_kernel():

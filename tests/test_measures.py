@@ -245,8 +245,8 @@ def test_parse_measure_builtins():
     assert isinstance(mu4, AlphaHorizontal)
     mu5 = parse_measure("pushforward(dirac(1+0j); -1j)", 1)
     np.testing.assert_allclose(mu5.points, [[1j]])
-    mu6 = parse_measure("density(exp(-r2); radius=3)", 2)
-    assert isinstance(mu6, Density) and mu6.radius == 3.0
+    mu6 = parse_measure("density(exp(-r2))", 2)
+    assert isinstance(mu6, Density)
 
 
 def test_parse_measure_n2_points():
@@ -260,7 +260,7 @@ def test_parse_real_measure():
     assert isinstance(parse_real_measure("lebesgue", 1), Lebesgue)
     rho = parse_real_measure("dirac(0.5)", 1)
     np.testing.assert_allclose(rho.points, [[0.5]])
-    rho2 = parse_real_measure("density((1 + x1**2)**-1; radius=8)", 1)
+    rho2 = parse_real_measure("density((1 + x1**2)**-1)", 1)
     assert isinstance(rho2, RealDensity)
     rho3 = parse_real_measure("atoms(-0.4: 0.6, 0.9: 0.4)", 1)
     assert rho3.points.shape == (2, 1)
@@ -283,10 +283,17 @@ def test_parse_real_measure():
     "alpha_horizontal",
     "weighted",
     "pushforward",
+    "density(exp(-r2); radius=3)",
+    "dirac([1+)",
+    "dirac(1 +)",
+    "atoms(0.5: 1+)",
+    "atoms(0.5: )",
+    "pushforward(lebesgue; [[1+]])",
 ], ids=["unknown-head", "unbalanced", "gaussian-zero", "gaussian-negative", "gaussian-inf",
         "real-gaussian-zero", "density-extra-option", "density-unknown-key", "bare-dirac", "bare-horizontal",
         "bare-gaussian", "bare-atoms", "bare-density", "bare-alpha-horizontal", "bare-weighted",
-        "bare-pushforward"])
+        "bare-pushforward", "density-radius", "literal-bracket", "literal-point", "literal-weight",
+        "literal-empty-weight", "literal-matrix"])
 def test_parse_rejects_garbage(spec):
     with pytest.raises(ValueError):
         parse_measure(spec, 1)

@@ -18,12 +18,12 @@ from focklab.measures import (
     RealAtoms,
     RealDensity,
     Pushforward,
-    Weighted,
     dimension,
     gaussian_density,
     gaussian_nodes,
     moment_table,
     real_gaussian,
+    weight,
 )
 from focklab.toeplitz import assemble_toeplitz
 
@@ -62,9 +62,9 @@ RHOS = {
 SYMBOLS = {
     "horizontal": lambda rho: Horizontal(rho),
     "alpha": lambda rho: AlphaHorizontal(rho, (2, 1, 3)[: dimension(rho)]),
-    "weighted": lambda rho: Weighted(Horizontal(rho), HalfIndex.from_halves([-1.5, 0.5, -0.5][: dimension(rho)])),
-    "weighted-alpha": lambda rho: Weighted(AlphaHorizontal(rho, (1,) * dimension(rho)),
-                                           HalfIndex.from_halves([0.5, -1.0, 1.5][: dimension(rho)])),
+    "weighted": lambda rho: weight(Horizontal(rho), HalfIndex.from_halves([-1.5, 0.5, -0.5][: dimension(rho)])),
+    "weighted-alpha": lambda rho: weight(AlphaHorizontal(rho, (1,) * dimension(rho)),
+                                         HalfIndex.from_halves([0.5, -1.0, 1.5][: dimension(rho)])),
 }
 
 
@@ -79,7 +79,7 @@ def test_product_path_matches_per_node_sum(symbol, rho, n, degree):
 
 @pytest.mark.parametrize("rho", sorted(RHOS))
 def test_product_path_three_axes(rho):
-    mu = Weighted(Horizontal(RHOS[rho](3)), HalfIndex.from_halves([0.5, 0.0, -0.5]))
+    mu = weight(Horizontal(RHOS[rho](3)), HalfIndex.from_halves([0.5, 0.0, -0.5]))
     idx = graded_lex_indices(3, 4)
     assert_tables_match(moment_table(mu, idx, 6), per_node_table(mu, idx, 6))
 
@@ -93,8 +93,8 @@ def _lopsided_density(n):
 @pytest.mark.parametrize("make", [
     gaussian_density,
     _lopsided_density,
-    lambda n: Weighted(gaussian_density(n), HalfIndex.from_halves([0.5, -1.5][:n])),
-    lambda n: Weighted(_lopsided_density(n), HalfIndex.from_halves([1.0, 0.5][:n])),
+    lambda n: weight(gaussian_density(n), HalfIndex.from_halves([0.5, -1.5][:n])),
+    lambda n: weight(_lopsided_density(n), HalfIndex.from_halves([1.0, 0.5][:n])),
 ], ids=["gaussian", "lopsided", "weighted-gaussian", "weighted-lopsided"])
 @pytest.mark.parametrize("n, degree", [(1, 8), (2, 4)])
 def test_density_path_matches_per_node_sum(make, n, degree):

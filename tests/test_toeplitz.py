@@ -89,12 +89,6 @@ def test_coderivative_atom_single_entry():
     np.testing.assert_allclose(t.entries, expected, atol=1e-15)
 
 
-def test_coderivative_order_mismatch_rejected():
-    b = enumerate_basis(1, 4)
-    with pytest.raises(ValueError, match="2k"):
-        assemble_coderivative(lebesgue(1), (1,), (0,), b, k=HalfIndex.from_ints([1]))
-
-
 def test_real_coderivative_of_lebesgue():
     # 2k = 2: diagonal 2a, corners sqrt(a(a-1)) two steps off the diagonal
     b = enumerate_basis(1, 8)

@@ -1,4 +1,4 @@
-"""Every module-level import in the package is used (a linter stand-in on the standard library)."""
+"""Every module-level import and private name in the package is used (a linter stand-in on the standard library)."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "focklab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -22,11 +23,36 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.stem)
+def unused_private_names(source: str) -> list[str]:
+    """Module-level ``_name`` functions, classes and assignments that the module never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text()) == []
+
+
 def test_detector_flags_an_unused_import():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == ["math (line 1)", "path (line 2)"]
+
+
+def test_detector_flags_an_unused_private_name():
+    source = "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _B\nclass _C:\n    pass\npublic = _f\n"
+    assert unused_private_names(source) == ["_A (line 1)", "_C (line 6)"]
