@@ -124,7 +124,6 @@ class KfcReport:
     coarse_degree: int
     growth_detected: bool
     random_probe: float
-    method: str
 
 
 def kfc_verdict(mu, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER, seed: int = 0) -> KfcReport:
@@ -162,7 +161,6 @@ def kfc_verdict(mu, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER, s
         coarse_degree=coarse.degree,
         growth_detected=bool(omega > GROWTH_FACTOR * max(omega_coarse, 1e-300)),
         random_probe=probe,
-        method="gram-eigenvalue",
     )
 
 

@@ -276,11 +276,11 @@ def run(config: ExperimentConfig) -> int:
     """Execute one experiment; artifacts land in ``config.out``."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = asdict(config)
-    (out / "resolved_config.yaml").write_text(yaml.safe_dump(resolved, sort_keys=True))
     handler, prop = COMMANDS[config.command]
     k = HalfIndex.from_doubled(config.k if config.k is not None else [0] * config.n)
     items, failed = handler(config, k, out)
+    # written only once the handler accepted the config, so a refused run leaves no resolved config
+    (out / "resolved_config.yaml").write_text(yaml.safe_dump(asdict(config), sort_keys=True))
     summary = [("summary-version", 1), ("command", config.command), ("seed", config.seed), ("property", prop)]
     write_summary(out / "summary.txt", summary + items)
     return 1 if failed else 0

@@ -148,7 +148,6 @@ class InvarianceReport:
     """Evidence for invariance of a measure under translations along a plane."""
 
     berezin_y_variation: float
-    berezin_scale: float
     weyl_commutators: tuple[float, ...]
     invariant: bool
 
@@ -180,7 +179,7 @@ def l_invariance_test(mu, frame: LagrangianFrame, basis: BasisSet,
         w = weyl_matrix(h, basis)
         commutators.append(interior_max_norm(t @ w - w @ t, basis))
     invariant = variation_y <= 1e-8 * max(scale, 1e-12) and all(v <= 1e-4 for v in commutators)
-    return InvarianceReport(variation_y, scale, tuple(commutators), bool(invariant))
+    return InvarianceReport(variation_y, tuple(commutators), bool(invariant))
 
 
 def assemble_l_real_coderivative(mu, k: HalfIndex, frame: LagrangianFrame, basis: BasisSet,

@@ -5,21 +5,24 @@ horizontal products rho (x) Lebesgue_y, alpha-weighted horizontal products,
 unitary pushforwards, and the (1+x^2)^p (1+y^2)^p weighting calculus.  All
 pairings against Gaussian kernels reduce to node/weight sets: atoms
 contribute exactly, everything else goes through recentered Gauss-Hermite
-rules.
+rules.  Only ``AlphaHorizontal`` knows how rho (x) nu_alpha integrates: its
+pairings, moments and polydisk masses split into rho's part and y-integrals.
 
 Every measure type implements one protocol, and the module functions
 (``dimension``, ``variation``, ``weight``, ``pushforward``, ``real_nodes``,
-``gaussian_nodes``, ``ball_mass``, ``moment_table``) validate their
-arguments and dispatch to it:
+``gaussian_nodes``, ``gaussian_pairing``, ``ball_mass``, ``moment_table``)
+validate their arguments and dispatch to it:
 
 - all measures: ``n``, ``variation()``, ``times(g)`` (multiply by a density
   g, where the type can hold the product) and ``pushed(x)``;
-- real measures on R^n: ``real_nodes(center, order, scale)``; the grid
-  types (Lebesgue, densities) share ``weigh(pts, wts)``;
+- real measures on R^n: ``real_nodes(center, order, scale)``, the moment
+  pass's ``axis_grid(order)`` and the polydisk masses' ``box_integral``; the
+  grid types (Lebesgue, densities) share ``weigh(pts, wts)``;
 - measures on C^n (``MeasureSpec``): ``weighted(p)``, ``nodes(center, order)``
-  (capped at ``quadrature.MAX_NODES`` nodes), ``moments(maxdeg, order)``
-  (each type's own moment route; the default is a Gram product over the
-  nodes) and ``ball_mass(center, r, order)``.
+  (capped at ``quadrature.MAX_NODES`` nodes), ``pairing(center, order)``
+  (the default sums the node weights), ``moments(maxdeg, order)`` (each
+  type's own moment route; the default is a Gram product over the nodes)
+  and ``ball_mass(center, r, order)``.
 
 A new measure type is one class.  Methods that recurse into a factor call
 the module functions again, so every node set is requested through
@@ -41,6 +44,7 @@ from .quadrature import MAX_NODES, gauss_hermite, gauss_legendre, tensor_grid
 DEFAULT_ORDER = 40
 _CHUNK = 200_000
 _UNITARY_TOL = 1e-12
+_ROTATED_POLYDISK = "polydisk mass for a rotated measure is not supported; rotate the polydisk instead"
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +66,18 @@ class _RealGrid(_Measure):
         root = np.sqrt(scale)
         pts, wts = tensor_grid([(c + rule.nodes) / root for c in center], [rule.weights] * self.n)
         return pts, self.weigh(pts, wts * scale ** (-self.n / 2.0))
+
+    def axis_grid(self, order: int):
+        rule = gauss_hermite(order)
+        _, wts = real_nodes(self, np.zeros(self.n), order)
+        # real_nodes lays the Gauss-Hermite tensor grid out in C order
+        return (rule.nodes,) * self.n, wts.reshape((rule.order,) * self.n)
+
+    def box_integral(self, x0, r, f) -> complex:
+        # per-axis substitution t = x0 + r sin(phi)
+        s, sw = _chord_rule()
+        tpts, twts = tensor_grid([x0[j] + r[j] * s for j in range(self.n)], [r[j] * sw for j in range(self.n)])
+        return complex(np.sum(twts * self.weigh(tpts, f(tpts))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +110,11 @@ class _AtomSet(_Measure):
 
     def pushed(self, x):
         return type(self)(self.points @ np.conj(x), self.weights)
+
+    def box_integral(self, center, r, f) -> complex:
+        """sum of w f(p) over the atoms with every |p_j - c_j| < r_j (a box on R^n, a polydisk on C^n)."""
+        inside = np.all(np.abs(self.points - center[None, :]) < r[None, :], axis=1)
+        return complex(np.sum(self.weights[inside] * f(self.points[inside])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +149,9 @@ class MeasureSpec(_Measure):
     def pushed(self, x):
         return Pushforward(self, x)
 
+    def pairing(self, center, order: int) -> complex:
+        return complex(np.sum(gaussian_nodes(self, center, order)[1]))
+
     def moments(self, maxdeg: int, order: int):
         """(keys, table): the moments over all degrees <= maxdeg, by a Gram product over the nodes."""
         keys = graded_lex_indices(self.n, maxdeg)
@@ -148,6 +172,14 @@ class RealAtoms(_AtomSet):
 
     def real_nodes(self, center, order: int, scale: float):
         return self.points, self.weights * np.exp(-np.sum((np.sqrt(scale) * self.points - center) ** 2, axis=1))
+
+    def axis_grid(self, order: int):
+        # the atoms' distinct coordinates on each axis: up to m^n cells for m atoms
+        _, wts = real_nodes(self, np.zeros(self.n), order)
+        axes, where = zip(*(np.unique(self.points[:, j], return_inverse=True) for j in range(self.n)))
+        grid = np.zeros(tuple(len(a) for a in axes), dtype=complex)
+        np.add.at(grid, where, wts)
+        return axes, grid
 
 
 class RealDensity(_DensitySet, _RealGrid):
@@ -194,15 +226,25 @@ class Atoms(_AtomSet, MeasureSpec):
         return self.points, self.weights * np.exp(-np.sum(np.abs(self.points - center) ** 2, axis=1))
 
     def ball_mass(self, center, r, order: int) -> complex:
-        inside = np.all(np.abs(self.points - center[None, :]) < r[None, :], axis=1)
-        return complex(np.sum(self.weights[inside]))
+        return self.box_integral(center, r, lambda pts: 1.0)
 
 
 class Density(_DensitySet, MeasureSpec):
     """Complex density f(w) dnu_{2n}(w); f is vectorized over (m, n) complex arrays."""
 
     def moments(self, maxdeg: int, order: int):
-        return _contract_axes(*_density_grid(self, maxdeg, order), maxdeg)
+        # per-axis tables z^a conj(z)^b on the q^2 complex nodes z = x + iy of each axis
+        n = self.n
+        _, wts = gaussian_nodes(self, np.zeros(n), order)
+        rule = gauss_hermite(order)
+        q = rule.order
+        # gaussian_nodes orders the real axes x_1..x_n, y_1..y_n in C order;
+        # interleave them so (x_j, y_j) becomes one complex axis of q^2 nodes
+        interleave = [a for j in range(n) for a in (j, n + j)]
+        grid = wts.reshape((q,) * (2 * n)).transpose(interleave).reshape((q * q,) * n)
+        pows = polyvander((rule.nodes[:, None] + 1j * rule.nodes[None, :]).ravel(), maxdeg)
+        g = pows[:, :, None] * np.conj(pows)[:, None, :]
+        return _contract_axes([g] * n, grid, maxdeg)
 
     def nodes(self, center, order: int):
         rule = gauss_hermite(order)
@@ -260,23 +302,55 @@ class AlphaHorizontal(MeasureSpec):
             return Horizontal(rho)
         return AlphaHorizontal(rho, alpha)
 
+    def _nu(self, j: int, v):
+        """The nu_alpha density (1+v^2)^{-alpha_j} on axis j; exactly 1 where alpha_j = 0."""
+        return (1.0 + v**2) ** (-self.alpha_doubled[j] / 2.0)
+
+    def _v_rule(self, center, order: int):
+        """Per-axis Gauss-Hermite nodes recentred at Im c and their nu_alpha-weighted weights."""
+        rule = gauss_hermite(order)
+        vaxes = [c.imag + rule.nodes for c in center]
+        return vaxes, [rule.weights * self._nu(j, v) for j, v in enumerate(vaxes)]
+
+    def pairing(self, center, order: int) -> complex:
+        # the kernel factorizes: rho's pairing at Re c times one nu_alpha integral per axis
+        _, twts = real_nodes(self.rho, center.real, order)
+        return complex(np.sum(twts)) * math.prod(complex(np.sum(w)) for w in self._v_rule(center, order)[1])
+
     def moments(self, maxdeg: int, order: int):
-        return _contract_axes(*_product_grid(self.rho, self.alpha_doubled, maxdeg, order), maxdeg)
+        # per-axis tables g_j[i, a, b] = sum_v w(v) (t_i+iv)^a (t_i-iv)^b (1+v^2)^{-alpha_j}
+        # on the distinct t-values of each axis, contracted against rho's weight grid
+        axes, grid = self.rho.axis_grid(order)
+        vaxes, vweights = self._v_rule(np.zeros(self.n), order)
+        tables = []
+        for t, v, wv in zip(axes, vaxes, vweights):
+            pows = polyvander(t[:, None] + 1j * v[None, :], maxdeg)
+            tables.append(np.swapaxes(pows * wv[None, :, None], 1, 2) @ np.conj(pows))
+        return _contract_axes(tables, grid, maxdeg)
 
     def nodes(self, center, order: int):
         tpts, twts = real_nodes(self.rho, center.real, order)
-        rule = gauss_hermite(order)
-        vaxes = [c.imag + rule.nodes for c in center]
-        vweights = [rule.weights if a == 0 else rule.weights * (1.0 + v**2) ** (-a / 2.0)
-                    for v, a in zip(vaxes, self.alpha_doubled)]
-        vpts, vwts = tensor_grid(vaxes, vweights)
+        vpts, vwts = tensor_grid(*self._v_rule(center, order))
         if tpts.shape[0] * vpts.shape[0] > MAX_NODES:
             raise ValueError(f"horizontal discretization needs {tpts.shape[0] * vpts.shape[0]} nodes (cap {MAX_NODES})")
         pts = (tpts[:, None, :] + 1j * vpts[None, :, :]).reshape(-1, self.n)
         return pts, (twts[:, None] * vwts[None, :]).ravel()
 
     def ball_mass(self, center, r, order: int) -> complex:
-        return _ball_mass_product(self.rho, self.alpha_doubled, center, r)
+        """rho integrated over the box |t_j - x_j| < r_j against the product of the
+        per-axis nu_alpha masses of the chords |v_j - y_j| < sqrt(r_j^2 - (t_j - x_j)^2)."""
+        x0, y0 = center.real, center.imag
+        s, sw = _chord_rule()
+
+        def chords(tpts):
+            out = np.ones(tpts.shape[0])
+            for j in range(self.n):
+                c = np.sqrt(np.maximum(r[j] ** 2 - (tpts[:, j] - x0[j]) ** 2, 0.0))
+                v = y0[j] + c[:, None] * s[None, :]
+                out = out * (c[:, None] * self._nu(j, v) * sw[None, :]).sum(axis=1)
+            return out
+
+        return self.rho.box_integral(x0, r, chords)
 
 
 class Horizontal(AlphaHorizontal):
@@ -319,6 +393,10 @@ class Pushforward(MeasureSpec):
         pts, wts = gaussian_nodes(self.base, self.matrix @ center, order)
         return pts @ np.conj(self.matrix), wts
 
+    def pairing(self, center, order: int) -> complex:
+        # |w - c| = |X* w' - c| = |w' - X c|, so the kernel moves to the base
+        return gaussian_pairing(self.base, self.matrix @ center, order)
+
     def moments(self, maxdeg: int, order: int):
         # T_{mu_X} = V_X* T_mu V_X, exact on every degree block since V_X preserves degree
         keys = graded_lex_indices(self.n, maxdeg)
@@ -326,7 +404,11 @@ class Pushforward(MeasureSpec):
         return keys, c.T @ moment_table(self.base, keys, order) @ np.conj(c)
 
     def ball_mass(self, center, r, order: int) -> complex:
-        raise TypeError("polydisk mass for a rotated measure is not supported; rotate the polydisk instead")
+        raise TypeError(_ROTATED_POLYDISK)
+
+    def times(self, g):
+        # only a weighted polydisk mass asks a pushforward for a density product
+        raise TypeError(_ROTATED_POLYDISK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,7 +482,7 @@ def variation(mu):
 
 
 def _weight_values(doubled, pts: np.ndarray) -> np.ndarray:
-    """prod_j (1+x_j^2)^{p_j} (1+y_j^2)^{p_j} at complex points (m, n), with 2p = doubled."""
+    """prod_j (1+x_j^2)^{p_j} (1+y_j^2)^{p_j} at complex or real points (m, n), with 2p = doubled."""
     out = np.ones(pts.shape[0])
     for j, d in enumerate(doubled):
         if d == 0:
@@ -410,19 +492,12 @@ def _weight_values(doubled, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_weight_values(doubled, pts: np.ndarray) -> np.ndarray:
-    out = np.ones(pts.shape[0])
-    for j, d in enumerate(doubled):
-        if d != 0:
-            out = out * (1.0 + pts[:, j] ** 2) ** (d / 2.0)
-    return out
-
-
 def weight_real(rho, p: HalfIndex):
     """Fold the x-part weight prod (1+t_j^2)^{p_j} into a real measure."""
     if p.is_zero:
         return rho
-    return rho.times(lambda pts: _real_weight_values(p.doubled, pts))
+    # on real points the y-factor is (1 + 0)^{p_j} = 1 exactly
+    return rho.times(lambda pts: _weight_values(p.doubled, pts))
 
 
 def weight(mu, p: HalfIndex):
@@ -480,17 +555,19 @@ def real_nodes(rho, center, order: int = DEFAULT_ORDER, scale: float = 1.0):
 def gaussian_nodes(mu, center, order: int = DEFAULT_ORDER):
     """Nodes/weights with int F(w) e^{-|w-c|^2} dmu(w) ~ sum w_i F(w_i).
 
-    This single contract drives moments, Berezin transforms, and the
-    sesquilinear pairings: the Gaussian and all structural densities are in
-    the weights, F alone stays with the caller.
+    This single contract drives the per-node moments and every pairing a
+    type does not factorize: the Gaussian and all structural densities are
+    in the weights, F alone stays with the caller.
     """
     center = np.broadcast_to(np.asarray(center, dtype=complex), (dimension(mu),))
     return mu.nodes(center, order)
 
 
 def gaussian_pairing(mu, center, order: int = DEFAULT_ORDER) -> complex:
-    """int e^{-|w-c|^2} dmu(w)."""
-    return complex(np.sum(gaussian_nodes(mu, center, order)[1]))
+    """int e^{-|w-c|^2} dmu(w), by the measure's ``pairing``: horizontal products
+    factorize it, a pushforward moves the centre, the rest sum their nodes."""
+    center = np.broadcast_to(np.asarray(center, dtype=complex), (dimension(mu),))
+    return mu.pairing(center, order)
 
 
 # ---------------------------------------------------------------------------
@@ -523,47 +600,6 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     position = {a: i for i, a in enumerate(keys)}
     sel = [position[a] for a in indices]
     return table[np.ix_(sel, sel)]
-
-
-def _product_grid(rho, alpha_doubled, maxdeg: int, order: int):
-    """Per-axis tables g_j[i, a, b] = sum_v w(v) (t_i+iv)^a (t_i-iv)^b (1+v^2)^{-alpha_j}
-    on the distinct t-values of each axis, and the t-weights on their grid."""
-    n = len(alpha_doubled)
-    rule = gauss_hermite(order)
-    tpts, twts = real_nodes(rho, np.zeros(n), order)
-    if isinstance(rho, RealAtoms):
-        axes, where = zip(*(np.unique(tpts[:, j], return_inverse=True) for j in range(n)))
-        grid = np.zeros(tuple(len(a) for a in axes), dtype=complex)
-        np.add.at(grid, where, twts)
-    else:
-        # real_nodes lays the Gauss-Hermite tensor grid out in C order
-        axes = (rule.nodes,) * n
-        grid = twts.reshape((rule.order,) * n)
-    v = rule.nodes
-    tables = []
-    for j in range(n):
-        wv = rule.weights
-        if alpha_doubled[j] != 0:
-            wv = wv * (1.0 + v**2) ** (-alpha_doubled[j] / 2.0)
-        pows = polyvander(axes[j][:, None] + 1j * v[None, :], maxdeg)
-        tables.append(np.swapaxes(pows * wv[None, :, None], 1, 2) @ np.conj(pows))
-    return tables, grid
-
-
-def _density_grid(mu, maxdeg: int, order: int):
-    """Per-axis tables g_j[z, a, b] = z^a conj(z)^b on the q^2 complex nodes
-    z = x + iy of each axis, and the node weights on their grid."""
-    n = dimension(mu)
-    _, wts = gaussian_nodes(mu, np.zeros(n), order)
-    rule = gauss_hermite(order)
-    q = rule.order
-    # gaussian_nodes orders the real axes x_1..x_n, y_1..y_n in C order;
-    # interleave them so (x_j, y_j) becomes one complex axis of q^2 nodes
-    pairing = [a for j in range(n) for a in (j, n + j)]
-    grid = wts.reshape((q,) * (2 * n)).transpose(pairing).reshape((q * q,) * n)
-    pows = polyvander((rule.nodes[:, None] + 1j * rule.nodes[None, :]).ravel(), maxdeg)
-    g = pows[:, :, None] * np.conj(pows)[:, None, :]
-    return [g] * n, grid
 
 
 def _contract_axes(tables, grid, maxdeg: int):
@@ -658,34 +694,6 @@ def ball_mass(mu, center, r, order: int = DEFAULT_ORDER) -> complex:
     if np.any(r <= 0):
         raise ValueError(f"polydisk radii must be positive, got {r}")
     return mu.ball_mass(center, r, order)
-
-
-def _ball_mass_product(rho, alpha_doubled, center, r) -> complex:
-    n = len(alpha_doubled)
-    x0, y0 = center.real, center.imag
-    s, sw = _chord_rule()
-
-    def chords(tpts):
-        out = np.ones(tpts.shape[0])
-        for j in range(n):
-            c = r[j] ** 2 - (tpts[:, j] - x0[j]) ** 2
-            c = np.sqrt(np.maximum(c, 0.0))
-            v = y0[j] + c[:, None] * s[None, :]
-            f = np.ones_like(v)
-            if alpha_doubled[j] != 0:
-                f = (1.0 + v**2) ** (-alpha_doubled[j] / 2.0)
-            out = out * (c[:, None] * f * sw[None, :]).sum(axis=1)
-        return out
-
-    if isinstance(rho, RealAtoms):
-        inside = np.all(np.abs(rho.points - x0[None, :]) < r[None, :], axis=1)
-        if not np.any(inside):
-            return 0.0 + 0.0j
-        pts = rho.points[inside]
-        return complex(np.sum(rho.weights[inside] * chords(pts)))
-    # Lebesgue or density rho: per-axis substitution t = x0 + r sin(phi)
-    tpts, twts = tensor_grid([x0[j] + r[j] * s for j in range(n)], [r[j] * sw for j in range(n)])
-    return complex(np.sum(twts * rho.weigh(tpts, chords(tpts))))
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,6 @@ class TensorRule:
     rules: tuple[QuadRule, ...]
 
     @property
-    def dim(self) -> int:
-        return len(self.rules)
-
-    @property
     def size(self) -> int:
         return math.prod(r.order for r in self.rules)
 

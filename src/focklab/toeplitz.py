@@ -1,12 +1,11 @@
 """Toeplitz matrices for measure symbols and coderivatives; Berezin transforms.
 
 Matrix convention: entry (beta, alpha) = <T e_alpha, e_beta>, rows and
-columns in the basis' graded-lex order.  Every assembly reads one moment
-table from ``measures.moment_table`` and gathers its entries from it, so no
-entry is integrated on its own.  For horizontal products and Gaussian-grid
-densities that table is sum-factorized from per-axis tables, a pushforward
-conjugates its base's table by V_X, and complex atoms and weighted
-pushforwards pay a Gram product over all their quadrature nodes.
+columns in the basis' graded-lex order.  Every assembly gathers its entries
+from one ``measures.moment_table``, so no entry is integrated on its own.
+Every Berezin value of a measure is one ``measures.gaussian_pairing``, which
+a horizontal product factorizes into rho's pairing at Re z times one
+nu_alpha integral per axis, so no 2n-dimensional grid is built.
 """
 
 from __future__ import annotations
@@ -22,10 +21,10 @@ from .basis import BasisSet, kernel_coefficients
 from .indices import HalfIndex, as_multi_index, factorial, index_leq, index_sub
 from .measures import (
     DEFAULT_ORDER,
+    Horizontal,
     dimension,
     gaussian_pairing,
     moment_table,
-    real_nodes,
 )
 
 KERNEL_NORM_FLOOR = 0.99  # truncated kernel mass below which a Berezin value is flagged
@@ -126,11 +125,11 @@ def assemble_real_coderivative(mu, k: HalfIndex, basis: BasisSet, order: int = D
 
 
 def berezin_measure(mu, z, order: int = DEFAULT_ORDER) -> complex:
-    """mu~(z) = pi^{-n} int e^{-|z-w|^2} dmu(w).
+    """mu~(z) = pi^{-n} int e^{-|z-w|^2} dmu(w), one ``gaussian_pairing``.
 
-    For horizontal products the Lebesgue factor integrates out exactly
-    through the recentered product rule, leaving the one-axis convolution
-    pi^{-n/2} int e^{-(t-x)^2} drho(t).
+    For a horizontal product rho (x) nu_alpha the pairing factorizes, so
+    the value costs rho's nodes plus n one-axis sums; with alpha = 0 the y
+    integrals are pi^{1/2} each and the value depends on Re z alone.
     """
     n = dimension(mu)
     return math.pi ** (-n) * gaussian_pairing(mu, z, order)
@@ -147,11 +146,9 @@ def berezin_coderivative(mu, k: HalfIndex, z, order: int = DEFAULT_ORDER) -> com
 
 
 def horizontal_berezin_profile(rho, x, order: int = DEFAULT_ORDER) -> complex:
-    """pi^{-n/2} int e^{-(t-x)^2} drho(t), the Berezin value of rho (x) nu_n at Re z = x."""
-    n = dimension(rho)
-    x = np.broadcast_to(np.asarray(x, dtype=float), (n,))
-    _, wts = real_nodes(rho, x, order)
-    return math.pi ** (-n / 2.0) * complex(np.sum(wts))
+    """pi^{-n/2} int e^{-(t-x)^2} drho(t), the Berezin value of rho (x) nu_n at Re z = x;
+    ``berezin_measure`` of the horizontal product at the real point x."""
+    return berezin_measure(Horizontal(rho), x, order)
 
 
 def berezin_operator(op: OperatorMatrix, z) -> complex:

@@ -278,6 +278,7 @@ def test_main_rejects_bad_measure_grammar(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg)])
     assert exc.value.code == 2
+    assert not (tmp_path / "o" / "resolved_config.yaml").exists()
 
 
 @pytest.mark.parametrize("mistyped", [{"n": "two"}, {"k": 2}, {"orders": 5}, {"orders": ["moment"]}, {"measure": 5},
@@ -292,6 +293,8 @@ def test_main_mistyped_field_exits_two(tmp_path, capsys, mistyped):
         main(["--config", str(cfg)])
     assert exc.value.code == 2
     assert "invalid input" in capsys.readouterr().err
+    # a refused config leaves no resolved config behind, even when refused mid-run
+    assert not (tmp_path / "o" / "resolved_config.yaml").exists()
 
 
 def test_verify_diagonalization_samples_gamma_once(tmp_path, monkeypatch):

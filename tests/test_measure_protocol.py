@@ -34,7 +34,7 @@ from focklab.measures import (
 )
 from focklab.quadrature import gauss_hermite, tensor_grid
 from focklab.spectral import gamma_2k, gamma_plain
-from focklab.toeplitz import assemble_real_coderivative, assemble_toeplitz
+from focklab.toeplitz import assemble_real_coderivative, assemble_toeplitz, berezin_measure
 
 PTS1 = np.array([[0.3 - 0.2j], [-1.1 + 0.4j], [0.0]])
 
@@ -69,6 +69,46 @@ def test_variation_of_pushforward_rotates_the_modulus():
     assert gaussian_pairing(v, z) == pytest.approx(expected, rel=1e-13)
 
 
+def _real_factor(kind, n):
+    if kind == "lebesgue":
+        return Lebesgue(n)
+    if kind == "gaussian":
+        return real_gaussian(n)
+    rng = np.random.default_rng(n)
+    return RealAtoms(rng.uniform(-1.0, 1.0, (5, n)), rng.uniform(0.5, 1.5, 5))
+
+
+PAIRING_CENTERS = {1: [0.3 + 0.7j], 2: [0.3 + 0.7j, -0.5 - 0.4j]}
+
+
+@pytest.mark.parametrize("kind", ["lebesgue", "gaussian", "atoms"])
+@pytest.mark.parametrize("alpha_doubled", [(0,), (1,), (2,), (0, 0), (1, 1), (2, 2), (2, 1)])
+def test_factorized_pairing_of_horizontal_products_matches_the_node_sum(kind, alpha_doubled):
+    n = len(alpha_doubled)
+    mu = AlphaHorizontal(_real_factor(kind, n), alpha_doubled)
+    if not any(alpha_doubled):
+        mu = Horizontal(mu.rho)
+    c = PAIRING_CENTERS[n]
+    expected = np.sum(gaussian_nodes(mu, c, 24)[1])
+    assert gaussian_pairing(mu, c, 24) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha_doubled", [(0, 0), (2, 1)])
+def test_pairing_of_a_rotated_horizontal_product_matches_the_node_sum(alpha_doubled):
+    x = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    mu = pushforward(AlphaHorizontal(real_gaussian(2), alpha_doubled), x)
+    assert isinstance(mu, Pushforward)
+    c = PAIRING_CENTERS[2]
+    expected = np.sum(gaussian_nodes(mu, c, 24)[1])
+    assert gaussian_pairing(mu, c, 24) == pytest.approx(expected, rel=1e-13)
+
+
+def test_lebesgue_berezin_past_the_node_cap_is_one():
+    # 60^4 nodes exceed MAX_NODES, the factorized pairing needs 60^2
+    for z in ([0.0, 0.0], [1.3 - 0.4j, -0.7 + 2.1j]):
+        assert berezin_measure(lebesgue(2), z, order=60) == pytest.approx(1.0, abs=1e-13)
+
+
 def test_variation_of_weighted_keeps_the_weight():
     mu = Weighted(Density(lambda w: -np.exp(-np.abs(w[:, 0]) ** 2), 1), HalfIndex.from_ints([1]))
     v = variation(mu)
@@ -92,7 +132,8 @@ def test_ball_mass_of_pushforward_is_refused():
     assert isinstance(mu, Pushforward)
     with pytest.raises(TypeError, match="rotate the polydisk"):
         ball_mass(mu, [0.0], [1.0])
-    with pytest.raises(TypeError):
+    # a weighted pushforward gets the same explanation, not a complaint about density products
+    with pytest.raises(TypeError, match="rotate the polydisk"):
         ball_mass(weight(mu, (1,)), [0.0], [1.0])
 
 

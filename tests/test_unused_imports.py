@@ -39,6 +39,41 @@ def unused_private_names(source: str) -> list[str]:
                   if name.startswith("_") and not name.startswith("__") and name not in read)
 
 
+def measure_type_checks(source: str, allowed=("dimension",)) -> list[str]:
+    """``isinstance`` calls on a class of the module (or an alias built from one) outside ``allowed`` functions."""
+    tree = ast.parse(source)
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and classes & {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}:
+            classes |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "isinstance"
+                    and len(child.args) == 2 and scope not in allowed
+                    and classes & {n.id for n in ast.walk(child.args[1]) if isinstance(n, ast.Name)}):
+                found.append(f"{scope} (line {child.lineno})")
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_measures_dispatch_on_type_only_in_dimension():
+    # every other type-dependent step is a method of the measure classes
+    assert measure_type_checks((PACKAGE / "measures.py").read_text()) == []
+
+
+def test_detector_flags_a_measure_type_check():
+    source = ("class A:\n    pass\nclass B(A):\n    pass\nEither = A | B\n"
+              "def dimension(mu):\n    return isinstance(mu, A)\n"
+              "def f(mu, p):\n    return isinstance(p, tuple) or isinstance(mu, (int, B))\n"
+              "class C(A):\n    def g(self, mu):\n        return isinstance(mu, Either)\n")
+    assert measure_type_checks(source) == ["f (line 9)", "g (line 12)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
