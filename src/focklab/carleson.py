@@ -101,8 +101,7 @@ def condition_m(mu, window: float = 2.0, spacing: float = 0.5,
     )
 
 
-def carleson_constant(mu, k: HalfIndex, r, window: float = 2.0, spacing: float = 0.5,
-                      order: int = DEFAULT_ORDER) -> CarlesonReport:
+def carleson_constant(mu, k: HalfIndex, r, window: float = 2.0, spacing: float = 0.5) -> CarlesonReport:
     """C_k(mu, r) = Gamma(k+1)^2 sup_z (|mu|_k)(B_r(z)) over the lattice."""
     k = HalfIndex.of(k)
     n = dimension(mu)
@@ -110,7 +109,7 @@ def carleson_constant(mu, k: HalfIndex, r, window: float = 2.0, spacing: float =
     weighted = weight(variation(mu), k)
     z, boundary = lattice(n, window, spacing)
     factor = k.gamma_factor() ** 2
-    masses = np.array([factor * abs(ball_mass(weighted, zz, r, order)) for zz in z])
+    masses = np.array([factor * abs(ball_mass(weighted, zz, r)) for zz in z])
     return _scan(masses, z, boundary, window, spacing, r)
 
 
@@ -187,13 +186,13 @@ class WeightShiftReport:
 
 
 def weight_shift_check(mu, k: HalfIndex, p: HalfIndex, r, window: float = 2.0,
-                       spacing: float = 0.5, order: int = DEFAULT_ORDER) -> WeightShiftReport:
+                       spacing: float = 0.5) -> WeightShiftReport:
     k, p = HalfIndex.of(k), HalfIndex.of(p)
     if not (p.is_nonnegative and k.geq(p)):
         raise ValueError(f"weight shift needs 0 <= p <= k componentwise, got k={k.halves()}, p={p.halves()}")
-    c_k = carleson_constant(mu, k, r, window, spacing, order)
-    stated = carleson_constant(weight(mu, p), k - p, r, window, spacing, order)
-    prose = carleson_constant(weight(mu, k - p), p, r, window, spacing, order)
+    c_k = carleson_constant(mu, k, r, window, spacing)
+    stated = carleson_constant(weight(mu, p), k - p, r, window, spacing)
+    prose = carleson_constant(weight(mu, k - p), p, r, window, spacing)
     norm_lhs = stated.sup_estimate / (k - p).gamma_factor() ** 2
     norm_rhs = c_k.sup_estimate / k.gamma_factor() ** 2
     scale = max(abs(c_k.sup_estimate), 1.0)

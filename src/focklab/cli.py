@@ -152,7 +152,7 @@ def _carleson(config: ExperimentConfig, k: HalfIndex, out: Path):
         ("condition-m-normalized-verdict", cm.normalized.verdict),
     ]
     r = config.r if config.r is not None else [1.0] * config.n
-    ck = carleson_mod.carleson_constant(mu, k, r, config.window, config.spacing, config.moment_order)
+    ck = carleson_mod.carleson_constant(mu, k, r, config.window, config.spacing)
     summary += [
         ("carleson-constant", repr(ck.sup_estimate)),
         ("carleson-verdict", ck.verdict),
@@ -167,9 +167,8 @@ def _carleson(config: ExperimentConfig, k: HalfIndex, out: Path):
             ("kfc-growth-detected", kfc.growth_detected),
         ]
     if config.p is not None:
-        shift = carleson_mod.weight_shift_check(
-            mu, k, HalfIndex.from_doubled(config.p), r, config.window, config.spacing, config.moment_order
-        )
+        p = HalfIndex.from_doubled(config.p)
+        shift = carleson_mod.weight_shift_check(mu, k, p, r, config.window, config.spacing)
         summary += [
             ("weight-shift-c-k", repr(shift.c_k)),
             ("weight-shift-stated", repr(shift.stated)),

@@ -21,7 +21,7 @@ from .toeplitz import (
     OperatorMatrix,
     assemble_real_coderivative,
     assemble_toeplitz,
-    berezin_measure,
+    berezin_values,
     interior_max_norm,
 )
 
@@ -163,13 +163,10 @@ def l_invariance_test(mu, frame: LagrangianFrame, basis: BasisSet,
     """
     x = frame.rotation
     rotated = pushforward(mu, x.conj().T)
-    variation_y = 0.0
-    scale = 0.0
-    for xv in (-0.8, 0.0, 0.6):
-        vals = [berezin_measure(rotated, np.full(frame.n, xv) + 1j * np.full(frame.n, yv), order)
-                for yv in (-0.9, 0.0, 0.7)]
-        variation_y = max(variation_y, float(np.max(np.abs(np.asarray(vals) - vals[0]))))
-        scale = max(scale, float(np.max(np.abs(vals))))
+    # one grid serves the variation (as in berezin_y_variation) and the verdict's scale
+    vals = berezin_values(rotated, [np.full(frame.n, xv) for xv in (-0.8, 0.0, 0.6)], (-0.9, 0.0, 0.7), order)
+    variation_y = float(np.max(np.abs(vals - vals[:, :1])))
+    scale = float(np.max(np.abs(vals)))
     t = assemble_toeplitz(mu, basis, order).entries
     commutators = []
     c = complex_identification(frame.vectors)

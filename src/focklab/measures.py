@@ -16,13 +16,14 @@ validate their arguments and dispatch to it:
 - all measures: ``n``, ``variation()``, ``times(g)`` (multiply by a density
   g, where the type can hold the product) and ``pushed(x)``;
 - real measures on R^n: ``real_nodes(center, order, scale)``, the moment
-  pass's ``axis_grid(order)`` and the polydisk masses' ``box_integral``; the
-  grid types (Lebesgue, densities) share ``weigh(pts, wts)``;
+  pass's ``axis_grid(order)`` and the polydisk masses' ``box_integral(x0, r,
+  factor)`` of prod_j factor(j, t_j); grid types share ``weigh(pts, wts)``;
 - measures on C^n (``MeasureSpec``): ``weighted(p)``, ``nodes(center, order)``
   (capped at ``quadrature.MAX_NODES`` nodes), ``pairing(center, order)``
   (the default sums the node weights), ``moments(maxdeg, order)`` (each
   type's own moment route; the default is a Gram product over the nodes)
-  and ``ball_mass(center, r, order)``.
+  and ``ball_mass(center, r)`` (fixed rules: 48-node chords, and a polar
+  rule of 40 radii by 80 angles per axis for densities).
 
 A new measure type is one class.  Methods that recurse into a factor call
 the module functions again, so every node set is requested through
@@ -42,6 +43,7 @@ from .indices import HalfIndex, as_multi_index, graded_lex_indices, monomial_mat
 from .quadrature import MAX_NODES, gauss_hermite, gauss_legendre, tensor_grid
 
 DEFAULT_ORDER = 40
+_POLAR_ORDER = 40  # Gauss-Legendre radii per axis of a density's polydisk mass, with twice as many angles
 _CHUNK = 200_000
 _UNITARY_TOL = 1e-12
 _ROTATED_POLYDISK = "polydisk mass for a rotated measure is not supported; rotate the polydisk instead"
@@ -73,11 +75,12 @@ class _RealGrid(_Measure):
         # real_nodes lays the Gauss-Hermite tensor grid out in C order
         return (rule.nodes,) * self.n, wts.reshape((rule.order,) * self.n)
 
-    def box_integral(self, x0, r, f) -> complex:
-        # per-axis substitution t = x0 + r sin(phi)
+    def box_integral(self, x0, r, factor) -> complex:
+        # per-axis substitution t = x0 + r sin(phi); axis j's factor joins its chord weights
         s, sw = _chord_rule()
-        tpts, twts = tensor_grid([x0[j] + r[j] * s for j in range(self.n)], [r[j] * sw for j in range(self.n)])
-        return complex(np.sum(twts * self.weigh(tpts, f(tpts))))
+        axes = [x0[j] + r[j] * s for j in range(self.n)]
+        tpts, twts = tensor_grid(axes, [r[j] * sw * factor(j, t) for j, t in enumerate(axes)])
+        return complex(np.sum(self.weigh(tpts, twts)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +114,11 @@ class _AtomSet(_Measure):
     def pushed(self, x):
         return type(self)(self.points @ np.conj(x), self.weights)
 
-    def box_integral(self, center, r, f) -> complex:
-        """sum of w f(p) over the atoms with every |p_j - c_j| < r_j (a box on R^n, a polydisk on C^n)."""
+    def box_integral(self, center, r, factor) -> complex:
+        """sum of w prod_j factor(j, p_j) over atoms with all |p_j - c_j| < r_j (a box on R^n, a polydisk on C^n)."""
         inside = np.all(np.abs(self.points - center[None, :]) < r[None, :], axis=1)
-        return complex(np.sum(self.weights[inside] * f(self.points[inside])))
+        values = math.prod(factor(j, t) for j, t in enumerate(self.points[inside].T))
+        return complex(np.sum(self.weights[inside] * values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +229,8 @@ class Atoms(_AtomSet, MeasureSpec):
     def nodes(self, center, order: int):
         return self.points, self.weights * np.exp(-np.sum(np.abs(self.points - center) ** 2, axis=1))
 
-    def ball_mass(self, center, r, order: int) -> complex:
-        return self.box_integral(center, r, lambda pts: 1.0)
+    def ball_mass(self, center, r) -> complex:
+        return self.box_integral(center, r, lambda j, t: 1.0)
 
 
 class Density(_DensitySet, MeasureSpec):
@@ -256,11 +260,10 @@ class Density(_DensitySet, MeasureSpec):
         pts = pts2[:, :n] + 1j * pts2[:, n:]
         return pts, self.weigh(pts, wts)
 
-    def ball_mass(self, center, r, order: int) -> complex:
-        """Per-axis polar rules: Gauss-Legendre in the radius, equispaced angles."""
-        qr = min(order, 48)
-        gl_nodes, gl_weights = gauss_legendre(qr)
-        qth = max(16, 2 * qr)
+    def ball_mass(self, center, r) -> complex:
+        """Per-axis polar rules: 40 Gauss-Legendre radii by 80 equispaced angles."""
+        gl_nodes, gl_weights = gauss_legendre(_POLAR_ORDER)
+        qth = 2 * _POLAR_ORDER
         theta = 2.0 * math.pi * np.arange(qth) / qth
         wth = np.full(qth, 2.0 * math.pi / qth)
         axes, weights = [], []
@@ -336,21 +339,17 @@ class AlphaHorizontal(MeasureSpec):
         pts = (tpts[:, None, :] + 1j * vpts[None, :, :]).reshape(-1, self.n)
         return pts, (twts[:, None] * vwts[None, :]).ravel()
 
-    def ball_mass(self, center, r, order: int) -> complex:
+    def ball_mass(self, center, r) -> complex:
         """rho integrated over the box |t_j - x_j| < r_j against the product of the
         per-axis nu_alpha masses of the chords |v_j - y_j| < sqrt(r_j^2 - (t_j - x_j)^2)."""
         x0, y0 = center.real, center.imag
         s, sw = _chord_rule()
 
-        def chords(tpts):
-            out = np.ones(tpts.shape[0])
-            for j in range(self.n):
-                c = np.sqrt(np.maximum(r[j] ** 2 - (tpts[:, j] - x0[j]) ** 2, 0.0))
-                v = y0[j] + c[:, None] * s[None, :]
-                out = out * (c[:, None] * self._nu(j, v) * sw[None, :]).sum(axis=1)
-            return out
+        def chord(j, t):
+            c = np.sqrt(np.maximum(r[j] ** 2 - (t - x0[j]) ** 2, 0.0))
+            return (c[:, None] * self._nu(j, y0[j] + c[:, None] * s[None, :]) * sw[None, :]).sum(axis=1)
 
-        return self.rho.box_integral(x0, r, chords)
+        return self.rho.box_integral(x0, r, chord)
 
 
 class Horizontal(AlphaHorizontal):
@@ -403,7 +402,7 @@ class Pushforward(MeasureSpec):
         c = substitution_matrix(np.conj(self.matrix).T, keys)
         return keys, c.T @ moment_table(self.base, keys, order) @ np.conj(c)
 
-    def ball_mass(self, center, r, order: int) -> complex:
+    def ball_mass(self, center, r) -> complex:
         raise TypeError(_ROTATED_POLYDISK)
 
     def times(self, g):
@@ -434,8 +433,8 @@ class Weighted(MeasureSpec):
         pts, wts = gaussian_nodes(self.base, center, order)
         return pts, wts * _weight_values(self.p.doubled, pts)
 
-    def ball_mass(self, center, r, order: int) -> complex:
-        return ball_mass(self.base.times(lambda pts: _weight_values(self.p.doubled, pts)), center, r, order)
+    def ball_mass(self, center, r) -> complex:
+        return ball_mass(self.base.times(lambda pts: _weight_values(self.p.doubled, pts)), center, r)
 
 
 def dirac(point) -> Atoms:
@@ -681,19 +680,21 @@ def _chord_rule():
     return np.sin(theta), np.cos(theta) * 0.5 * math.pi * gl_weights
 
 
-def ball_mass(mu, center, r, order: int = DEFAULT_ORDER) -> complex:
+def ball_mass(mu, center, r) -> complex:
     """Mass of the polydisk prod_j {|w_j - z_j| < r_j} under mu.
 
-    Atoms are exact; densities use per-axis polar rules; horizontal products
-    integrate the per-axis chord lengths against rho.  The radius is a tuple,
-    one entry per axis (its Euclidean norm plays no role).
+    Atoms are exact; densities use a fixed polar rule per axis (40
+    Gauss-Legendre radii by 80 equispaced angles); horizontal products hand
+    rho one nu_alpha chord mass per axis as a factor of its box integral.
+    The radius is a tuple, one entry per axis (its Euclidean norm plays no
+    role).
     """
     n = dimension(mu)
     center = np.broadcast_to(np.asarray(center, dtype=complex), (n,))
     r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
     if np.any(r <= 0):
         raise ValueError(f"polydisk radii must be positive, got {r}")
-    return mu.ball_mass(center, r, order)
+    return mu.ball_mass(center, r)
 
 
 # ---------------------------------------------------------------------------

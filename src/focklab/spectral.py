@@ -186,13 +186,12 @@ class SpectrumReport:
     spectral_radius: float
     gamma_sup: float
     eig_to_range: float
-    range_to_eig: float
     hermitian_defect: float
 
 
 def norm_and_spectrum(op: OperatorMatrix, samples: SpectralSamples) -> SpectrumReport:
     """Top singular value, spectral radius, sup |gamma|, and the one-sided
-    Hausdorff distances between the truncated spectrum and the sampled range."""
+    Hausdorff distance from the truncated spectrum to the sampled range."""
     entries = op.entries
     defect = op.hermitian_defect()
     if defect < 1e-10:
@@ -205,5 +204,4 @@ def norm_and_spectrum(op: OperatorMatrix, samples: SpectralSamples) -> SpectrumR
     gsup = float(np.max(np.abs(gvals)))
     dist = np.abs(eigs[:, None] - gvals[None, :])
     eig_to_range = float(np.max(np.min(dist, axis=1)))
-    range_to_eig = float(np.max(np.min(dist, axis=0)))
-    return SpectrumReport(opnorm, radius, gsup, eig_to_range, range_to_eig, defect)
+    return SpectrumReport(opnorm, radius, gsup, eig_to_range, defect)

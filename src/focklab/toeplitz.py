@@ -171,15 +171,17 @@ def berezin_operator(op: OperatorMatrix, z) -> complex:
     return complex(kz.conj() @ (op.entries @ kz) / norm2)
 
 
+def berezin_values(mu, x_values, y_values, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """mu~(x + iy) with one row per row x of ``x_values`` and one column per entry y of ``y_values``."""
+    n = dimension(mu)
+    return np.array([[berezin_measure(mu, x + 1j * np.broadcast_to(np.asarray(y, dtype=float), (n,)), order)
+                      for y in y_values] for x in np.atleast_2d(np.asarray(x_values, dtype=float))])
+
+
 def berezin_y_variation(mu, x_values, y_values, order: int = DEFAULT_ORDER) -> float:
     """Max over the grid of |mu~(x+iy) - mu~(x+iy')|; zero iff horizontal on the grid."""
-    n = dimension(mu)
-    worst = 0.0
-    for x in np.atleast_2d(np.asarray(x_values, dtype=float)):
-        vals = [berezin_measure(mu, x + 1j * np.broadcast_to(np.asarray(y, dtype=float), (n,)), order)
-                for y in y_values]
-        worst = max(worst, float(np.max(np.abs(np.asarray(vals) - vals[0]))))
-    return worst
+    vals = berezin_values(mu, x_values, y_values, order)
+    return float(np.max(np.abs(vals - vals[:, :1])))
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

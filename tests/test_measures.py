@@ -151,6 +151,53 @@ def test_ball_mass_horizontal_chord_oracle():
     assert ball_mass(mu, [x], [r]) == pytest.approx(expected, rel=1e-12)
 
 
+POLYDISK_CENTRE = np.array([0.3 + 0.4j, -0.5 + 0.2j])
+POLYDISK_RADII = np.array([0.8, 1.3])
+
+
+def nu_chord_mass(alpha_doubled: int, y: float, c: float) -> float:
+    """Closed-form nu_alpha mass of the chord |v - y| < c: int (1+v^2)^{-alpha} dv."""
+    if alpha_doubled == 0:
+        return 2.0 * c
+    if alpha_doubled == 1:
+        return math.asinh(y + c) - math.asinh(y - c)
+    assert alpha_doubled == 2
+    return math.atan(y + c) - math.atan(y - c)
+
+
+@pytest.mark.parametrize("alpha_doubled", [(0, 0), (1, 1), (2, 1)])
+@pytest.mark.parametrize("rho_name", ["lebesgue", "gaussian", "atoms"])
+def test_alpha_horizontal_polydisk_mass_n2_matches_closed_form_chords(rho_name, alpha_doubled):
+    integrate = pytest.importorskip("scipy.integrate")
+    x0, y0, r = POLYDISK_CENTRE.real, POLYDISK_CENTRE.imag, POLYDISK_RADII
+
+    def chord(j, t):
+        return nu_chord_mass(alpha_doubled[j], y0[j], math.sqrt(max(r[j] ** 2 - (t - x0[j]) ** 2, 0.0)))
+
+    if rho_name == "atoms":
+        # the third atom lies outside the box on axis 2
+        rho = RealAtoms(np.array([[0.1, -0.2], [0.9, 0.4], [0.5, -2.0]]), np.array([1.0, 0.5 - 0.25j, 2.0]))
+        expected = sum(w * chord(0, p[0]) * chord(1, p[1])
+                       for p, w in zip(rho.points, rho.weights) if np.all(np.abs(p - x0) < r))
+    else:
+        rho = Lebesgue(2) if rho_name == "lebesgue" else real_gaussian(2)
+        density = (lambda t: 1.0) if rho_name == "lebesgue" else (lambda t: math.exp(-t * t))
+        # both rho factorize over the axes, so the box integral is one quad per axis
+        expected = math.prod(integrate.quad(lambda t: density(t) * chord(j, t), x0[j] - r[j], x0[j] + r[j],
+                                            epsabs=0.0, epsrel=1e-13, limit=200)[0] for j in range(2))
+    got = ball_mass(AlphaHorizontal(rho, alpha_doubled), POLYDISK_CENTRE, r)
+    assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
+def test_gaussian_density_polydisk_mass_n2_off_centre_noncentral_chi2():
+    special = pytest.importorskip("scipy.special")
+    # per axis, 2|w - z|^2 under e^{-|w|^2} dA / pi is chi-square with 2 dof and noncentrality 2|z|^2
+    expected = math.prod(math.pi * special.chndtr(2.0 * r**2, 2, 2.0 * abs(z) ** 2)
+                         for z, r in zip(POLYDISK_CENTRE, POLYDISK_RADII))
+    got = ball_mass(gaussian_density(2), POLYDISK_CENTRE, POLYDISK_RADII)
+    assert abs(got - expected) <= 1e-13 * expected
+
+
 def test_pushforward_identity_and_atom_motion():
     mu = dirac([1.0])
     assert pushforward(mu, np.eye(1)) is mu

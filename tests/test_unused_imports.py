@@ -61,6 +61,33 @@ def measure_type_checks(source: str, allowed=("dimension",)) -> list[str]:
     return found
 
 
+def unread_method_parameters(source: str) -> list[str]:
+    """Positional parameters (after ``self``) of the module's class methods that no
+    implementation of the same method name reads, as ``method: name``."""
+    tree = ast.parse(source)
+    slots = {}  # (method, position) -> (parameter names seen there, read by some implementation)
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for fn in (node for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))):
+            loads = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for pos, arg in enumerate((fn.args.posonlyargs + fn.args.args)[1:]):
+                names, read = slots.get((fn.name, pos), (set(), False))
+                slots[fn.name, pos] = (names | {arg.arg}, read or arg.arg in loads)
+    return sorted(f"{method}: {'/'.join(sorted(names))}" for (method, _), (names, read) in slots.items() if not read)
+
+
+def test_measure_protocol_parameters_are_read():
+    # a protocol knob that every implementation ignores is an option nobody can use
+    assert unread_method_parameters((PACKAGE / "measures.py").read_text()) == []
+
+
+def test_detector_flags_a_dead_method_parameter():
+    source = ("class A:\n    def f(self, x, knob):\n        return x\n"
+              "class B(A):\n    def f(self, y, knob=0):\n        return 2 * y\n"
+              "    def g(self, used, ignored):\n        return used\n"
+              "class C(A):\n    def g(self, a, b):\n        return lambda: b\n")
+    assert unread_method_parameters(source) == ["f: knob"]
+
+
 def test_measures_dispatch_on_type_only_in_dimension():
     # every other type-dependent step is a method of the measure classes
     assert measure_type_checks((PACKAGE / "measures.py").read_text()) == []
