@@ -10,20 +10,26 @@ pairings, moments and polydisk masses split into rho's part and y-integrals.
 
 Every measure type implements one protocol, and the module functions
 (``dimension``, ``variation``, ``weight``, ``pushforward``, ``real_nodes``,
-``gaussian_nodes``, ``gaussian_pairing``, ``ball_mass``, ``moment_table``)
-validate their arguments and dispatch to it:
+``real_sums``, ``gaussian_nodes``, ``gaussian_pairing(s)``, ``ball_mass``,
+``moment_table``) validate their arguments and dispatch to it:
 
 - all measures: ``n``, ``variation()``, ``times(g)`` (multiply by a density
   g, where the type can hold the product) and ``pushed(x)``;
-- real measures on R^n: ``real_nodes(center, order, scale)``, the moment
-  pass's ``axis_grid(order)`` and the polydisk masses' ``box_integral(x0, r,
-  factor)`` of prod_j factor(j, t_j); grid types share ``weigh(pts, wts)``;
+- real measures on R^n: ``real_nodes(center, order, scale)``, its batch over
+  centres ``real_sums(centers, order, scale, factor)`` of sum_i w_i(c)
+  prod_j factor(j, c_j, t_ij), the moment pass's ``axis_grid(order)`` and the
+  polydisk masses' ``box_integral(x0, r, factor)`` of prod_j factor(j, t_j);
 - measures on C^n (``MeasureSpec``): ``weighted(p)``, ``nodes(center, order)``
-  (capped at ``quadrature.MAX_NODES`` nodes), ``pairing(center, order)``
-  (the default sums the node weights), ``moments(maxdeg, order)`` (each
-  type's own moment route; the default is a Gram product over the nodes)
-  and ``ball_mass(center, r)`` (fixed rules: 48-node chords, and a polar
-  rule of 40 radii by 80 angles per axis for densities).
+  (capped at ``quadrature.MAX_NODES`` nodes), ``pairing(centers, order)``
+  (one value per row of a batch of centres; the default sums the node
+  weights centre by centre), ``moments(maxdeg, order)`` (each type's own
+  moment route; the default is a Gram product over the nodes) and
+  ``ball_mass(center, r)`` (fixed rules: 48-node chords, and a polar rule of
+  40 radii by 80 angles per axis for densities).
+
+Grid types (Lebesgue, of density 1, and densities) share ``grid_sums(axes,
+weights)``, per-centre sums over tensor grids: Lebesgue multiplies its axis
+sums, densities stream them through ``quadrature.tensor_sums`` in slabs.
 
 A new measure type is one class.  Methods that recurse into a factor call
 the module functions again, so every node set is requested through
@@ -40,7 +46,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyvander
 
 from .indices import HalfIndex, as_multi_index, graded_lex_indices, monomial_matrix, substitution_matrix
-from .quadrature import MAX_NODES, gauss_hermite, gauss_legendre, tensor_grid
+from .quadrature import MAX_NODES, gauss_hermite, gauss_legendre, tensor_grid, tensor_sums
 
 DEFAULT_ORDER = 40
 _POLAR_ORDER = 40  # Gauss-Legendre radii per axis of a density's polydisk mass, with twice as many angles
@@ -67,7 +73,14 @@ class _RealGrid(_Measure):
         rule = gauss_hermite(order)
         root = np.sqrt(scale)
         pts, wts = tensor_grid([(c + rule.nodes) / root for c in center], [rule.weights] * self.n)
-        return pts, self.weigh(pts, wts * scale ** (-self.n / 2.0))
+        return pts, wts * scale ** (-self.n / 2.0) * self.density(pts)
+
+    def real_sums(self, centers, order: int, scale: float, factor):
+        rule = gauss_hermite(order)  # real_nodes' rule; axis j's factor joins that axis' weights
+        root = np.sqrt(scale)
+        axes = [(c[:, None] + rule.nodes) / root for c in centers.T]
+        return self.grid_sums(axes, [rule.weights / root * factor(j, c[:, None], t)
+                                     for j, (c, t) in enumerate(zip(centers.T, axes))])
 
     def axis_grid(self, order: int):
         rule = gauss_hermite(order)
@@ -79,8 +92,8 @@ class _RealGrid(_Measure):
         # per-axis substitution t = x0 + r sin(phi); axis j's factor joins its chord weights
         s, sw = _chord_rule()
         axes = [x0[j] + r[j] * s for j in range(self.n)]
-        tpts, twts = tensor_grid(axes, [r[j] * sw * factor(j, t) for j, t in enumerate(axes)])
-        return complex(np.sum(self.weigh(tpts, twts)))
+        return complex(self.grid_sums([t[None] for t in axes],
+                                      [(r[j] * sw * factor(j, t))[None] for j, t in enumerate(axes)])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +153,8 @@ class _DensitySet(_Measure):
         f = self.density
         return type(self)(lambda pts: f(pts @ x.T), self.n)
 
-    def weigh(self, pts, wts):
-        return wts * np.asarray(self.density(pts))
+    def grid_sums(self, axes, weights):
+        return tensor_sums(axes, weights, self.density)
 
 
 class MeasureSpec(_Measure):
@@ -153,8 +166,8 @@ class MeasureSpec(_Measure):
     def pushed(self, x):
         return Pushforward(self, x)
 
-    def pairing(self, center, order: int) -> complex:
-        return complex(np.sum(gaussian_nodes(self, center, order)[1]))
+    def pairing(self, centers, order: int):
+        return np.array([np.sum(gaussian_nodes(self, c, order)[1]) for c in centers], dtype=complex)
 
     def moments(self, maxdeg: int, order: int):
         """(keys, table): the moments over all degrees <= maxdeg, by a Gram product over the nodes."""
@@ -176,6 +189,11 @@ class RealAtoms(_AtomSet):
 
     def real_nodes(self, center, order: int, scale: float):
         return self.points, self.weights * np.exp(-np.sum((np.sqrt(scale) * self.points - center) ** 2, axis=1))
+
+    def real_sums(self, centers, order: int, scale: float, factor):
+        wts = self.weights * np.exp(-np.sum((np.sqrt(scale) * self.points - centers[:, None, :]) ** 2, axis=2))
+        return np.sum(wts * math.prod(factor(j, c[:, None], t[None]) for j, (c, t) in
+                                      enumerate(zip(centers.T, self.points.T))), axis=1)
 
     def axis_grid(self, order: int):
         # the atoms' distinct coordinates on each axis: up to m^n cells for m atoms
@@ -205,8 +223,11 @@ class Lebesgue(_RealGrid):
     def pushed(self, x):
         return self
 
-    def weigh(self, pts, wts):
-        return wts
+    def density(self, pts):
+        return np.ones(pts.shape[0])
+
+    def grid_sums(self, axes, weights):
+        return math.prod(w.sum(axis=1) for w in weights)
 
 
 RealMeasure = RealAtoms | RealDensity | Lebesgue
@@ -236,44 +257,42 @@ class Atoms(_AtomSet, MeasureSpec):
 class Density(_DensitySet, MeasureSpec):
     """Complex density f(w) dnu_{2n}(w); f is vectorized over (m, n) complex arrays."""
 
+    def _axis_rules(self, centers, order: int):
+        """Per complex axis, the q^2 nodes x + iy of the rule at each centre, (m, q^2), and their weights."""
+        rule = gauss_hermite(order)
+        z = (rule.nodes[:, None] + 1j * rule.nodes[None, :]).ravel()
+        w = np.broadcast_to(np.multiply.outer(rule.weights, rule.weights).ravel(), (centers.shape[0], z.size))
+        return [c[:, None] + z for c in centers.T], [w] * self.n
+
     def moments(self, maxdeg: int, order: int):
-        # per-axis tables z^a conj(z)^b on the q^2 complex nodes z = x + iy of each axis
+        # per-axis tables z^a conj(z)^b on the q^2 complex nodes of each axis, against the weight grid
         n = self.n
         _, wts = gaussian_nodes(self, np.zeros(n), order)
-        rule = gauss_hermite(order)
-        q = rule.order
-        # gaussian_nodes orders the real axes x_1..x_n, y_1..y_n in C order;
-        # interleave them so (x_j, y_j) becomes one complex axis of q^2 nodes
-        interleave = [a for j in range(n) for a in (j, n + j)]
-        grid = wts.reshape((q,) * (2 * n)).transpose(interleave).reshape((q * q,) * n)
-        pows = polyvander((rule.nodes[:, None] + 1j * rule.nodes[None, :]).ravel(), maxdeg)
+        axes, _ = self._axis_rules(np.zeros((1, n)), order)
+        pows = polyvander(axes[0][0], maxdeg)
         g = pows[:, :, None] * np.conj(pows)[:, None, :]
-        return _contract_axes([g] * n, grid, maxdeg)
+        return _contract_axes([g] * n, wts.reshape((pows.shape[0],) * n), maxdeg)
 
     def nodes(self, center, order: int):
-        rule = gauss_hermite(order)
-        n = self.n
-        if rule.order ** (2 * n) > MAX_NODES:
-            raise ValueError(f"density discretization needs {rule.order ** (2 * n)} nodes (cap {MAX_NODES})")
-        axes = [c.real + rule.nodes for c in center] + [c.imag + rule.nodes for c in center]
-        pts2, wts = tensor_grid(axes, [rule.weights] * (2 * n))
-        pts = pts2[:, :n] + 1j * pts2[:, n:]
-        return pts, self.weigh(pts, wts)
+        size = gauss_hermite(order).order ** (2 * self.n)
+        if size > MAX_NODES:
+            raise ValueError(f"density discretization needs {size} nodes (cap {MAX_NODES})")
+        axes, weights = self._axis_rules(center[None], order)
+        pts, wts = tensor_grid([a[0] for a in axes], [w[0] for w in weights])
+        return pts, wts * self.density(pts)
+
+    def pairing(self, centers, order: int):
+        return self.grid_sums(*self._axis_rules(centers, order))
 
     def ball_mass(self, center, r) -> complex:
-        """Per-axis polar rules: 40 Gauss-Legendre radii by 80 equispaced angles."""
+        """Per-axis polar rules, 40 Gauss-Legendre radii by 80 equispaced angles, streamed in slabs."""
         gl_nodes, gl_weights = gauss_legendre(_POLAR_ORDER)
         qth = 2 * _POLAR_ORDER
-        theta = 2.0 * math.pi * np.arange(qth) / qth
-        wth = np.full(qth, 2.0 * math.pi / qth)
-        axes, weights = [], []
-        for j in range(self.n):
-            rr = 0.5 * r[j] * (gl_nodes + 1.0)
-            wr = 0.5 * r[j] * gl_weights * rr  # polar Jacobian
-            axes.append((center[j] + rr[:, None] * np.exp(1j * theta[None, :])).ravel())
-            weights.append((wr[:, None] * wth[None, :]).ravel())
-        pts, wts = tensor_grid(axes, weights)
-        return complex(np.sum(self.weigh(pts, wts)))
+        circle = np.exp(2j * math.pi * np.arange(qth) / qth)
+        rr = 0.5 * r[:, None] * (gl_nodes + 1.0)  # (axis, radius)
+        wr = 0.5 * r[:, None] * gl_weights * rr * (2.0 * math.pi / qth)  # polar Jacobian times the angle weight
+        axes = (center[:, None, None] + rr[:, :, None] * circle).reshape(self.n, 1, -1)
+        return complex(self.grid_sums(list(axes), list(np.repeat(wr, qth, axis=1).reshape(self.n, 1, -1)))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,15 +329,15 @@ class AlphaHorizontal(MeasureSpec):
         return (1.0 + v**2) ** (-self.alpha_doubled[j] / 2.0)
 
     def _v_rule(self, center, order: int):
-        """Per-axis Gauss-Hermite nodes recentred at Im c and their nu_alpha-weighted weights."""
+        """Per-axis Gauss-Hermite nodes recentred at Im c, (q,) or (m, q), and their nu_alpha-weighted weights."""
         rule = gauss_hermite(order)
-        vaxes = [c.imag + rule.nodes for c in center]
+        vaxes = [np.asarray(y)[..., None] + rule.nodes for y in center.imag.T]
         return vaxes, [rule.weights * self._nu(j, v) for j, v in enumerate(vaxes)]
 
-    def pairing(self, center, order: int) -> complex:
+    def pairing(self, centers, order: int):
         # the kernel factorizes: rho's pairing at Re c times one nu_alpha integral per axis
-        _, twts = real_nodes(self.rho, center.real, order)
-        return complex(np.sum(twts)) * math.prod(complex(np.sum(w)) for w in self._v_rule(center, order)[1])
+        rho_part = real_sums(self.rho, centers.real, lambda j, c, t: np.ones_like(t), order)
+        return rho_part * math.prod(w.sum(axis=1) for w in self._v_rule(centers, order)[1])
 
     def moments(self, maxdeg: int, order: int):
         # per-axis tables g_j[i, a, b] = sum_v w(v) (t_i+iv)^a (t_i-iv)^b (1+v^2)^{-alpha_j}
@@ -392,9 +411,9 @@ class Pushforward(MeasureSpec):
         pts, wts = gaussian_nodes(self.base, self.matrix @ center, order)
         return pts @ np.conj(self.matrix), wts
 
-    def pairing(self, center, order: int) -> complex:
+    def pairing(self, centers, order: int):
         # |w - c| = |X* w' - c| = |w' - X c|, so the kernel moves to the base
-        return gaussian_pairing(self.base, self.matrix @ center, order)
+        return gaussian_pairings(self.base, centers @ self.matrix.T, order)
 
     def moments(self, maxdeg: int, order: int):
         # T_{mu_X} = V_X* T_mu V_X, exact on every degree block since V_X preserves degree
@@ -551,6 +570,14 @@ def real_nodes(rho, center, order: int = DEFAULT_ORDER, scale: float = 1.0):
     return rho.real_nodes(center, order, scale)
 
 
+def real_sums(rho, centers, factor, order: int = DEFAULT_ORDER, scale: float = 1.0) -> np.ndarray:
+    """sum_i w_i(c) prod_j factor(j, c_j, t_ij) over ``real_nodes(rho, c, order, scale)`` for every
+    row c of ``centers`` in one batch; ``factor`` gets the centres' j-th coordinates as a column
+    (m, 1) and axis j's nodes t, (m, q) on a grid or (1, atoms) for atoms."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    return rho.real_sums(np.broadcast_to(centers, (centers.shape[0], dimension(rho))), order, scale, factor)
+
+
 def gaussian_nodes(mu, center, order: int = DEFAULT_ORDER):
     """Nodes/weights with int F(w) e^{-|w-c|^2} dmu(w) ~ sum w_i F(w_i).
 
@@ -563,10 +590,16 @@ def gaussian_nodes(mu, center, order: int = DEFAULT_ORDER):
 
 
 def gaussian_pairing(mu, center, order: int = DEFAULT_ORDER) -> complex:
-    """int e^{-|w-c|^2} dmu(w), by the measure's ``pairing``: horizontal products
-    factorize it, a pushforward moves the centre, the rest sum their nodes."""
+    """int e^{-|w-c|^2} dmu(w): ``gaussian_pairings`` at one centre."""
     center = np.broadcast_to(np.asarray(center, dtype=complex), (dimension(mu),))
-    return mu.pairing(center, order)
+    return complex(gaussian_pairings(mu, center, order)[0])
+
+
+def gaussian_pairings(mu, centers, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """int e^{-|w-c|^2} dmu(w) for every row c of ``centers``: horizontal products factorize it,
+    densities stream their grids in slabs, a pushforward moves the centres, the rest sum nodes."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=complex))
+    return mu.pairing(np.broadcast_to(centers, (centers.shape[0], dimension(mu))), order)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +717,9 @@ def ball_mass(mu, center, r) -> complex:
     """Mass of the polydisk prod_j {|w_j - z_j| < r_j} under mu.
 
     Atoms are exact; densities use a fixed polar rule per axis (40
-    Gauss-Legendre radii by 80 equispaced angles); horizontal products hand
+    Gauss-Legendre radii by 80 equispaced angles), streamed in slabs, so
+    (40 * 80)^n points are evaluated but never held (n = 3 exceeds
+    ``quadrature.MAX_EVALS`` and is refused); horizontal products hand
     rho one nu_alpha chord mass per axis as a factor of its box integral.
     The radius is a tuple, one entry per axis (its Euclidean norm plays no
     role).

@@ -8,6 +8,7 @@ degrees stay meaningful.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,6 +17,10 @@ import numpy as np
 
 MAX_ORDER = 200
 MAX_NODES = 6_000_000  # largest node set any tensor discretization may materialize
+MAX_EVALS = 2_000_000_000  # most point evaluations one streamed tensor sum may request
+# points per slab of a streamed tensor sum: 20,000 to 100,000 measured alike, while
+# 200,000-point slabs made gamma_samples at n = 2 three times slower (2-core Xeon)
+_SLAB = 65_536
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +92,34 @@ def tensor_grid(axes, weights) -> tuple[np.ndarray, np.ndarray]:
     return pts, w.ravel()
 
 
+def tensor_sums(axes, weights, f) -> np.ndarray:
+    """sum_a prod_j weights[j][i, a_j] f(axes[0][i, a_0], .., axes[d-1][i, a_{d-1}]) per centre i.
+
+    ``axes[j]`` and ``weights[j]`` have shape (m, q_j), one tensor grid per
+    centre.  ``f`` maps points (P, d) to P values; it sees whole centres in
+    slabs of at most ``_SLAB`` points, a larger grid split along its first
+    axis, and nothing at all if the sum needs over ``MAX_EVALS`` evaluations.
+    """
+    m, d, sizes = axes[0].shape[0], len(axes), [a.shape[1] for a in axes]
+    if m * math.prod(sizes) > MAX_EVALS:
+        raise ValueError(f"tensor sum needs {m * math.prod(sizes)} evaluations (cap {MAX_EVALS})")
+    centres, rows = max(1, _SLAB // math.prod(sizes)), max(1, _SLAB // math.prod(sizes[1:]))
+
+    def slab(arrays, block, first):  # axis j of the slab's grids as (b, 1, .., q_j, .., 1)
+        parts = [arrays[0][block, first]] + [x[block] for x in arrays[1:]]
+        return [x.reshape((x.shape[0],) + (1,) * j + (-1,) + (1,) * (d - 1 - j)) for j, x in enumerate(parts)]
+
+    out = np.zeros(m, dtype=complex)
+    for i, a in itertools.product(range(0, m, centres), range(0, sizes[0], rows)):
+        block, first = slice(i, i + centres), slice(a, a + rows)
+        w = math.prod(slab(weights, block, first))
+        w = w.reshape(w.shape[0], -1)
+        # coordinate-major, so each column pts[:, j] that f reads is contiguous
+        pts = np.stack(np.broadcast_arrays(*slab(axes, block, first))).reshape(d, -1).T
+        out[block] += np.einsum("ij,ij->i", w, np.broadcast_to(f(pts), pts.shape[:1]).reshape(w.shape))
+    return out
+
+
 def tensor_rule(orders) -> TensorRule:
     if isinstance(orders, int):
         orders = (orders,)
@@ -116,11 +149,18 @@ def integrate_gaussian(f, rule) -> complex:
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1] (used for disk and chord masses).
 
-    Rules are cached; the returned arrays are read-only.
+    Nodes are numpy's ``leggauss`` roots; weights are 2 / ((1 - x^2) P_q'(x)^2) by the
+    three-term recurrence, within 4e-14 relative up to order 48 (``leggauss``'s
+    own are off by up to 1.3e-12).  Rules are cached; the arrays are read-only.
     """
     if order < 1:
         raise ValueError(f"Gauss-Legendre order must be >= 1, got {order}")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes = np.polynomial.legendre.leggauss(order)[0]
+    prev, cur = np.ones_like(nodes), nodes  # P_{m-1}, P_m from m = 1 up to m = order
+    for m in range(1, order):
+        prev, cur = cur, ((2 * m + 1) * nodes * cur - m * prev) / (m + 1)
+    # P_q' = q (x P_q - P_{q-1}) / (x^2 - 1)
+    weights = 2.0 * (1.0 - nodes**2) / (order * (nodes * cur - prev)) ** 2
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

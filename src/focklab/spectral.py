@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSet
-from .indices import HalfIndex, hermite_values
-from .measures import DEFAULT_ORDER, Horizontal, MeasureSpec, dimension, real_nodes
+from .indices import HalfIndex, hermite
+from .measures import DEFAULT_ORDER, Horizontal, MeasureSpec, dimension, real_sums
 from .quadrature import tensor_rule
 from .toeplitz import (
     OperatorMatrix,
@@ -48,22 +48,14 @@ def gamma_plain(rho, grid) -> np.ndarray:
 
 
 def gamma_2k(rho, k: HalfIndex, grid, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """gamma_{rho,2k}(x) = (2/pi)^{n/2} int H_{2k}(sqrt2 x - y) e^{-(x - sqrt2 y)^2} drho(y)."""
+    """gamma_{rho,2k}(x) = (2/pi)^{n/2} int H_{2k}(sqrt2 x - y) e^{-(x - sqrt2 y)^2} drho(y).
+
+    One ``real_sums`` batch over the grid: H_{2k} is one factor per axis, built
+    on that axis' (point, node) pairs, and a density rho streams in bounded slabs.
+    """
     two_k = HalfIndex.of(k).order_index()
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    n = dimension(rho)
-    out = np.empty(grid.shape[0], dtype=complex)
-    c = (2.0 / math.pi) ** (n / 2.0)
-    for i, x in enumerate(grid):
-        ypts, wts = real_nodes(rho, x, order, scale=2.0)
-        if any(two_k):
-            arg = np.sqrt(2.0) * x[None, :] - ypts
-            h = np.ones(ypts.shape[0])
-            for j in range(n):
-                h = h * hermite_values(two_k[j], arg[:, j])[two_k[j]]
-            wts = wts * h
-        out[i] = c * np.sum(wts)
-    return out
+    return (2.0 / math.pi) ** (dimension(rho) / 2.0) * real_sums(
+        rho, grid, lambda j, x, y: hermite(two_k[j], np.sqrt(2.0) * x - y), order, scale=2.0)
 
 
 def spectral_grid(n: int, order: int = DEFAULT_SPECTRAL_ORDER) -> np.ndarray:

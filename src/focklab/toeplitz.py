@@ -3,9 +3,10 @@
 Matrix convention: entry (beta, alpha) = <T e_alpha, e_beta>, rows and
 columns in the basis' graded-lex order.  Every assembly gathers its entries
 from one ``measures.moment_table``, so no entry is integrated on its own.
-Every Berezin value of a measure is one ``measures.gaussian_pairing``, which
+Every Berezin value of a measure is a ``measures.gaussian_pairing``, which
 a horizontal product factorizes into rho's pairing at Re z times one
-nu_alpha integral per axis, so no 2n-dimensional grid is built.
+nu_alpha integral per axis, so no 2n-dimensional grid is built; a grid of
+values (``berezin_values``) is one batched ``gaussian_pairings`` call.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .measures import (
     Horizontal,
     dimension,
     gaussian_pairing,
+    gaussian_pairings,
     moment_table,
 )
 
@@ -172,10 +174,14 @@ def berezin_operator(op: OperatorMatrix, z) -> complex:
 
 
 def berezin_values(mu, x_values, y_values, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """mu~(x + iy) with one row per row x of ``x_values`` and one column per entry y of ``y_values``."""
+    """mu~(x + iy) with one row per row x of ``x_values`` and one column per entry y of
+    ``y_values``, from one batched ``gaussian_pairings`` call: a density streams
+    its node grids over all centres in bounded slabs instead of one set per point."""
     n = dimension(mu)
-    return np.array([[berezin_measure(mu, x + 1j * np.broadcast_to(np.asarray(y, dtype=float), (n,)), order)
-                      for y in y_values] for x in np.atleast_2d(np.asarray(x_values, dtype=float))])
+    x = np.atleast_2d(np.asarray(x_values, dtype=float))
+    y = np.array([np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in y_values])
+    centers = (x[:, None] + 1j * y[None]).reshape(-1, n)
+    return (math.pi ** (-n) * gaussian_pairings(mu, centers, order)).reshape(len(x), -1)
 
 
 def berezin_y_variation(mu, x_values, y_values, order: int = DEFAULT_ORDER) -> float:
