@@ -8,7 +8,7 @@ Lagrangian-invariant symbols into multiplication by spectral functions.
 
 from .basis import BasisSet, enumerate_basis, kernel_coefficients, normalized_kernel, weyl_matrix
 from .carleson import CarlesonReport, carleson_constant, condition_m, kfc_verdict, weight_shift_check
-from .indices import HalfIndex, binomial, factorial, graded_lex_indices, hermite
+from .indices import HalfIndex, factorial, graded_lex_indices, hermite
 from .lagrangian import LagrangianFrame, is_lagrangian, l_invariance_test, rotation_to_vertical, vx_matrix
 from .measures import (
     AlphaHorizontal,
@@ -16,8 +16,10 @@ from .measures import (
     Density,
     Horizontal,
     Lebesgue,
+    Product,
     RealAtoms,
     RealDensity,
+    RealProduct,
     ball_mass,
     dirac,
     gaussian_density,

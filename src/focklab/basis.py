@@ -1,4 +1,4 @@
-"""Truncated Fock space: basis enumeration, kernels, derivatives, Weyl operators.
+"""Truncated Fock space: basis enumeration, kernels, Weyl operators.
 
 The truncated space is spanned by e_alpha(w) = w^alpha / sqrt(alpha!) over
 all |alpha| <= D in graded-lex order.  Coefficient vectors are plain complex
@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .indices import MultiIndex, as_multi_index, factorial, graded_lex_indices, index_leq, index_sub, monomial_matrix
+from .indices import MultiIndex, factorial, graded_lex_indices, monomial_matrix
 
 MAX_BASIS_SIZE = 20_000
 
@@ -75,30 +75,6 @@ def normalized_kernel(z, basis: BasisSet) -> np.ndarray:
     return math.exp(-0.5 * float(np.sum(np.abs(z) ** 2))) * kernel_coefficients(z, basis)
 
 
-def evaluate(coefficients: np.ndarray, z, basis: BasisSet) -> complex:
-    """Pointwise value sum_alpha c_alpha z^alpha / sqrt(alpha!)."""
-    z = np.broadcast_to(np.asarray(z, dtype=complex), (basis.n,))
-    pows = monomial_matrix(z[None, :], list(basis.indices))[0]
-    return complex(np.sum(coefficients * pows / basis.sqrt_factorials))
-
-
-def derivative_coefficient(alpha, a) -> float:
-    """sqrt(alpha! / (alpha - a)!), the action of d^a on normalized monomials."""
-    return math.sqrt(factorial(alpha) // factorial(index_sub(alpha, a)))
-
-
-def apply_derivative(coefficients: np.ndarray, a, basis: BasisSet) -> np.ndarray:
-    """d^a in coefficients: c_alpha moves to alpha - a scaled by sqrt(alpha!/(alpha-a)!)."""
-    a = as_multi_index(a, basis.n)
-    if sum(a) == 0:
-        return np.array(coefficients, dtype=complex)
-    out = np.zeros(basis.size, dtype=complex)
-    for pos, alpha in enumerate(basis.indices):
-        if index_leq(a, alpha):
-            out[basis.position[index_sub(alpha, a)]] = derivative_coefficient(alpha, a) * coefficients[pos]
-    return out
-
-
 def _weyl_axis_table(h: complex, degree: int) -> np.ndarray:
     """Single-axis Weyl table T[g, a] with W_h e_a = e^{-|h|^2/2} prod_axes T[g_j, a_j] e_g.
 
@@ -137,6 +113,3 @@ def weyl_matrix(h, basis: BasisSet) -> np.ndarray:
         out = out * tables[j][cols[j][:, None], cols[j][None, :]]
     return math.exp(-0.5 * float(np.sum(np.abs(h) ** 2))) * out
 
-
-def weyl_apply(coefficients: np.ndarray, h, basis: BasisSet) -> np.ndarray:
-    return weyl_matrix(h, basis) @ np.asarray(coefficients, dtype=complex)

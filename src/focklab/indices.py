@@ -55,15 +55,6 @@ def factorial(alpha) -> int:
     return math.prod(math.factorial(a) for a in alpha)
 
 
-def binomial(m, beta) -> int:
-    """prod_j C(m_j, beta_j); requires beta <= m componentwise."""
-    m = as_multi_index(m)
-    beta = as_multi_index(beta)
-    if len(m) != len(beta) or not index_leq(beta, m):
-        raise ValueError(f"binomial requires beta <= m componentwise, got m={m}, beta={beta}")
-    return math.prod(math.comb(a, b) for a, b in zip(m, beta))
-
-
 def graded_lex_indices(n: int, max_degree: int) -> list[MultiIndex]:
     """All multi-indices with |alpha| <= max_degree in graded lexicographic order.
 

@@ -2,11 +2,17 @@
 
 A measure is described structurally: finite atom sets, densities,
 horizontal products rho (x) Lebesgue_y, alpha-weighted horizontal products,
-unitary pushforwards, and the (1+x^2)^p (1+y^2)^p weighting calculus.  All
-pairings against Gaussian kernels reduce to node/weight sets: atoms
-contribute exactly, everything else goes through recentered Gauss-Hermite
-rules.  Only ``AlphaHorizontal`` knows how rho (x) nu_alpha integrates: its
-pairings, moments and polydisk masses split into rho's part and y-integrals.
+unitary pushforwards, tensor products of one-axis measures, and the
+(1+x^2)^p (1+y^2)^p weighting calculus.  All pairings against Gaussian
+kernels reduce to node/weight sets: atoms contribute exactly, everything else
+goes through recentered Gauss-Hermite rules.  Only ``AlphaHorizontal`` knows
+how rho (x) nu_alpha integrates: its pairings, moments and polydisk masses
+split into rho's part and y-integrals.  ``Product`` (on C^n) and
+``RealProduct`` (on R^n) hold mu_1 (x) .. (x) mu_n: the kernel, the weight,
+the monomials and the polydisk factor over the axes, so each of their
+pairings, moment tables, polydisk masses and gamma sums is a product of
+one-axis ones.  ``gaussian_density(n)`` and ``real_gaussian(n)`` build them
+for n >= 2.
 
 Every measure type implements one protocol, and the module functions
 (``dimension``, ``variation``, ``weight``, ``pushforward``, ``real_nodes``,
@@ -14,12 +20,12 @@ Every measure type implements one protocol, and the module functions
 ``moment_table``) validate their arguments and dispatch to it:
 
 - all measures: ``n``, ``variation()``, ``times(g)`` (multiply by a density
-  g, where the type can hold the product) and ``pushed(x)``;
+  g, where the type can hold the product), ``weighted(p)`` and ``pushed(x)``;
 - real measures on R^n: ``real_nodes(center, order, scale)``, its batch over
   centres ``real_sums(centers, order, scale, factor)`` of sum_i w_i(c)
   prod_j factor(j, c_j, t_ij), the moment pass's ``axis_grid(order)`` and the
   polydisk masses' ``box_integral(x0, r, factor)`` of prod_j factor(j, t_j);
-- measures on C^n (``MeasureSpec``): ``weighted(p)``, ``nodes(center, order)``
+- measures on C^n (``MeasureSpec``): ``nodes(center, order)``
   (capped at ``quadrature.MAX_NODES`` nodes), ``pairing(centers, order)``
   (one value per row of a batch of centres; the default sums the node
   weights centre by centre), ``moments(maxdeg, order)`` (each type's own
@@ -39,6 +45,7 @@ the module functions again, so every node set is requested through
 from __future__ import annotations
 
 import ast
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +71,10 @@ class _Measure:
 
     def times(self, g):
         raise TypeError(f"{type(self).__name__} cannot be multiplied by a density")
+
+    def weighted(self, p: HalfIndex):
+        # on real points the y-factor (1 + 0)^{p_j} is 1, so one weight serves R^n and C^n
+        return self.times(lambda pts: _weight_values(p.doubled, pts))
 
 
 class _RealGrid(_Measure):
@@ -160,9 +171,6 @@ class _DensitySet(_Measure):
 class MeasureSpec(_Measure):
     """Base of the measures on C^n; the defaults serve atoms, densities and ``Weighted``."""
 
-    def weighted(self, p: HalfIndex):
-        return self.times(lambda pts: _weight_values(p.doubled, pts))
-
     def pushed(self, x):
         return Pushforward(self, x)
 
@@ -228,9 +236,6 @@ class Lebesgue(_RealGrid):
 
     def grid_sums(self, axes, weights):
         return math.prod(w.sum(axis=1) for w in weights)
-
-
-RealMeasure = RealAtoms | RealDensity | Lebesgue
 
 
 def real_dirac(point) -> RealAtoms:
@@ -456,6 +461,99 @@ class Weighted(MeasureSpec):
         return ball_mass(self.base.times(lambda pts: _weight_values(self.p.doubled, pts)), center, r)
 
 
+@dataclass(frozen=True, eq=False)
+class _ProductSet(_Measure):
+    """mu_1 (x) .. (x) mu_n of one-axis measures: kernel, weight, monomials and polydisk
+    factor over the axes, so every integral is a product of one-axis integrals."""
+
+    factors: tuple
+
+    @property
+    def n(self) -> int:
+        return len(self.factors)
+
+    def _each(self, fn):
+        return type(self)(tuple(fn(j, f) for j, f in enumerate(self.factors)))
+
+    def variation(self):
+        return self._each(lambda j, f: variation(f))
+
+    def weighted(self, p: HalfIndex):
+        return self._each(lambda j, f: weight(f, HalfIndex(p.doubled[j:j + 1])))
+
+    def pushed(self, x):
+        if np.max(np.abs(x - np.diag(np.diagonal(x)))) < _UNITARY_TOL:
+            return self._each(lambda j, f: f.pushed(x[j:j + 1, j:j + 1]))
+        return self._mixed(x)
+
+    def density(self, pts):
+        return math.prod(f.density(pts[:, j:j + 1]) for j, f in enumerate(self.factors))
+
+    def times(self, g):
+        return self._flat(lambda pts: self.density(pts) * g(pts), self.n)
+
+    def _tensor(self, sets):
+        """The tensor product of the factors' (nodes (q_j, 1), weights (q_j,)), capped at MAX_NODES."""
+        size = math.prod(w.size for _, w in sets)
+        if size > MAX_NODES:
+            raise ValueError(f"product discretization needs {size} nodes (cap {MAX_NODES})")
+        return tensor_grid([p[:, 0] for p, _ in sets], [w for _, w in sets])
+
+
+class RealProduct(_ProductSet):
+    """Tensor product of one-axis real measures on R^n."""
+
+    _flat = RealDensity
+
+    def _mixed(self, x):
+        # a rotation mixes the axes: the n-dimensional density integrates it
+        return RealDensity(self.density, self.n).pushed(x)
+
+    def real_nodes(self, center, order: int, scale: float):
+        return self._tensor([real_nodes(f, center[j:j + 1], order, scale) for j, f in enumerate(self.factors)])
+
+    def real_sums(self, centers, order: int, scale: float, factor):
+        return math.prod(real_sums(f, centers[:, j:j + 1], lambda _, c, t, j=j: factor(j, c, t), order, scale)
+                         for j, f in enumerate(self.factors))
+
+    def axis_grid(self, order: int):
+        axes, grids = zip(*(f.axis_grid(order) for f in self.factors))
+        return tuple(a[0] for a in axes), functools.reduce(np.multiply.outer, grids)
+
+    def box_integral(self, x0, r, factor) -> complex:
+        return math.prod(f.box_integral(x0[j:j + 1], r[j:j + 1], lambda _, t, j=j: factor(j, t))
+                         for j, f in enumerate(self.factors))
+
+
+class Product(_ProductSet, MeasureSpec):
+    """Tensor product of one-axis measures on C^n."""
+
+    _flat = Density
+
+    def _mixed(self, x):
+        return Pushforward(self, x)
+
+    def nodes(self, center, order: int):
+        return self._tensor([gaussian_nodes(f, center[j:j + 1], order) for j, f in enumerate(self.factors)])
+
+    def pairing(self, centers, order: int):
+        return math.prod(gaussian_pairings(f, centers[:, j:j + 1], order) for j, f in enumerate(self.factors))
+
+    def moments(self, maxdeg: int, order: int):
+        # table[alpha, beta] = prod_j m_j[alpha_j, beta_j], gathered from one-axis (D+1)^2 tables
+        keys = graded_lex_indices(self.n, maxdeg)
+        table = np.ones((len(keys), len(keys)), dtype=complex)
+        for a, f in zip(np.array(keys).T, self.factors):
+            table *= moment_table(f, [(d,) for d in range(maxdeg + 1)], order)[np.ix_(a, a)]
+        return keys, table
+
+    def ball_mass(self, center, r) -> complex:
+        return math.prod(ball_mass(f, center[j:j + 1], r[j:j + 1]) for j, f in enumerate(self.factors))
+
+
+RealMeasure = RealAtoms | RealDensity | Lebesgue | RealProduct
+
+
 def dirac(point) -> Atoms:
     pts = np.atleast_2d(np.asarray(point, dtype=complex))
     return Atoms(pts, np.ones(pts.shape[0]))
@@ -472,16 +570,18 @@ def _check_sigma(sigma) -> float:
     return float(sigma)
 
 
-def gaussian_density(n: int, sigma: float = 1.0) -> Density:
-    """Density exp(-|w|^2 / sigma^2) on C^n."""
+def gaussian_density(n: int, sigma: float = 1.0) -> Density | Product:
+    """Density exp(-|w|^2 / sigma^2) on C^n; for n >= 2 the product of n one-axis Gaussians."""
     s2 = _check_sigma(sigma) ** 2
-    return Density(lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1) / s2), n)
+    axis = Density(lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1) / s2), 1)
+    return axis if n == 1 else Product((axis,) * n)
 
 
-def real_gaussian(n: int, sigma: float = 1.0) -> RealDensity:
-    """Density exp(-|t|^2 / sigma^2) on R^n."""
+def real_gaussian(n: int, sigma: float = 1.0) -> RealDensity | RealProduct:
+    """Density exp(-|t|^2 / sigma^2) on R^n; for n >= 2 the product of n one-axis Gaussians."""
     s2 = _check_sigma(sigma) ** 2
-    return RealDensity(lambda pts: np.exp(-np.sum(pts**2, axis=1) / s2), n)
+    axis = RealDensity(lambda pts: np.exp(-np.sum(pts**2, axis=1) / s2), 1)
+    return axis if n == 1 else RealProduct((axis,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +612,7 @@ def _weight_values(doubled, pts: np.ndarray) -> np.ndarray:
 
 def weight_real(rho, p: HalfIndex):
     """Fold the x-part weight prod (1+t_j^2)^{p_j} into a real measure."""
-    if p.is_zero:
-        return rho
-    # on real points the y-factor is (1 + 0)^{p_j} = 1 exactly
-    return rho.times(lambda pts: _weight_values(p.doubled, pts))
+    return weight(rho, p)
 
 
 def weight(mu, p: HalfIndex):
@@ -596,8 +693,9 @@ def gaussian_pairing(mu, center, order: int = DEFAULT_ORDER) -> complex:
 
 
 def gaussian_pairings(mu, centers, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """int e^{-|w-c|^2} dmu(w) for every row c of ``centers``: horizontal products factorize it,
-    densities stream their grids in slabs, a pushforward moves the centres, the rest sum nodes."""
+    """int e^{-|w-c|^2} dmu(w) for every row c of ``centers``: horizontal and tensor products
+    factorize it, densities stream their grids in slabs, a pushforward moves the centres, the
+    rest sum nodes."""
     centers = np.atleast_2d(np.asarray(centers, dtype=complex))
     return mu.pairing(np.broadcast_to(centers, (centers.shape[0], dimension(mu))), order)
 
@@ -621,7 +719,8 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     is gathered into the caller's order.  ``AlphaHorizontal`` (every weighted
     horizontal product) and ``Density`` contract per-axis tables on the
     distinct node values one axis at a time (sum factorization), about
-    (D+1)^2 operations per grid point instead of N^2 per node.  A pushforward
+    (D+1)^2 operations per grid point instead of N^2 per node.  A ``Product``
+    gathers its table from n one-axis (D+1)^2 tables.  A pushforward
     mu_X conjugates its base's table by the substitution matrix of X* (V_X in
     monomials).  Complex atoms and weighted pushforwards, whose weight is not
     rotation invariant, pay a Gram product over their nodes.
@@ -718,9 +817,11 @@ def ball_mass(mu, center, r) -> complex:
 
     Atoms are exact; densities use a fixed polar rule per axis (40
     Gauss-Legendre radii by 80 equispaced angles), streamed in slabs, so
-    (40 * 80)^n points are evaluated but never held (n = 3 exceeds
-    ``quadrature.MAX_EVALS`` and is refused); horizontal products hand
-    rho one nu_alpha chord mass per axis as a factor of its box integral.
+    (40 * 80)^n points are evaluated but never held (an n = 3 density
+    exceeds ``quadrature.MAX_EVALS`` and is refused); a ``Product`` (every
+    Gaussian built-in from n = 2 on) multiplies one-axis disk masses, at any
+    n; horizontal products hand rho one nu_alpha chord mass per axis as a
+    factor of its box integral.
     The radius is a tuple, one entry per axis (its Euclidean norm plays no
     role).
     """

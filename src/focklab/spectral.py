@@ -68,7 +68,7 @@ def gamma_samples(rho, k: HalfIndex, order: int = DEFAULT_SPECTRAL_ORDER,
                   rho_order: int = DEFAULT_ORDER) -> SpectralSamples:
     grid = spectral_grid(dimension(rho), order)
     values = gamma_2k(rho, k, grid, rho_order)
-    return SpectralSamples(grid, values, rho, k, order)
+    return SpectralSamples(grid, values, rho, HalfIndex.of(k), order)
 
 
 def hermite_function_matrix(basis: BasisSet, points: np.ndarray) -> np.ndarray:
@@ -183,15 +183,19 @@ class SpectrumReport:
 
 def norm_and_spectrum(op: OperatorMatrix, samples: SpectralSamples) -> SpectrumReport:
     """Top singular value, spectral radius, sup |gamma|, and the one-sided
-    Hausdorff distance from the truncated spectrum to the sampled range."""
+    Hausdorff distance from the truncated spectrum to the sampled range.
+
+    A Hermitian operator's 2-norm is its spectral radius, so only a
+    non-Hermitian one (defect >= 1e-10) pays for an SVD.
+    """
     entries = op.entries
     defect = op.hermitian_defect()
     if defect < 1e-10:
         eigs = np.linalg.eigvalsh((entries + entries.conj().T) / 2.0).astype(complex)
     else:
         eigs = np.linalg.eigvals(entries)
-    opnorm = float(np.linalg.norm(entries, 2))
     radius = float(np.max(np.abs(eigs)))
+    opnorm = radius if defect < 1e-10 else float(np.linalg.norm(entries, 2))
     gvals = np.asarray(samples.values)
     gsup = float(np.max(np.abs(gvals)))
     dist = np.abs(eigs[:, None] - gvals[None, :])

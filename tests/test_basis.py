@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from focklab.basis import (
-    apply_derivative,
-    enumerate_basis,
-    evaluate,
-    kernel_coefficients,
-    normalized_kernel,
-    weyl_apply,
-    weyl_matrix,
-)
+from focklab.basis import enumerate_basis, kernel_coefficients, normalized_kernel, weyl_matrix
 from focklab.indices import factorial, monomial_matrix
+
+
+def derivative(coefficients, a, basis):
+    """d^a in coefficients: c_alpha moves to alpha - a scaled by sqrt(alpha! / (alpha - a)!) (reference copy)."""
+    out = np.zeros(basis.size, dtype=complex)
+    for pos, alpha in enumerate(basis.indices):
+        low = tuple(x - y for x, y in zip(alpha, a))
+        if min(low) >= 0:
+            out[basis.position[low]] = math.sqrt(factorial(alpha) // factorial(low)) * coefficients[pos]
+    return out
 
 
 def test_enumeration_sizes():
@@ -48,7 +50,9 @@ def test_kernel_reproduces_truncated_functions():
     z = 0.7
     inner = complex(np.vdot(kernel_coefficients([z], b), f))
     assert inner == pytest.approx(0.49 / math.sqrt(2), rel=1e-12)
-    assert inner == pytest.approx(evaluate(f, [z], b), rel=1e-12)
+    # the pointwise value sum_alpha c_alpha z^alpha / sqrt(alpha!)
+    value = np.sum(f * monomial_matrix(np.array([[z]]), list(b.indices))[0] / b.sqrt_factorials)
+    assert inner == pytest.approx(value, rel=1e-12)
 
 
 def partial_sum_norm2(z_abs2: float, degree: int) -> float:
@@ -67,35 +71,6 @@ def test_normalized_kernel_norms():
     assert np.linalg.norm(nk6) ** 2 == pytest.approx(0.889326, abs=5e-7)
 
 
-def test_apply_derivative_examples():
-    b = enumerate_basis(1, 5)
-    v = np.zeros(b.size, dtype=complex)
-    v[2] = 1.0
-    out = apply_derivative(v, (0,), b)
-    np.testing.assert_allclose(out, v)
-    out = apply_derivative(v, (1,), b)
-    expected = np.zeros(b.size, dtype=complex)
-    expected[1] = math.sqrt(2)
-    np.testing.assert_allclose(out, expected)
-
-    b2 = enumerate_basis(2, 4)
-    v2 = np.zeros(b2.size, dtype=complex)
-    v2[b2.position[(2, 1)]] = 1.0
-    out2 = apply_derivative(v2, (1, 1), b2)
-    expected2 = np.zeros(b2.size, dtype=complex)
-    expected2[b2.position[(1, 0)]] = math.sqrt(2)  # sqrt(2!1!/(1!0!))
-    np.testing.assert_allclose(out2, expected2)
-
-
-def test_derivative_composition():
-    rng = np.random.default_rng(3)
-    b = enumerate_basis(2, 6)
-    v = rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size)
-    one_step = apply_derivative(v, (2, 1), b)
-    two_step = apply_derivative(apply_derivative(v, (1, 0), b), (1, 1), b)
-    np.testing.assert_allclose(one_step, two_step, rtol=1e-12, atol=1e-12)
-
-
 def test_derivative_growth_bound():
     # |d^k f(z)| <= C k! prod (1+x^2)^{k/2} (1+y^2)^{k/2} e^{|z|^2/2} for unit f
     rng = np.random.default_rng(11)
@@ -107,7 +82,7 @@ def test_derivative_growth_bound():
         for _ in range(20):
             v = rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size)
             v /= np.linalg.norm(v)
-            dv = apply_derivative(v, k, b)
+            dv = derivative(v, k, b)
             vals = np.abs(pows @ dv)
             for z, val in zip(zs, vals):
                 bound = (
@@ -129,7 +104,7 @@ def test_weyl_on_vacuum_kernel():
     # W_h K_0 = e^{-|h|^2/2} K_h, coefficient-wise
     b = enumerate_basis(1, 16)
     h = 0.5
-    lhs = weyl_apply(kernel_coefficients([0.0], b), [h], b)
+    lhs = weyl_matrix([h], b) @ kernel_coefficients([0.0], b)
     rhs = math.exp(-abs(h) ** 2 / 2) * kernel_coefficients([h], b)
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
 

@@ -5,8 +5,12 @@ import pytest
 import yaml
 
 from focklab import cli, spectral
+from focklab.carleson import lattice
 from focklab.cli import ExperimentConfig, load_config, main, run
+from focklab.indices import HalfIndex
+from focklab.measures import parse_measure
 from focklab.spectral import gamma_samples
+from focklab.toeplitz import berezin_coderivative, berezin_measure
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -323,3 +327,22 @@ def test_shipped_config_reruns_byte_identical(tmp_path, path):
         written.append({p.name: p.read_bytes() for p in files})
     assert "summary.txt" in written[0]
     assert written[0] == written[1]
+
+
+def read_grid(path):
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    return rows[:, -2] + 1j * rows[:, -1]
+
+
+def test_berezin_command_batches_a_two_axis_density(tmp_path):
+    # one batched pairing over all 6,561 points of the default lattice, at the default order 40
+    cfg = ExperimentConfig(command="berezin", n=2, measure="gaussian(1.0)", k=[2, 1], out=str(tmp_path / "run"))
+    assert run(cfg) == 0
+    values = read_grid(tmp_path / "run" / "berezin.csv")
+    coderivative = read_grid(tmp_path / "run" / "berezin_coderivative.csv")
+    z, _ = lattice(2, cfg.window, cfg.spacing)
+    assert values.shape == coderivative.shape == (6561,)
+    mu, k = parse_measure(cfg.measure, 2), HalfIndex.from_doubled(cfg.k)
+    for i in range(0, z.shape[0], 97):
+        assert abs(values[i] - berezin_measure(mu, z[i])) <= 1e-14
+        assert abs(coderivative[i] - berezin_coderivative(mu, k, z[i])) <= 1e-14 * max(1.0, abs(coderivative[i]))

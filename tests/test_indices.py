@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from focklab.indices import (
     HalfIndex,
-    binomial,
     factorial,
     gamma_half_plus_one,
     graded_lex_indices,
@@ -29,21 +28,6 @@ def repeated_multiplication_factorial(alpha):
     return total
 
 
-def pascal_binomial(m, b):
-    # independent oracle: Pascal triangle per axis
-    def choose(row, col):
-        tri = [[1]]
-        for i in range(1, row + 1):
-            prev = tri[-1]
-            tri.append([1] + [prev[j - 1] + prev[j] for j in range(1, i)] + [1])
-        return tri[row][col]
-
-    out = 1
-    for mm, bb in zip(m, b):
-        out *= choose(mm, bb)
-    return out
-
-
 def test_factorial_examples():
     assert factorial((0, 0)) == 1
     assert factorial((2, 1)) == 2
@@ -55,24 +39,6 @@ def test_factorial_rejects_bad_entries():
         factorial((-1, 2))
     with pytest.raises(ValueError):
         factorial((1.5,))
-
-
-def test_binomial_examples():
-    assert binomial((2, 2), (1, 0)) == 2
-    assert binomial((2, 2), (2, 2)) == 1
-    assert binomial((4, 2), (2, 1)) == pascal_binomial((4, 2), (2, 1)) == 12
-
-
-def test_binomial_domain_error():
-    with pytest.raises(ValueError):
-        binomial((2, 2), (3, 0))
-
-
-@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=4))
-def test_binomial_factorial_identity(pairs):
-    m = tuple(max(a, b) for a, b in pairs)
-    beta = tuple(min(a, b) for a, b in pairs)
-    assert binomial(m, beta) * factorial(beta) * factorial(tuple(x - y for x, y in zip(m, beta))) == factorial(m)
 
 
 def test_hermite_small_values():

@@ -261,3 +261,26 @@ def test_diagonalization_report_carries_its_gamma_samples():
     assert rep.samples.k == K1 and rep.samples.quad_order == 60
     np.testing.assert_array_equal(rep.samples.grid, again.grid)
     np.testing.assert_array_equal(rep.samples.values, again.values)
+
+
+def test_samples_with_a_tuple_k_feed_the_multiplication_matrix():
+    # gamma_samples reads k as doubled entries and stores it as a HalfIndex
+    samples = gamma_samples(real_gaussian(2), (1, 1), order=24)
+    assert samples.k == HalfIndex.from_doubled((1, 1))
+    b = enumerate_basis(2, 6)
+    np.testing.assert_array_equal(multiplication_matrix(samples, b).entries,
+                                  multiplication_matrix(gamma_samples(real_gaussian(2), HalfIndex.from_doubled((1, 1)),
+                                                                      order=24), b).entries)
+
+
+def test_operator_norm_of_both_branches_is_the_svd_norm():
+    from focklab.toeplitz import OperatorMatrix, assemble_toeplitz
+
+    b = enumerate_basis(2, 8)
+    samples = gamma_samples(real_gaussian(2), (0, 0), order=24)
+    hermitian = assemble_toeplitz(Horizontal(real_gaussian(2)), b)
+    skew = OperatorMatrix(b, hermitian.entries @ np.diag(np.exp(1j * np.arange(b.size))))
+    for op, eigvalsh_branch in ((hermitian, True), (skew, False)):
+        rep = norm_and_spectrum(op, samples)
+        assert (rep.hermitian_defect < 1e-10) is eigvalsh_branch
+        assert rep.operator_norm == pytest.approx(float(np.linalg.norm(op.entries, 2)), rel=1e-12)
