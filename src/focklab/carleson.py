@@ -16,8 +16,8 @@ import numpy as np
 
 from .basis import BasisSet, enumerate_basis
 from .indices import HalfIndex
-from .measures import DEFAULT_ORDER, ball_mass, dimension, gaussian_pairings, variation, weight
-from .toeplitz import assemble_coderivative
+from .measures import DEFAULT_ORDER, ball_mass, dimension, variation, weight
+from .toeplitz import assemble_coderivative, berezin_measure
 
 GROWTH_FACTOR = 1.5
 
@@ -93,8 +93,8 @@ def condition_m(mu, window: float = 2.0, spacing: float = 0.5,
     n = dimension(mu)
     amu = variation(mu)
     z, boundary = lattice(n, window, spacing)
-    # |mu|~(z) = pi^{-n} int e^{-|z-w|^2} d|mu|(w) at every lattice point in one batch
-    berezin = np.abs(math.pi ** (-n) * gaussian_pairings(amu, z, order))
+    # |mu|~(z) = pi^{-n} int e^{-|z-w|^2} d|mu|(w) at every lattice point, paired in row blocks
+    berezin = np.abs(berezin_measure(amu, z, order))
     raw = np.exp(np.sum(np.abs(z) ** 2, axis=1)) * math.pi**n * berezin
     return ConditionMReport(
         verbatim=_scan(raw, z, boundary, window, spacing, None),

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 verification failed (residual over tolerance),
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -24,10 +23,17 @@ from . import carleson as carleson_mod
 from .basis import enumerate_basis
 from .indices import HalfIndex
 from .lagrangian import LagrangianFrame, assemble_l_real_coderivative, l_invariance_test, rotation_defect
-from .measures import DEFAULT_ORDER, Horizontal, gaussian_pairings, parse_measure, pushforward, weight
+from .measures import DEFAULT_ORDER, Horizontal, parse_measure, pushforward, weight
 from .output import write_complex_grid_csv, write_matrix_csv, write_samples_csv, write_summary
 from .spectral import DEFAULT_SPECTRAL_ORDER, diagonalization_residual, gamma_samples, norm_and_spectrum
-from .toeplitz import assemble_real_coderivative, assemble_toeplitz, commutator, interior_max_norm
+from .toeplitz import (
+    assemble_real_coderivative,
+    assemble_toeplitz,
+    berezin_coderivative,
+    berezin_measure,
+    commutator,
+    interior_max_norm,
+)
 
 _OK = [("tolerance", "none"), ("result", "ok")]
 
@@ -133,14 +139,11 @@ def _assemble(config: ExperimentConfig, k: HalfIndex, out: Path):
 def _berezin(config: ExperimentConfig, k: HalfIndex, out: Path):
     mu = parse_measure(_require(config, "measure"), config.n)
     z, _ = carleson_mod.lattice(config.n, config.window, config.spacing)
-    values = math.pi ** (-config.n) * gaussian_pairings(mu, z, config.moment_order)
+    values = berezin_measure(mu, z, config.moment_order)
     write_complex_grid_csv(z, values, out / "berezin.csv")
     summary = [("sup-berezin", repr(float(np.max(np.abs(values)))))]
     if not k.is_zero:
-        # berezin_coderivative's closed 2k factor, 2^{|2k|} (Re z)^{2k}, on the same values
-        two_k = k.order_index()
-        front = 2.0 ** sum(two_k) * np.prod(z.real ** np.array(two_k), axis=1)
-        cvals = np.where(front == 0.0, 0.0, front * values)
+        cvals = berezin_coderivative(mu, k, z, config.moment_order)
         write_complex_grid_csv(z, cvals, out / "berezin_coderivative.csv")
         summary += [("sup-coderivative-berezin", repr(float(np.max(np.abs(cvals)))))]
     return summary + _OK, False

@@ -324,7 +324,7 @@ class AlphaHorizontal(MeasureSpec):
 
     def weighted(self, p: HalfIndex):
         alpha = tuple(a - d for a, d in zip(self.alpha_doubled, p.doubled))
-        rho = weight_real(self.rho, p)
+        rho = weight(self.rho, p)
         if all(a == 0 for a in alpha):
             return Horizontal(rho)
         return AlphaHorizontal(rho, alpha)
@@ -484,7 +484,8 @@ class _ProductSet(_Measure):
     def pushed(self, x):
         if np.max(np.abs(x - np.diag(np.diagonal(x)))) < _UNITARY_TOL:
             return self._each(lambda j, f: f.pushed(x[j:j + 1, j:j + 1]))
-        return self._mixed(x)
+        # a mixing unitary or rotation couples the axes: the n-dimensional density integrates it
+        return self._flat(self.density, self.n).pushed(x)
 
     def density(self, pts):
         return math.prod(f.density(pts[:, j:j + 1]) for j, f in enumerate(self.factors))
@@ -504,10 +505,6 @@ class RealProduct(_ProductSet):
     """Tensor product of one-axis real measures on R^n."""
 
     _flat = RealDensity
-
-    def _mixed(self, x):
-        # a rotation mixes the axes: the n-dimensional density integrates it
-        return RealDensity(self.density, self.n).pushed(x)
 
     def real_nodes(self, center, order: int, scale: float):
         return self._tensor([real_nodes(f, center[j:j + 1], order, scale) for j, f in enumerate(self.factors)])
@@ -529,9 +526,6 @@ class Product(_ProductSet, MeasureSpec):
     """Tensor product of one-axis measures on C^n."""
 
     _flat = Density
-
-    def _mixed(self, x):
-        return Pushforward(self, x)
 
     def nodes(self, center, order: int):
         return self._tensor([gaussian_nodes(f, center[j:j + 1], order) for j, f in enumerate(self.factors)])
@@ -608,11 +602,6 @@ def _weight_values(doubled, pts: np.ndarray) -> np.ndarray:
         e = d / 2.0
         out = out * (1.0 + pts[:, j].real ** 2) ** e * (1.0 + pts[:, j].imag ** 2) ** e
     return out
-
-
-def weight_real(rho, p: HalfIndex):
-    """Fold the x-part weight prod (1+t_j^2)^{p_j} into a real measure."""
-    return weight(rho, p)
 
 
 def weight(mu, p: HalfIndex):

@@ -5,8 +5,9 @@ columns in the basis' graded-lex order.  Every assembly gathers its entries
 from one ``measures.moment_table``, so no entry is integrated on its own.
 Every Berezin value of a measure is a ``measures.gaussian_pairing``, which
 a horizontal product factorizes into rho's pairing at Re z times one
-nu_alpha integral per axis, so no 2n-dimensional grid is built; a grid of
-values (``berezin_values``) is one batched ``gaussian_pairings`` call.
+nu_alpha integral per axis, so no 2n-dimensional grid is built; rows of
+points (``berezin_measure`` on an (m, n) array, ``berezin_values``) are
+paired in batches.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .measures import (
     gaussian_pairings,
     moment_table,
 )
+from .quadrature import MAX_EVALS, gauss_hermite
 
 KERNEL_NORM_FLOOR = 0.99  # truncated kernel mass below which a Berezin value is flagged
 
@@ -126,25 +128,37 @@ def assemble_real_coderivative(mu, k: HalfIndex, basis: BasisSet, order: int = D
     return OperatorMatrix(basis, entries)
 
 
-def berezin_measure(mu, z, order: int = DEFAULT_ORDER) -> complex:
-    """mu~(z) = pi^{-n} int e^{-|z-w|^2} dmu(w), one ``gaussian_pairing``.
+def berezin_measure(mu, z, order: int = DEFAULT_ORDER):
+    """mu~(z) = pi^{-n} int e^{-|z-w|^2} dmu(w) at a point z, or one value per row of z (m, n).
 
     For a horizontal product rho (x) nu_alpha the pairing factorizes, so
     the value costs rho's nodes plus n one-axis sums; with alpha = 0 the y
-    integrals are pi^{1/2} each and the value depends on Re z alone.
+    integrals are pi^{1/2} each and the value depends on Re z alone.  Rows
+    are paired in blocks small enough that even an n-dimensional density's
+    q^{2n} nodes per centre stay under ``MAX_EVALS`` in each block.
     """
     n = dimension(mu)
-    return math.pi ** (-n) * gaussian_pairing(mu, z, order)
+    rows = np.asarray(z, dtype=complex)
+    if rows.ndim < 2:
+        return math.pi ** (-n) * gaussian_pairing(mu, z, order)
+    step = max(1, MAX_EVALS // gauss_hermite(order).order ** (2 * n))
+    return math.pi ** (-n) * np.concatenate(
+        [gaussian_pairings(mu, rows[i:i + step], order) for i in range(0, rows.shape[0], step)])
 
 
-def berezin_coderivative(mu, k: HalfIndex, z, order: int = DEFAULT_ORDER) -> complex:
-    """2^{|2k|} pi^{-n} (Re z)^{2k} int e^{-|z-w|^2} dmu(w); closed in the 2k factor."""
+def berezin_coderivative(mu, k: HalfIndex, z, order: int = DEFAULT_ORDER):
+    """2^{|2k|} pi^{-n} (Re z)^{2k} int e^{-|z-w|^2} dmu(w) at a point z, or one value per row
+    of z (m, n); closed in the 2k factor, and exactly 0 (with no pairing) where it is 0."""
     two_k = HalfIndex.of(k).order_index()
-    z = np.broadcast_to(np.asarray(z, dtype=complex), (dimension(mu),))
-    front = 2.0 ** sum(two_k) * math.prod(float(z[j].real) ** two_k[j] for j in range(len(two_k)))
-    if front == 0.0:
-        return 0.0 + 0.0j
-    return front * berezin_measure(mu, z, order)
+    rows = np.asarray(z, dtype=complex)
+    point = rows.ndim < 2
+    rows = np.broadcast_to(rows, (1, dimension(mu))) if point else rows
+    front = 2.0 ** sum(two_k) * np.prod(rows.real ** np.array(two_k), axis=1)
+    values = np.zeros(rows.shape[0], dtype=complex)
+    live = front != 0.0
+    if live.any():
+        values[live] = front[live] * berezin_measure(mu, rows[live], order)
+    return complex(values[0]) if point else values
 
 
 def horizontal_berezin_profile(rho, x, order: int = DEFAULT_ORDER) -> complex:
@@ -175,13 +189,12 @@ def berezin_operator(op: OperatorMatrix, z) -> complex:
 
 def berezin_values(mu, x_values, y_values, order: int = DEFAULT_ORDER) -> np.ndarray:
     """mu~(x + iy) with one row per row x of ``x_values`` and one column per entry y of
-    ``y_values``, from one batched ``gaussian_pairings`` call: a density streams
-    its node grids over all centres in bounded slabs instead of one set per point."""
+    ``y_values``, from batched ``berezin_measure`` rows: a density streams its node
+    grids over whole blocks of centres in bounded slabs instead of one set per point."""
     n = dimension(mu)
     x = np.atleast_2d(np.asarray(x_values, dtype=float))
     y = np.array([np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in y_values])
-    centers = (x[:, None] + 1j * y[None]).reshape(-1, n)
-    return (math.pi ** (-n) * gaussian_pairings(mu, centers, order)).reshape(len(x), -1)
+    return berezin_measure(mu, (x[:, None] + 1j * y[None]).reshape(-1, n), order).reshape(len(x), -1)
 
 
 def berezin_y_variation(mu, x_values, y_values, order: int = DEFAULT_ORDER) -> float:

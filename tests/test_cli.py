@@ -335,7 +335,7 @@ def read_grid(path):
 
 
 def test_berezin_command_batches_a_two_axis_density(tmp_path):
-    # one batched pairing over all 6,561 points of the default lattice, at the default order 40
+    # all 6,561 points of the default lattice at the default order 40, paired in blocks of rows
     cfg = ExperimentConfig(command="berezin", n=2, measure="gaussian(1.0)", k=[2, 1], out=str(tmp_path / "run"))
     assert run(cfg) == 0
     values = read_grid(tmp_path / "run" / "berezin.csv")
@@ -346,3 +346,26 @@ def test_berezin_command_batches_a_two_axis_density(tmp_path):
     for i in range(0, z.shape[0], 97):
         assert abs(values[i] - berezin_measure(mu, z[i])) <= 1e-14
         assert abs(coderivative[i] - berezin_coderivative(mu, k, z[i])) <= 1e-14 * max(1.0, abs(coderivative[i]))
+
+
+def test_berezin_command_pairs_a_density_lattice_in_blocks_under_the_cap(tmp_path, monkeypatch):
+    # a non-product density pays q^{2n} evaluations per point; with the cap lowered to 100,000 the
+    # 625-point lattice at order 8 (2.56M evaluations) is refused as one batch but runs in blocks
+    from focklab import quadrature, toeplitz
+    from focklab.measures import gaussian_pairings
+
+    monkeypatch.setattr(quadrature, "MAX_EVALS", 100_000)
+    monkeypatch.setattr(toeplitz, "MAX_EVALS", 100_000)
+    cfg = ExperimentConfig(command="berezin", n=2, measure="density(exp(-r2))", k=[2, 1], window=1.0,
+                           spacing=0.5, moment_order=8, out=str(tmp_path / "run"))
+    mu, k = parse_measure(cfg.measure, 2), HalfIndex.from_doubled(cfg.k)
+    z, _ = lattice(2, cfg.window, cfg.spacing)
+    with pytest.raises(ValueError, match="evaluations"):
+        gaussian_pairings(mu, z, 8)
+    assert run(cfg) == 0
+    values = read_grid(tmp_path / "run" / "berezin.csv")
+    coderivative = read_grid(tmp_path / "run" / "berezin_coderivative.csv")
+    assert values.shape == coderivative.shape == (625,)
+    for i in range(0, z.shape[0], 31):
+        assert abs(values[i] - berezin_measure(mu, z[i], 8)) <= 1e-14
+        assert abs(coderivative[i] - berezin_coderivative(mu, k, z[i], 8)) <= 1e-14 * max(1.0, abs(coderivative[i]))

@@ -18,7 +18,6 @@ from focklab.measures import (
     Density,
     Horizontal,
     Product,
-    Pushforward,
     RealDensity,
     RealProduct,
     ball_mass,
@@ -131,12 +130,13 @@ def test_pushforwards(n, sigma):
     assert_close(moment_table(mu, keys, 16), moment_table(ref, keys, 16))
     if n == 1:
         return
-    # a mixing unitary moves the kernel onto the product: the same rule as the flat density's
-    mu = pushforward(gaussian_density(2, sigma), ROTATION)
-    assert type(mu) is Pushforward and type(mu.base) is Product
-    ref = Pushforward(flat_density(2, sigma), ROTATION)
+    # a mixing unitary couples the axes: the composed n-dimensional density takes over,
+    # polydisk masses included
+    mu, ref = pushforward(gaussian_density(2, sigma), ROTATION), pushforward(flat_density(2, sigma), ROTATION)
+    assert type(mu) is Density
     assert_close(gaussian_pairings(mu, c, 20), gaussian_pairings(ref, c, 20))
     assert_close(moment_table(mu, keys, 16), moment_table(ref, keys, 16))
+    assert_close(ball_mass(mu, c[0], (0.8, 1.1)), ball_mass(ref, c[0], (0.8, 1.1)))
     # a real rotation of rho mixes the axes: the n-dimensional density takes over
     turn = np.array([[0.6, -0.8], [0.8, 0.6]])
     mu, ref = pushforward(Horizontal(real_gaussian(2, sigma)), turn), pushforward(Horizontal(flat_real(2, sigma)), turn)

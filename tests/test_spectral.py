@@ -14,7 +14,6 @@ from focklab.measures import (
     real_dirac,
     real_gaussian,
     weight,
-    weight_real,
 )
 from focklab.spectral import (
     diagonalization_residual,
@@ -249,7 +248,7 @@ def test_alpha_horizontal_reduction_diagonalizes():
     assert isinstance(reduced, Horizontal)
     b = enumerate_basis(1, 10)
     t = assemble_real_coderivative(reduced, k - alpha, b)
-    samples = gamma_samples(weight_real(rho, alpha), k - alpha)
+    samples = gamma_samples(weight(rho, alpha), k - alpha)
     m = multiplication_matrix(samples, b)
     assert interior_max_norm(t.entries - m.entries, b) <= 1e-8
 
