@@ -104,13 +104,12 @@ def condition_m(mu, window: float = 2.0, spacing: float = 0.5,
 
 def carleson_constant(mu, k: HalfIndex, r, window: float = 2.0, spacing: float = 0.5) -> CarlesonReport:
     """C_k(mu, r) = Gamma(k+1)^2 sup_z (|mu|_k)(B_r(z)) over the lattice."""
-    k = HalfIndex.of(k)
     n = dimension(mu)
+    k = HalfIndex.of(k, n)
     r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
     weighted = weight(variation(mu), k)
     z, boundary = lattice(n, window, spacing)
-    factor = k.gamma_factor() ** 2
-    masses = np.array([factor * abs(ball_mass(weighted, zz, r)) for zz in z])
+    masses = k.gamma_factor() ** 2 * np.abs(ball_mass(weighted, z, r))
     return _scan(masses, z, boundary, window, spacing, r)
 
 
@@ -134,7 +133,7 @@ def kfc_verdict(mu, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER, s
     Gram matrix is the (k, k) coderivative operator); a random-vector probe
     of the quadratic form cross-checks the eigenvalue from below.
     """
-    kk = HalfIndex.of(k).as_integer_index()
+    kk = HalfIndex.of(k, basis.n).as_integer_index()
     # graded-lex bases of lower degree are prefixes and each Gram entry depends
     # only on (alpha, beta), so both truncations are leading blocks of one Gram
     coarse = enumerate_basis(basis.n, max(basis.degree // 2, sum(kk)))
@@ -188,7 +187,7 @@ class WeightShiftReport:
 
 def weight_shift_check(mu, k: HalfIndex, p: HalfIndex, r, window: float = 2.0,
                        spacing: float = 0.5) -> WeightShiftReport:
-    k, p = HalfIndex.of(k), HalfIndex.of(p)
+    k, p = HalfIndex.of(k, dimension(mu)), HalfIndex.of(p, dimension(mu))
     if not (p.is_nonnegative and k.geq(p)):
         raise ValueError(f"weight shift needs 0 <= p <= k componentwise, got k={k.halves()}, p={p.halves()}")
     c_k = carleson_constant(mu, k, r, window, spacing)

@@ -160,9 +160,16 @@ class HalfIndex:
         object.__setattr__(self, "doubled", d)
 
     @classmethod
-    def of(cls, value) -> "HalfIndex":
-        """``value`` itself, or the HalfIndex whose doubled entries it lists."""
-        return cls.from_doubled(value) if isinstance(value, (tuple, list)) else value
+    def of(cls, value, n: int | None = None, doubled: bool = True) -> "HalfIndex":
+        """``value`` itself, or the HalfIndex whose entries it lists (doubled, or integers with
+        ``doubled=False``); a scalar entry is repeated over the ``n`` axes."""
+        if isinstance(value, cls):
+            return value
+        if np.ndim(value) == 0:
+            if n is None:
+                raise TypeError(f"a scalar index {value!r} needs the number of axes")
+            value = (value,) * n
+        return cls.from_doubled(value) if doubled else cls.from_ints(value)
 
     @classmethod
     def from_doubled(cls, values) -> "HalfIndex":

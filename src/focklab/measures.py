@@ -24,18 +24,22 @@ Every measure type implements one protocol, and the module functions
 - real measures on R^n: ``real_nodes(center, order, scale)``, its batch over
   centres ``real_sums(centers, order, scale, factor)`` of sum_i w_i(c)
   prod_j factor(j, c_j, t_ij), the moment pass's ``axis_grid(order)`` and the
-  polydisk masses' ``box_integral(x0, r, factor)`` of prod_j factor(j, t_j);
+  polydisk masses' ``box_integral(x0, r, factor)`` of prod_j factor(j, t_j) per
+  row of x0 (axis j's nodes reach the factor as rows (m, q), one per centre);
 - measures on C^n (``MeasureSpec``): ``nodes(center, order)``
   (capped at ``quadrature.MAX_NODES`` nodes), ``pairing(centers, order)``
   (one value per row of a batch of centres; the default sums the node
   weights centre by centre), ``moments(maxdeg, order)`` (each type's own
   moment route; the default is a Gram product over the nodes) and
-  ``ball_mass(center, r)`` (fixed rules: 48-node chords, and a polar rule of
-  40 radii by 80 angles per axis for densities).
+  ``ball_mass(centers, r)`` (one polydisk mass per row of a batch of centres,
+  by fixed rules: 48-node chords, and a polar rule of 40 radii by 80 angles
+  per axis for densities).
 
 Grid types (Lebesgue, of density 1, and densities) share ``grid_sums(axes,
 weights)``, per-centre sums over tensor grids: Lebesgue multiplies its axis
-sums, densities stream them through ``quadrature.tensor_sums`` in slabs.
+sums, densities stream them through ``quadrature.tensor_sums`` in slabs, and
+an n-dimensional density on C^n takes its centres in row blocks that keep each
+sum under ``quadrature.MAX_EVALS`` evaluations.
 
 A new measure type is one class.  Methods that recurse into a factor call
 the module functions again, so every node set is requested through
@@ -53,11 +57,11 @@ import numpy as np
 from numpy.polynomial.polynomial import polyvander
 
 from .indices import HalfIndex, as_multi_index, graded_lex_indices, monomial_matrix, substitution_matrix
-from .quadrature import MAX_NODES, gauss_hermite, gauss_legendre, tensor_grid, tensor_sums
+from .quadrature import MAX_EVALS, MAX_NODES, gauss_hermite, gauss_legendre, tensor_grid, tensor_sums
 
 DEFAULT_ORDER = 40
 _POLAR_ORDER = 40  # Gauss-Legendre radii per axis of a density's polydisk mass, with twice as many angles
-_CHUNK = 200_000
+_CHUNK = 200_000  # nodes per block of a Gram product or of chord tables
 _UNITARY_TOL = 1e-12
 _ROTATED_POLYDISK = "polydisk mass for a rotated measure is not supported; rotate the polydisk instead"
 
@@ -99,12 +103,11 @@ class _RealGrid(_Measure):
         # real_nodes lays the Gauss-Hermite tensor grid out in C order
         return (rule.nodes,) * self.n, wts.reshape((rule.order,) * self.n)
 
-    def box_integral(self, x0, r, factor) -> complex:
-        # per-axis substitution t = x0 + r sin(phi); axis j's factor joins its chord weights
+    def box_integral(self, x0, r, factor):
+        # per-axis substitution t = x0 + r sin(phi) at every row of x0; axis j's factor joins its chord weights
         s, sw = _chord_rule()
-        axes = [x0[j] + r[j] * s for j in range(self.n)]
-        return complex(self.grid_sums([t[None] for t in axes],
-                                      [(r[j] * sw * factor(j, t))[None] for j, t in enumerate(axes)])[0])
+        axes = [x[:, None] + rj * s for x, rj in zip(x0.T, r)]
+        return self.grid_sums(axes, [rj * sw * factor(j, t) for j, (rj, t) in enumerate(zip(r, axes))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +141,12 @@ class _AtomSet(_Measure):
     def pushed(self, x):
         return type(self)(self.points @ np.conj(x), self.weights)
 
-    def box_integral(self, center, r, factor) -> complex:
-        """sum of w prod_j factor(j, p_j) over atoms with all |p_j - c_j| < r_j (a box on R^n, a polydisk on C^n)."""
-        inside = np.all(np.abs(self.points - center[None, :]) < r[None, :], axis=1)
-        values = math.prod(factor(j, t) for j, t in enumerate(self.points[inside].T))
-        return complex(np.sum(self.weights[inside] * values))
+    def box_integral(self, centers, r, factor):
+        """Per row c of ``centers``, the sum of w prod_j factor(j, p_j) over atoms with all
+        |p_j - c_j| < r_j (a box on R^n, a polydisk on C^n)."""
+        inside = np.all(np.abs(self.points[None] - centers[:, None]) < r, axis=2)  # (centres, atoms)
+        values = math.prod(factor(j, np.broadcast_to(t, inside.shape)) for j, t in enumerate(self.points.T))
+        return np.sum(np.where(inside, self.weights * values, 0.0), axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,6 +235,10 @@ class Lebesgue(_RealGrid):
     def pushed(self, x):
         return self
 
+    def weighted(self, p: HalfIndex):
+        # (1 + x_j^2)^{p_j} factors over the axes, so from n = 2 on the weighted measure is a product
+        return super().weighted(p) if self.n == 1 else RealProduct((Lebesgue(1),) * self.n).weighted(p)
+
     def density(self, pts):
         return np.ones(pts.shape[0])
 
@@ -255,8 +263,8 @@ class Atoms(_AtomSet, MeasureSpec):
     def nodes(self, center, order: int):
         return self.points, self.weights * np.exp(-np.sum(np.abs(self.points - center) ** 2, axis=1))
 
-    def ball_mass(self, center, r) -> complex:
-        return self.box_integral(center, r, lambda j, t: 1.0)
+    def ball_mass(self, centers, r):
+        return self.box_integral(centers, r, lambda j, t: 1.0)
 
 
 class Density(_DensitySet, MeasureSpec):
@@ -286,18 +294,25 @@ class Density(_DensitySet, MeasureSpec):
         pts, wts = tensor_grid([a[0] for a in axes], [w[0] for w in weights])
         return pts, wts * self.density(pts)
 
-    def pairing(self, centers, order: int):
-        return self.grid_sums(*self._axis_rules(centers, order))
+    def _in_blocks(self, centers, per_centre: int, sums):
+        """``sums`` over blocks of rows that keep each streamed sum under ``MAX_EVALS``
+        evaluations; a lone centre over the cap is refused by ``tensor_sums`` before any."""
+        step = max(1, MAX_EVALS // per_centre)
+        return np.concatenate([sums(centers[i:i + step]) for i in range(0, centers.shape[0], step)])
 
-    def ball_mass(self, center, r) -> complex:
+    def pairing(self, centers, order: int):
+        return self._in_blocks(centers, order ** (2 * self.n), lambda c: self.grid_sums(*self._axis_rules(c, order)))
+
+    def ball_mass(self, centers, r):
         """Per-axis polar rules, 40 Gauss-Legendre radii by 80 equispaced angles, streamed in slabs."""
         gl_nodes, gl_weights = gauss_legendre(_POLAR_ORDER)
         qth = 2 * _POLAR_ORDER
         circle = np.exp(2j * math.pi * np.arange(qth) / qth)
         rr = 0.5 * r[:, None] * (gl_nodes + 1.0)  # (axis, radius)
         wr = 0.5 * r[:, None] * gl_weights * rr * (2.0 * math.pi / qth)  # polar Jacobian times the angle weight
-        axes = (center[:, None, None] + rr[:, :, None] * circle).reshape(self.n, 1, -1)
-        return complex(self.grid_sums(list(axes), list(np.repeat(wr, qth, axis=1).reshape(self.n, 1, -1)))[0])
+        disk, w = (rr[:, :, None] * circle).reshape(self.n, -1), np.repeat(wr, qth, axis=1)
+        return self._in_blocks(centers, disk.shape[1] ** self.n, lambda c: self.grid_sums(
+            [x[:, None] + d for x, d in zip(c.T, disk)], [np.broadcast_to(v, (c.shape[0], v.size)) for v in w]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,17 +378,27 @@ class AlphaHorizontal(MeasureSpec):
         pts = (tpts[:, None, :] + 1j * vpts[None, :, :]).reshape(-1, self.n)
         return pts, (twts[:, None] * vwts[None, :]).ravel()
 
-    def ball_mass(self, center, r) -> complex:
+    def ball_mass(self, centers, r):
         """rho integrated over the box |t_j - x_j| < r_j against the product of the
-        per-axis nu_alpha masses of the chords |v_j - y_j| < sqrt(r_j^2 - (t_j - x_j)^2)."""
-        x0, y0 = center.real, center.imag
+        per-axis nu_alpha masses of the chords |v_j - y_j| < sqrt(r_j^2 - (t_j - x_j)^2).
+
+        Axis j's chord masses depend on a centre only through c_j, so they are built
+        once per distinct c_j (a few dozen on a tensor lattice of thousands of centres),
+        in blocks of at most _CHUNK chord nodes, and gathered back to the rows."""
         s, sw = _chord_rule()
 
         def chord(j, t):
-            c = np.sqrt(np.maximum(r[j] ** 2 - (t - x0[j]) ** 2, 0.0))
-            return (c[:, None] * self._nu(j, y0[j] + c[:, None] * s[None, :]) * sw[None, :]).sum(axis=1)
+            _, first, back = np.unique(centers[:, j], return_index=True, return_inverse=True)
+            step = max(1, _CHUNK // (t.shape[1] * s.size))
 
-        return self.rho.box_integral(x0, r, chord)
+            def table(f):
+                x, y = centers[f, j].real[:, None], centers[f, j].imag[:, None, None]
+                c = np.sqrt(np.maximum(r[j] ** 2 - (t[f] - x) ** 2, 0.0))[:, :, None]
+                return (c * self._nu(j, y + c * s) * sw).sum(axis=2)
+
+            return np.concatenate([table(first[i:i + step]) for i in range(0, first.size, step)])[back]
+
+        return self.rho.box_integral(centers.real, r, chord)
 
 
 class Horizontal(AlphaHorizontal):
@@ -426,7 +451,7 @@ class Pushforward(MeasureSpec):
         c = substitution_matrix(np.conj(self.matrix).T, keys)
         return keys, c.T @ moment_table(self.base, keys, order) @ np.conj(c)
 
-    def ball_mass(self, center, r) -> complex:
+    def ball_mass(self, centers, r):
         raise TypeError(_ROTATED_POLYDISK)
 
     def times(self, g):
@@ -457,8 +482,8 @@ class Weighted(MeasureSpec):
         pts, wts = gaussian_nodes(self.base, center, order)
         return pts, wts * _weight_values(self.p.doubled, pts)
 
-    def ball_mass(self, center, r) -> complex:
-        return ball_mass(self.base.times(lambda pts: _weight_values(self.p.doubled, pts)), center, r)
+    def ball_mass(self, centers, r):
+        return ball_mass(self.base.times(lambda pts: _weight_values(self.p.doubled, pts)), centers, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,8 +542,8 @@ class RealProduct(_ProductSet):
         axes, grids = zip(*(f.axis_grid(order) for f in self.factors))
         return tuple(a[0] for a in axes), functools.reduce(np.multiply.outer, grids)
 
-    def box_integral(self, x0, r, factor) -> complex:
-        return math.prod(f.box_integral(x0[j:j + 1], r[j:j + 1], lambda _, t, j=j: factor(j, t))
+    def box_integral(self, x0, r, factor):
+        return math.prod(f.box_integral(x0[:, j:j + 1], r[j:j + 1], lambda _, t, j=j: factor(j, t))
                          for j, f in enumerate(self.factors))
 
 
@@ -541,8 +566,13 @@ class Product(_ProductSet, MeasureSpec):
             table *= moment_table(f, [(d,) for d in range(maxdeg + 1)], order)[np.ix_(a, a)]
         return keys, table
 
-    def ball_mass(self, center, r) -> complex:
-        return math.prod(ball_mass(f, center[j:j + 1], r[j:j + 1]) for j, f in enumerate(self.factors))
+    def ball_mass(self, centers, r):
+        # axis j's disk mass depends on a centre only through c_j: one per distinct c_j, gathered back
+        def disk(j, f):
+            values, back = np.unique(centers[:, j], return_inverse=True)
+            return ball_mass(f, values[:, None], r[j:j + 1])[back]
+
+        return math.prod(disk(j, f) for j, f in enumerate(self.factors))
 
 
 RealMeasure = RealAtoms | RealDensity | Lebesgue | RealProduct
@@ -607,10 +637,10 @@ def _weight_values(doubled, pts: np.ndarray) -> np.ndarray:
 def weight(mu, p: HalfIndex):
     """The measure mu_p; repeated weightings collapse to a single normal form.
 
-    A tuple ``p`` is read in integers (``HalfIndex.from_ints``).
+    A tuple ``p`` is read in integers (``HalfIndex.from_ints``), and a scalar
+    is that integer on every axis.
     """
-    if isinstance(p, (tuple, list)):
-        p = HalfIndex.from_ints(p)
+    p = HalfIndex.of(p, dimension(mu), doubled=False)
     if p.is_zero:
         return mu
     return mu.weighted(p)
@@ -801,25 +831,29 @@ def _chord_rule():
     return np.sin(theta), np.cos(theta) * 0.5 * math.pi * gl_weights
 
 
-def ball_mass(mu, center, r) -> complex:
-    """Mass of the polydisk prod_j {|w_j - z_j| < r_j} under mu.
+def ball_mass(mu, center, r):
+    """Mass of the polydisk prod_j {|w_j - z_j| < r_j} under mu at a point z, or one mass
+    per row of z (m, n), all rows in one call.
 
     Atoms are exact; densities use a fixed polar rule per axis (40
     Gauss-Legendre radii by 80 equispaced angles), streamed in slabs, so
-    (40 * 80)^n points are evaluated but never held (an n = 3 density
-    exceeds ``quadrature.MAX_EVALS`` and is refused); a ``Product`` (every
-    Gaussian built-in from n = 2 on) multiplies one-axis disk masses, at any
-    n; horizontal products hand rho one nu_alpha chord mass per axis as a
-    factor of its box integral.
+    (40 * 80)^n points per centre are evaluated but never held, in row blocks
+    under ``quadrature.MAX_EVALS`` (a single n = 3 centre exceeds it and is
+    refused); a ``Product`` (every Gaussian built-in from n = 2 on) multiplies
+    one-axis disk masses, at any n; horizontal products hand rho one nu_alpha
+    chord mass per axis as a factor of its box integral, built once per
+    distinct centre coordinate on that axis.
     The radius is a tuple, one entry per axis (its Euclidean norm plays no
     role).
     """
     n = dimension(mu)
-    center = np.broadcast_to(np.asarray(center, dtype=complex), (n,))
+    rows = np.asarray(center, dtype=complex)
     r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
     if np.any(r <= 0):
         raise ValueError(f"polydisk radii must be positive, got {r}")
-    return mu.ball_mass(center, r)
+    if rows.ndim < 2:
+        return complex(mu.ball_mass(np.broadcast_to(rows, (1, n)), r)[0])
+    return mu.ball_mass(np.broadcast_to(rows, (rows.shape[0], n)), r)
 
 
 # ---------------------------------------------------------------------------

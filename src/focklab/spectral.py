@@ -53,7 +53,7 @@ def gamma_2k(rho, k: HalfIndex, grid, order: int = DEFAULT_ORDER) -> np.ndarray:
     One ``real_sums`` batch over the grid: H_{2k} is one factor per axis, built
     on that axis' (point, node) pairs, and a density rho streams in bounded slabs.
     """
-    two_k = HalfIndex.of(k).order_index()
+    two_k = HalfIndex.of(k, dimension(rho)).order_index()
     return (2.0 / math.pi) ** (dimension(rho) / 2.0) * real_sums(
         rho, grid, lambda j, x, y: hermite(two_k[j], np.sqrt(2.0) * x - y), order, scale=2.0)
 
@@ -68,7 +68,7 @@ def gamma_samples(rho, k: HalfIndex, order: int = DEFAULT_SPECTRAL_ORDER,
                   rho_order: int = DEFAULT_ORDER) -> SpectralSamples:
     grid = spectral_grid(dimension(rho), order)
     values = gamma_2k(rho, k, grid, rho_order)
-    return SpectralSamples(grid, values, rho, HalfIndex.of(k), order)
+    return SpectralSamples(grid, values, rho, HalfIndex.of(k, dimension(rho)), order)
 
 
 def hermite_function_matrix(basis: BasisSet, points: np.ndarray) -> np.ndarray:
@@ -155,7 +155,7 @@ def diagonalization_residual(mu_or_rho, k: HalfIndex, basis: BasisSet,
     kernel expansion and shrinks as D grows, unlike the entrywise residual
     which is quadrature-limited.
     """
-    k = HalfIndex.of(k)
+    k = HalfIndex.of(k, basis.n)
     rho = _extract_rho(mu_or_rho)
     mu = Horizontal(rho)
     top = assemble_real_coderivative(mu, k, basis, moment_order)

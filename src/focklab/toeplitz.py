@@ -29,7 +29,6 @@ from .measures import (
     gaussian_pairings,
     moment_table,
 )
-from .quadrature import MAX_EVALS, gauss_hermite
 
 KERNEL_NORM_FLOOR = 0.99  # truncated kernel mass below which a Berezin value is flagged
 
@@ -112,7 +111,7 @@ def assemble_real_coderivative(mu, k: HalfIndex, basis: BasisSet, order: int = D
 
     Is assemble_toeplitz when |k| = 0; Hermitian for positive mu.
     """
-    two_k = HalfIndex.of(k).order_index()
+    two_k = HalfIndex.of(k, basis.n).order_index()
     if len(two_k) != basis.n:
         raise ValueError(f"k has {len(two_k)} axes, basis has {basis.n}")
     if not any(two_k):
@@ -133,23 +132,21 @@ def berezin_measure(mu, z, order: int = DEFAULT_ORDER):
 
     For a horizontal product rho (x) nu_alpha the pairing factorizes, so
     the value costs rho's nodes plus n one-axis sums; with alpha = 0 the y
-    integrals are pi^{1/2} each and the value depends on Re z alone.  Rows
-    are paired in blocks small enough that even an n-dimensional density's
-    q^{2n} nodes per centre stay under ``MAX_EVALS`` in each block.
+    integrals are pi^{1/2} each and the value depends on Re z alone.  All
+    rows go to one ``gaussian_pairings`` call; an n-dimensional density pairs
+    them in row blocks under ``quadrature.MAX_EVALS`` evaluations each.
     """
     n = dimension(mu)
     rows = np.asarray(z, dtype=complex)
     if rows.ndim < 2:
         return math.pi ** (-n) * gaussian_pairing(mu, z, order)
-    step = max(1, MAX_EVALS // gauss_hermite(order).order ** (2 * n))
-    return math.pi ** (-n) * np.concatenate(
-        [gaussian_pairings(mu, rows[i:i + step], order) for i in range(0, rows.shape[0], step)])
+    return math.pi ** (-n) * gaussian_pairings(mu, rows, order)
 
 
 def berezin_coderivative(mu, k: HalfIndex, z, order: int = DEFAULT_ORDER):
     """2^{|2k|} pi^{-n} (Re z)^{2k} int e^{-|z-w|^2} dmu(w) at a point z, or one value per row
     of z (m, n); closed in the 2k factor, and exactly 0 (with no pairing) where it is 0."""
-    two_k = HalfIndex.of(k).order_index()
+    two_k = HalfIndex.of(k, dimension(mu)).order_index()
     rows = np.asarray(z, dtype=complex)
     point = rows.ndim < 2
     rows = np.broadcast_to(rows, (1, dimension(mu))) if point else rows

@@ -15,10 +15,12 @@ from focklab.indices import HalfIndex
 from focklab.measures import (
     Density,
     Horizontal,
+    ball_mass,
     dirac,
     gaussian_density,
     lebesgue,
     real_gaussian,
+    weight,
 )
 
 K0 = HalfIndex.from_doubled((0,))
@@ -194,16 +196,34 @@ def test_fc_equivalence_gallery_agreement():
 
 def test_condition_m_pairs_a_density_lattice_in_blocks_under_the_cap(monkeypatch):
     # with the cap lowered to 100,000, the 625-point lattice of an n = 2 density at order 8
-    # (2.56M evaluations) is refused as one batch but runs in blocks of rows
-    from focklab import quadrature, toeplitz
+    # (2.56M evaluations) is refused as one batch but runs in blocks of rows; the density
+    # sizes its blocks from measures.MAX_EVALS, so until that is lowered too it sends one batch
+    from focklab import measures, quadrature
     from focklab.measures import gaussian_pairings
 
     monkeypatch.setattr(quadrature, "MAX_EVALS", 100_000)
-    monkeypatch.setattr(toeplitz, "MAX_EVALS", 100_000)
     mu = Density(lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1)), 2)
     z, _ = lattice(2, 1.0, 0.5)
     with pytest.raises(ValueError, match="evaluations"):
         gaussian_pairings(mu, z, 8)
+    monkeypatch.setattr(measures, "MAX_EVALS", 100_000)
     report = condition_m(mu, 1.0, 0.5, order=8)
     per_point = [abs(gaussian_pairings(mu, c, 8)[0]) / math.pi**2 for c in z]
     assert report.normalized.sup_estimate == pytest.approx(max(per_point), rel=1e-14)
+
+
+def test_a_scalar_index_is_repeated_over_the_axes():
+    # carleson_constant reads k doubled, weight reads p in integers, each as it reads a tuple
+    mu = lebesgue(2)
+    for k in (0, 1, 2):
+        scalar = carleson_constant(mu, k, [1.0, 0.5], window=1.0, spacing=0.5)
+        assert scalar == carleson_constant(mu, (k, k), [1.0, 0.5], window=1.0, spacing=0.5)
+    assert HalfIndex.of(1, 2) == HalfIndex.from_doubled((1, 1))
+    assert HalfIndex.of(1, 2, doubled=False) == HalfIndex.from_ints((1, 1))
+    with pytest.raises(TypeError, match="number of axes"):
+        HalfIndex.of(1)
+    z, _ = lattice(2, 0.5, 0.5)
+    r = [1.0, 0.5]
+    for p in (0, 1):
+        assert np.array_equal(ball_mass(weight(mu, p), z, r), ball_mass(weight(mu, (p, p)), z, r))
+    assert weight_shift_check(mu, 2, 1, r, 1.0, 0.5) == weight_shift_check(mu, (2, 2), (1, 1), r, 1.0, 0.5)

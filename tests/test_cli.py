@@ -350,18 +350,19 @@ def test_berezin_command_batches_a_two_axis_density(tmp_path):
 
 def test_berezin_command_pairs_a_density_lattice_in_blocks_under_the_cap(tmp_path, monkeypatch):
     # a non-product density pays q^{2n} evaluations per point; with the cap lowered to 100,000 the
-    # 625-point lattice at order 8 (2.56M evaluations) is refused as one batch but runs in blocks
-    from focklab import quadrature, toeplitz
+    # 625-point lattice at order 8 (2.56M evaluations) is refused as one batch but runs in blocks;
+    # the density sizes its blocks from measures.MAX_EVALS, so until that is lowered it sends one batch
+    from focklab import measures, quadrature
     from focklab.measures import gaussian_pairings
 
     monkeypatch.setattr(quadrature, "MAX_EVALS", 100_000)
-    monkeypatch.setattr(toeplitz, "MAX_EVALS", 100_000)
     cfg = ExperimentConfig(command="berezin", n=2, measure="density(exp(-r2))", k=[2, 1], window=1.0,
                            spacing=0.5, moment_order=8, out=str(tmp_path / "run"))
     mu, k = parse_measure(cfg.measure, 2), HalfIndex.from_doubled(cfg.k)
     z, _ = lattice(2, cfg.window, cfg.spacing)
     with pytest.raises(ValueError, match="evaluations"):
         gaussian_pairings(mu, z, 8)
+    monkeypatch.setattr(measures, "MAX_EVALS", 100_000)
     assert run(cfg) == 0
     values = read_grid(tmp_path / "run" / "berezin.csv")
     coderivative = read_grid(tmp_path / "run" / "berezin_coderivative.csv")
