@@ -112,6 +112,13 @@ def substitution_matrix(xstar: np.ndarray, indices: list[MultiIndex]) -> np.ndar
     return c
 
 
+def select_table(keys: list[MultiIndex], table: np.ndarray, indices: list[MultiIndex]) -> np.ndarray:
+    """The rows and columns of the square ``table`` over ``keys`` at ``indices``, in their order."""
+    position = {a: i for i, a in enumerate(keys)}
+    sel = [position[a] for a in indices]
+    return table[np.ix_(sel, sel)]
+
+
 def hermite_values(m: int, x) -> np.ndarray:
     """H_0(x) .. H_m(x) stacked along the first axis (physicists' convention)."""
     x = np.asarray(x, dtype=float)

@@ -56,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyvander
 
-from .indices import HalfIndex, as_multi_index, graded_lex_indices, monomial_matrix, substitution_matrix
-from .quadrature import MAX_EVALS, MAX_NODES, gauss_hermite, gauss_legendre, tensor_grid, tensor_sums
+from .indices import HalfIndex, as_multi_index, graded_lex_indices, monomial_matrix, select_table, substitution_matrix
+from .quadrature import MAX_EVALS, MAX_NODES, contract_axes, gauss_hermite, gauss_legendre, tensor_grid, tensor_sums
 
 DEFAULT_ORDER = 40
 _POLAR_ORDER = 40  # Gauss-Legendre radii per axis of a density's polydisk mass, with twice as many angles
@@ -192,6 +192,12 @@ class MeasureSpec(_Measure):
         return keys, table
 
 
+def _row_blocks(rows, step: int, fn):
+    """``fn`` over blocks of at most max(1, step) rows, concatenated; zero rows are one empty block."""
+    step = max(1, step)
+    return np.concatenate([fn(rows[i:i + step]) for i in range(0, max(rows.shape[0], 1), step)])
+
+
 # ---------------------------------------------------------------------------
 # real measures on R^n (the rho factor of horizontal products)
 
@@ -284,7 +290,7 @@ class Density(_DensitySet, MeasureSpec):
         axes, _ = self._axis_rules(np.zeros((1, n)), order)
         pows = polyvander(axes[0][0], maxdeg)
         g = pows[:, :, None] * np.conj(pows)[:, None, :]
-        return _contract_axes([g] * n, wts.reshape((pows.shape[0],) * n), maxdeg)
+        return contract_axes([g] * n, wts.reshape((pows.shape[0],) * n), maxdeg)
 
     def nodes(self, center, order: int):
         size = gauss_hermite(order).order ** (2 * self.n)
@@ -294,14 +300,9 @@ class Density(_DensitySet, MeasureSpec):
         pts, wts = tensor_grid([a[0] for a in axes], [w[0] for w in weights])
         return pts, wts * self.density(pts)
 
-    def _in_blocks(self, centers, per_centre: int, sums):
-        """``sums`` over blocks of rows that keep each streamed sum under ``MAX_EVALS``
-        evaluations; a lone centre over the cap is refused by ``tensor_sums`` before any."""
-        step = max(1, MAX_EVALS // per_centre)
-        return np.concatenate([sums(centers[i:i + step]) for i in range(0, centers.shape[0], step)])
-
     def pairing(self, centers, order: int):
-        return self._in_blocks(centers, order ** (2 * self.n), lambda c: self.grid_sums(*self._axis_rules(c, order)))
+        return _row_blocks(centers, MAX_EVALS // order ** (2 * self.n),
+                           lambda c: self.grid_sums(*self._axis_rules(c, order)))
 
     def ball_mass(self, centers, r):
         """Per-axis polar rules, 40 Gauss-Legendre radii by 80 equispaced angles, streamed in slabs."""
@@ -311,7 +312,7 @@ class Density(_DensitySet, MeasureSpec):
         rr = 0.5 * r[:, None] * (gl_nodes + 1.0)  # (axis, radius)
         wr = 0.5 * r[:, None] * gl_weights * rr * (2.0 * math.pi / qth)  # polar Jacobian times the angle weight
         disk, w = (rr[:, :, None] * circle).reshape(self.n, -1), np.repeat(wr, qth, axis=1)
-        return self._in_blocks(centers, disk.shape[1] ** self.n, lambda c: self.grid_sums(
+        return _row_blocks(centers, MAX_EVALS // disk.shape[1] ** self.n, lambda c: self.grid_sums(
             [x[:, None] + d for x, d in zip(c.T, disk)], [np.broadcast_to(v, (c.shape[0], v.size)) for v in w]))
 
 
@@ -368,7 +369,7 @@ class AlphaHorizontal(MeasureSpec):
         for t, v, wv in zip(axes, vaxes, vweights):
             pows = polyvander(t[:, None] + 1j * v[None, :], maxdeg)
             tables.append(np.swapaxes(pows * wv[None, :, None], 1, 2) @ np.conj(pows))
-        return _contract_axes(tables, grid, maxdeg)
+        return contract_axes(tables, grid, maxdeg)
 
     def nodes(self, center, order: int):
         tpts, twts = real_nodes(self.rho, center.real, order)
@@ -389,14 +390,13 @@ class AlphaHorizontal(MeasureSpec):
 
         def chord(j, t):
             _, first, back = np.unique(centers[:, j], return_index=True, return_inverse=True)
-            step = max(1, _CHUNK // (t.shape[1] * s.size))
 
             def table(f):
                 x, y = centers[f, j].real[:, None], centers[f, j].imag[:, None, None]
                 c = np.sqrt(np.maximum(r[j] ** 2 - (t[f] - x) ** 2, 0.0))[:, :, None]
                 return (c * self._nu(j, y + c * s) * sw).sum(axis=2)
 
-            return np.concatenate([table(first[i:i + step]) for i in range(0, first.size, step)])[back]
+            return _row_blocks(first, _CHUNK // (t.shape[1] * s.size), table)[back]
 
         return self.rho.box_integral(centers.real, r, chord)
 
@@ -737,7 +737,7 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     The measure's ``moments`` gives the table over all degrees <= D, which
     is gathered into the caller's order.  ``AlphaHorizontal`` (every weighted
     horizontal product) and ``Density`` contract per-axis tables on the
-    distinct node values one axis at a time (sum factorization), about
+    distinct node values one axis at a time (``quadrature.contract_axes``), about
     (D+1)^2 operations per grid point instead of N^2 per node.  A ``Product``
     gathers its table from n one-axis (D+1)^2 tables.  A pushforward
     mu_X conjugates its base's table by the substitution matrix of X* (V_X in
@@ -747,55 +747,7 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     indices = [tuple(a) for a in indices]
     maxdeg = max(sum(a) for a in indices)
     keys, table = mu.moments(maxdeg, max(order, maxdeg + 1))
-    position = {a: i for i, a in enumerate(keys)}
-    sel = [position[a] for a in indices]
-    return table[np.ix_(sel, sel)]
-
-
-def _contract_axes(tables, grid, maxdeg: int):
-    """Moments from per-axis tables by contracting the weight grid one axis at a time.
-
-    ``grid[i_1, .., i_n]`` weights the i_j-th value of each axis j, and
-    ``tables[j][i, a, b]`` is axis j's factor of order (a, b) at its i-th
-    value.  The state is a list of pairs of partial multi-indices over the
-    axes contracted so far, each holding its sum over those axes; only pairs
-    of degree <= maxdeg on both sides are extended, so the dense
-    (maxdeg+1)^(2n) tensor is never formed.  Returns the multi-indices of
-    degree <= maxdeg (prefix-lex order) and the moment table over them.
-    """
-    radix = maxdeg + 1
-    a_of, b_of = (e.ravel() for e in np.indices((radix, radix)))
-    keys = [()]
-    key_deg = np.zeros(1, dtype=int)
-    row = col = np.zeros(1, dtype=int)  # key ids of each pair
-    vals = grid[None]  # (pairs, remaining grid axes...)
-    for g in tables:
-        u = g.shape[0]
-        gt = np.moveaxis(g, 0, -1)  # (a, b, i)
-        span = radix - key_deg  # children of key k: ids first[k] + a for a < span[k]
-        first = np.cumsum(span) - span
-        out = np.empty((int(np.sum(span[row] * span[col])),) + vals.shape[2:], dtype=complex)
-        new_row = np.empty(out.shape[0], dtype=int)
-        new_col = np.empty(out.shape[0], dtype=int)
-        cls = key_deg[row] * radix + key_deg[col]
-        by_class = np.argsort(cls, kind="stable")
-        start = 0
-        for sel in np.split(by_class, np.flatnonzero(np.diff(cls[by_class])) + 1):
-            r, c = row[sel], col[sel]
-            ea, eb = span[r[0]], span[c[0]]
-            children = (a_of < ea) & (b_of < eb)
-            stop = start + sel.size * ea * eb
-            np.matmul(gt[:ea, :eb].reshape(ea * eb, u), vals[sel].reshape(sel.size, u, -1),
-                      out=out[start:stop].reshape(sel.size, ea * eb, -1))
-            new_row[start:stop] = (first[r][:, None] + a_of[children]).ravel()
-            new_col[start:stop] = (first[c][:, None] + b_of[children]).ravel()
-            start = stop
-        keys = [k + (a,) for k, s in zip(keys, span) for a in range(s)]
-        key_deg = np.array([sum(k) for k in keys])
-        row, col, vals = new_row, new_col, out
-    table = np.empty((len(keys), len(keys)), dtype=complex)
-    table[row, col] = vals
-    return keys, table
+    return select_table(keys, table, indices)
 
 
 def moment(mu, alpha, beta, order: int = DEFAULT_ORDER) -> complex:

@@ -3,7 +3,8 @@
 Every Gaussian-weighted integral in the package runs through these rules.
 Integrands against shifted kernels e^{-(t-c)^2} are recentered onto the
 e^{-t^2} weight before quadrature, so the stated polynomial-exactness
-degrees stay meaningful.
+degrees stay meaningful.  Sums of one-axis tables over a tensor grid (moment
+tables, the Hermite-side matrix) are contracted an axis at a time by ``contract_axes``.
 """
 
 from __future__ import annotations
@@ -118,6 +119,52 @@ def tensor_sums(axes, weights, f) -> np.ndarray:
         pts = np.stack(np.broadcast_arrays(*slab(axes, block, first))).reshape(d, -1).T
         out[block] += np.einsum("ij,ij->i", w, np.broadcast_to(f(pts), pts.shape[:1]).reshape(w.shape))
     return out
+
+
+def contract_axes(tables, grid, maxdeg: int):
+    """Moments from per-axis tables by contracting the weight grid one axis at a time.
+
+    ``grid[i_1, .., i_n]`` weights the i_j-th value of each axis j, and
+    ``tables[j][i, a, b]`` is axis j's factor of order (a, b) at its i-th
+    value.  The state is a list of pairs of partial multi-indices over the
+    axes contracted so far, each holding its sum over those axes; only pairs
+    of degree <= maxdeg on both sides are extended, so the dense
+    (maxdeg+1)^(2n) tensor is never formed.  Returns the multi-indices of
+    degree <= maxdeg (prefix-lex order) and the moment table over them.
+    """
+    radix = maxdeg + 1
+    a_of, b_of = (e.ravel() for e in np.indices((radix, radix)))
+    keys = [()]
+    key_deg = np.zeros(1, dtype=int)
+    row = col = np.zeros(1, dtype=int)  # key ids of each pair
+    vals = grid[None]  # (pairs, remaining grid axes...)
+    for g in tables:
+        u = g.shape[0]
+        gt = np.moveaxis(g, 0, -1)  # (a, b, i)
+        span = radix - key_deg  # children of key k: ids first[k] + a for a < span[k]
+        first = np.cumsum(span) - span
+        out = np.empty((int(np.sum(span[row] * span[col])),) + vals.shape[2:], dtype=complex)
+        new_row = np.empty(out.shape[0], dtype=int)
+        new_col = np.empty(out.shape[0], dtype=int)
+        cls = key_deg[row] * radix + key_deg[col]
+        by_class = np.argsort(cls, kind="stable")
+        start = 0
+        for sel in np.split(by_class, np.flatnonzero(np.diff(cls[by_class])) + 1):
+            r, c = row[sel], col[sel]
+            ea, eb = span[r[0]], span[c[0]]
+            children = (a_of < ea) & (b_of < eb)
+            stop = start + sel.size * ea * eb
+            np.matmul(gt[:ea, :eb].reshape(ea * eb, u), vals[sel].reshape(sel.size, u, -1),
+                      out=out[start:stop].reshape(sel.size, ea * eb, -1))
+            new_row[start:stop] = (first[r][:, None] + a_of[children]).ravel()
+            new_col[start:stop] = (first[c][:, None] + b_of[children]).ravel()
+            start = stop
+        keys = [k + (a,) for k, s in zip(keys, span) for a in range(s)]
+        key_deg = np.array([sum(k) for k in keys])
+        row, col, vals = new_row, new_col, out
+    table = np.empty((len(keys), len(keys)), dtype=complex)
+    table[row, col] = vals
+    return keys, table
 
 
 def tensor_rule(orders) -> TensorRule:

@@ -5,7 +5,9 @@ correspondence e_alpha <-> h_alpha (normalized Hermite functions), to
 multiplication by a spectral function gamma on L2(R^n).  The correspondence
 is realized exactly through the bases rather than by discretizing the
 transform kernels, which removes one quadrature layer from the headline
-dual-path comparison.
+dual-path comparison.  The Hermite-side matrix is a Gauss-Hermite sum of
+w gamma against hhat_a(x_j) hhat_b(x_j) on every axis j, the shape of a moment
+table, so it goes through the moment pass's ``quadrature.contract_axes``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSet
-from .indices import HalfIndex, hermite
+from .indices import HalfIndex, hermite, select_table
 from .measures import DEFAULT_ORDER, Horizontal, MeasureSpec, dimension, real_sums
-from .quadrature import tensor_rule
+from .quadrature import contract_axes, gauss_hermite, tensor_rule
 from .toeplitz import (
     OperatorMatrix,
     assemble_real_coderivative,
@@ -33,11 +35,10 @@ _ORDER_MARGIN = 5
 
 @dataclass(frozen=True, eq=False)
 class SpectralSamples:
-    """gamma evaluated on a real grid, tied to its defining measure and order 2k."""
+    """gamma_{rho,2k} on the tensor Gauss-Hermite nodes of ``quad_order``, with its order k."""
 
     grid: np.ndarray
     values: np.ndarray
-    rho: object
     k: HalfIndex
     quad_order: int
 
@@ -68,37 +69,26 @@ def gamma_samples(rho, k: HalfIndex, order: int = DEFAULT_SPECTRAL_ORDER,
                   rho_order: int = DEFAULT_ORDER) -> SpectralSamples:
     grid = spectral_grid(dimension(rho), order)
     values = gamma_2k(rho, k, grid, rho_order)
-    return SpectralSamples(grid, values, rho, HalfIndex.of(k, dimension(rho)), order)
+    return SpectralSamples(grid, values, HalfIndex.of(k, dimension(rho)), order)
 
 
-def hermite_function_matrix(basis: BasisSet, points: np.ndarray) -> np.ndarray:
-    """Phi[pos, i] = prod_j hhat_{alpha_j}(x_ij), Hermite functions without the
+def hermite_function_matrix(degree: int, x) -> np.ndarray:
+    """Rows hhat_0(x) .. hhat_degree(x) at the nodes x: Hermite functions without the
     Gaussian half-weight (it lives in the folded quadrature weights)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = points.shape[0]
-    deg = basis.degree
-    axis_vals = []
-    for j in range(basis.n):
-        x = points[:, j]
-        vals = np.empty((deg + 1, m))
-        vals[0] = math.pi ** (-0.25)
-        if deg >= 1:
-            vals[1] = math.sqrt(2.0) * x * vals[0]
-        for mdeg in range(1, deg):
-            vals[mdeg + 1] = (
-                x * math.sqrt(2.0 / (mdeg + 1)) * vals[mdeg]
-                - math.sqrt(mdeg / (mdeg + 1)) * vals[mdeg - 1]
-            )
-        axis_vals.append(vals)
-    phi = np.ones((basis.size, m))
-    for pos, alpha in enumerate(basis.indices):
-        for j in range(basis.n):
-            phi[pos] = phi[pos] * axis_vals[j][alpha[j]]
-    return phi
+    x = np.asarray(x, dtype=float)
+    vals = np.empty((degree + 1, x.size))
+    vals[0] = math.pi ** (-0.25)
+    if degree >= 1:
+        vals[1] = math.sqrt(2.0) * x * vals[0]
+    for m in range(1, degree):
+        vals[m + 1] = x * math.sqrt(2.0 / (m + 1)) * vals[m] - math.sqrt(m / (m + 1)) * vals[m - 1]
+    return vals
 
 
 def multiplication_matrix(gamma, basis: BasisSet, order: int = DEFAULT_SPECTRAL_ORDER) -> OperatorMatrix:
-    """Matrix of multiplication by gamma in the orthonormal Hermite-function basis.
+    """Matrix of multiplication by gamma in the orthonormal Hermite-function basis:
+    ``contract_axes`` of the one-axis table g[i, a, b] = hhat_a(x_i) hhat_b(x_i),
+    shared by every axis, against w gamma on the order-q tensor nodes.
 
     ``gamma`` is either SpectralSamples on the default node grid or a callable
     on point arrays.  Quadrature order must cover the basis degree plus the
@@ -117,9 +107,10 @@ def multiplication_matrix(gamma, basis: BasisSet, order: int = DEFAULT_SPECTRAL_
         vals = np.asarray(gamma.values)
     else:
         vals = np.asarray(gamma(pts))
-    phi = hermite_function_matrix(basis, pts)
-    entries = (phi * (wts * vals)[None, :]) @ phi.T
-    return OperatorMatrix(basis, entries.astype(complex))
+    h = hermite_function_matrix(basis.degree, gauss_hermite(order).nodes).T
+    g = h[:, :, None] * h[:, None, :]
+    keys, table = contract_axes([g] * basis.n, (wts * vals).reshape((order,) * basis.n), basis.degree)
+    return OperatorMatrix(basis, select_table(keys, table, basis.indices))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from focklab.measures import (
     gaussian_density,
     lebesgue,
     pushforward,
+    real_gaussian,
     weight,
 )
 
@@ -173,3 +174,24 @@ def test_berezin_rows_of_a_product_make_one_pairing_call(monkeypatch):
     expected = 2.0**-3 * np.exp(-0.5 * np.sum(np.abs(z) ** 2, axis=1))
     assert np.max(np.abs(values - expected)) <= 1e-13
     assert math.isclose(values[np.argmax(np.abs(values))].real, 2.0**-3, rel_tol=1e-13)
+
+
+def _flat_gaussian():
+    return Density(lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1)), 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda e: ball_mass(lebesgue(2), e, (1, 1)),
+    lambda e: ball_mass(gaussian_density(2), e, (1, 1)),
+    lambda e: ball_mass(_flat_gaussian(), e, (1, 1)),
+    lambda e: ball_mass(Atoms(*two_axis_atoms(True)), e, (1, 1)),
+    lambda e: ball_mass(Horizontal(real_gaussian(2)), e, (1, 1)),
+    lambda e: toeplitz.berezin_measure(_flat_gaussian(), e, 8),
+    lambda e: toeplitz.berezin_measure(lebesgue(2), e),
+    lambda e: toeplitz.berezin_measure(Atoms(*two_axis_atoms(True)), e),
+    lambda e: toeplitz.berezin_measure(Horizontal(real_gaussian(2)), e),
+], ids=["lebesgue", "product-gaussian", "flat-density", "atoms", "horizontal-gaussian",
+        "berezin-flat-density", "berezin-lebesgue", "berezin-atoms", "berezin-horizontal-gaussian"])
+def test_zero_rows_give_an_empty_array(call):
+    out = call(np.zeros((0, 2), dtype=complex))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
