@@ -36,15 +36,6 @@ def as_multi_index(alpha, n: int | None = None) -> MultiIndex:
     return tuple(out)
 
 
-def index_leq(alpha, beta) -> bool:
-    """Componentwise partial order alpha <= beta."""
-    return all(a <= b for a, b in zip(alpha, beta))
-
-
-def index_sub(alpha, beta) -> MultiIndex:
-    return tuple(a - b for a, b in zip(alpha, beta))
-
-
 def index_add(alpha, beta) -> MultiIndex:
     return tuple(a + b for a, b in zip(alpha, beta))
 
@@ -169,14 +160,17 @@ class HalfIndex:
     @classmethod
     def of(cls, value, n: int | None = None, doubled: bool = True) -> "HalfIndex":
         """``value`` itself, or the HalfIndex whose entries it lists (doubled, or integers with
-        ``doubled=False``); a scalar entry is repeated over the ``n`` axes."""
-        if isinstance(value, cls):
-            return value
-        if np.ndim(value) == 0:
-            if n is None:
-                raise TypeError(f"a scalar index {value!r} needs the number of axes")
-            value = (value,) * n
-        return cls.from_doubled(value) if doubled else cls.from_ints(value)
+        ``doubled=False``); a scalar entry is repeated over the ``n`` axes.  Given ``n``, an
+        index with another number of axes is refused."""
+        if not isinstance(value, cls):
+            if np.ndim(value) == 0:
+                if n is None:
+                    raise TypeError(f"a scalar index {value!r} needs the number of axes")
+                value = (value,) * n
+            value = cls.from_doubled(value) if doubled else cls.from_ints(value)
+        if n is not None and value.n != n:
+            raise ValueError(f"index {value.doubled} (doubled) has {value.n} axes, expected {n}")
+        return value
 
     @classmethod
     def from_doubled(cls, values) -> "HalfIndex":

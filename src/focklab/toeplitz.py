@@ -1,8 +1,9 @@
 """Toeplitz matrices for measure symbols and coderivatives; Berezin transforms.
 
 Matrix convention: entry (beta, alpha) = <T e_alpha, e_beta>, rows and
-columns in the basis' graded-lex order.  Every assembly gathers its entries
-from one ``measures.moment_table``, so no entry is integrated on its own.
+columns in the basis' graded-lex order.  Every assembly reads one
+``measures.moment_table``, so no entry is integrated on its own; a derivative
+of f or g is a lowering step on that table's rows or columns.
 Every Berezin value of a measure is a ``measures.gaussian_pairing``, which
 a horizontal product factorizes into rho's pairing at Re z times one
 nu_alpha integral per axis, so no 2n-dimensional grid is built; rows of
@@ -12,7 +13,6 @@ paired in batches.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet, kernel_coefficients
-from .indices import HalfIndex, as_multi_index, factorial, index_leq, index_sub
+from .indices import HalfIndex, as_multi_index
 from .measures import (
     DEFAULT_ORDER,
     Horizontal,
@@ -65,66 +65,57 @@ def _locate_bad_entry(table: np.ndarray, basis: BasisSet):
         )
 
 
-def assemble_toeplitz(mu, basis: BasisSet, order: int = DEFAULT_ORDER) -> OperatorMatrix:
-    """T_mu f(z) = pi^{-n} int e^{z.wbar} f(w) e^{-|w|^2} dmu(w), truncated.
+def _assemble(mu, basis: BasisSet, order: int, steps=()) -> OperatorMatrix:
+    """The operator of the moment table m[alpha, beta] after each lowering step in ``steps``.
 
-    Entry (beta, alpha) = pi^{-n} m_{alpha,beta}(mu) / sqrt(alpha! beta!).
+    A derivative d/dw_j of f lowers the rows of m, one of g its columns:
+    m'[alpha, beta] = alpha_j m[alpha - e_j, beta], and 0 where alpha_j = 0.  A step
+    (j, axes) adds up the lowerings of the table axes in ``axes``, so (j, (0, 1)) is
+    d/dx_j of f conj(g).  Entry (beta, alpha) is then pi^{-n} m[alpha, beta] / sqrt(alpha! beta!).
     """
     table = moment_table(mu, list(basis.indices), order)
     _locate_bad_entry(table, basis)
+    for j, axes in steps:
+        src = [basis.position.get(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:], 0) for alpha in basis.indices]
+        factor = np.array([alpha[j] for alpha in basis.indices], dtype=float)
+        lowered = np.zeros_like(table)
+        for axis in axes:
+            term = np.take(table, src, axis=axis)
+            term *= np.expand_dims(factor, 1 - axis)
+            lowered += term
+        table = lowered
     sf = basis.sqrt_factorials
     entries = math.pi ** (-basis.n) * table.T / (sf[:, None] * sf[None, :])
     return OperatorMatrix(basis, entries)
 
 
-def _coderivative_from_table(table: np.ndarray, a, b, basis: BasisSet) -> np.ndarray:
-    n = basis.n
-    rows_ok, cols_ok, row_src, col_src, row_coef, col_coef = [], [], [], [], [], []
-    for pos, alpha in enumerate(basis.indices):
-        if index_leq(a, alpha):
-            cols_ok.append(pos)
-            col_src.append(basis.position[index_sub(alpha, a)])
-            col_coef.append((factorial(alpha) // factorial(index_sub(alpha, a))) / basis.sqrt_factorials[pos])
-        if index_leq(b, alpha):
-            rows_ok.append(pos)
-            row_src.append(basis.position[index_sub(alpha, b)])
-            row_coef.append((factorial(alpha) // factorial(index_sub(alpha, b))) / basis.sqrt_factorials[pos])
-    entries = np.zeros((basis.size, basis.size), dtype=complex)
-    if rows_ok and cols_ok:
-        sub = table[np.ix_(col_src, row_src)].T  # entry (beta, alpha) needs m_{alpha-a, beta-b}
-        coef = np.asarray(row_coef)[:, None] * np.asarray(col_coef)[None, :]
-        entries[np.ix_(rows_ok, cols_ok)] = math.pi ** (-n) * coef * sub
-    return entries
+def assemble_toeplitz(mu, basis: BasisSet, order: int = DEFAULT_ORDER) -> OperatorMatrix:
+    """T_mu f(z) = pi^{-n} int e^{z.wbar} f(w) e^{-|w|^2} dmu(w), truncated.
+
+    Entry (beta, alpha) = pi^{-n} m_{alpha,beta}(mu) / sqrt(alpha! beta!).
+    """
+    return _assemble(mu, basis, order)
 
 
 def assemble_coderivative(mu, a, b, basis: BasisSet, order: int = DEFAULT_ORDER) -> OperatorMatrix:
     """Operator of the sesquilinear form pi^{-n} int d^a f conj(d^b g) e^{-|w|^2} dmu."""
     a = as_multi_index(a, basis.n)
     b = as_multi_index(b, basis.n)
-    table = moment_table(mu, list(basis.indices), order)
-    _locate_bad_entry(table, basis)
-    return OperatorMatrix(basis, _coderivative_from_table(table, a, b, basis))
+    steps = [(j, (0,)) for j in range(basis.n) for _ in range(a[j])]
+    steps += [(j, (1,)) for j in range(basis.n) for _ in range(b[j])]
+    return _assemble(mu, basis, order, steps)
 
 
 def assemble_real_coderivative(mu, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER) -> OperatorMatrix:
-    """Binomial sum over b <= 2k of the (2k-b, b) coderivative operators.
+    """Operator of the sesquilinear form pi^{-n} int d_x^{2k}(f conj(g)) e^{-|w|^2} dmu, x = Re w.
 
-    Is assemble_toeplitz when |k| = 0; Hermitian for positive mu.
+    For holomorphic f and g, d/dx_j (f conj g) = (d_j f) conj(g) + f conj(d_j g), so
+    each of the (2k)_j steps on axis j lowers both table axes; expanded, this is the
+    binomial sum of the (2k - b, b) coderivatives.  Is assemble_toeplitz when
+    |k| = 0; Hermitian for positive mu.
     """
     two_k = HalfIndex.of(k, basis.n).order_index()
-    if len(two_k) != basis.n:
-        raise ValueError(f"k has {len(two_k)} axes, basis has {basis.n}")
-    if not any(two_k):
-        return assemble_toeplitz(mu, basis, order)
-    table = moment_table(mu, list(basis.indices), order)
-    _locate_bad_entry(table, basis)
-    entries = np.zeros((basis.size, basis.size), dtype=complex)
-    # the first axis of b varies fastest
-    for reversed_b in itertools.product(*(range(t + 1) for t in reversed(two_k))):
-        b = reversed_b[::-1]
-        coef = math.prod(math.comb(t, bj) for t, bj in zip(two_k, b))
-        entries += coef * _coderivative_from_table(table, index_sub(two_k, b), b, basis)
-    return OperatorMatrix(basis, entries)
+    return _assemble(mu, basis, order, [(j, (0, 1)) for j, t in enumerate(two_k) for _ in range(t)])
 
 
 def berezin_measure(mu, z, order: int = DEFAULT_ORDER):

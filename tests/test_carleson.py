@@ -22,6 +22,8 @@ from focklab.measures import (
     real_gaussian,
     weight,
 )
+from focklab.spectral import gamma_2k, gamma_samples
+from focklab.toeplitz import assemble_real_coderivative, berezin_coderivative
 
 K0 = HalfIndex.from_doubled((0,))
 K1 = HalfIndex.from_ints((1,))
@@ -227,3 +229,21 @@ def test_a_scalar_index_is_repeated_over_the_axes():
     for p in (0, 1):
         assert np.array_equal(ball_mass(weight(mu, p), z, r), ball_mass(weight(mu, (p, p)), z, r))
     assert weight_shift_check(mu, 2, 1, r, 1.0, 0.5) == weight_shift_check(mu, (2, 2), (1, 1), r, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: HalfIndex.of(HalfIndex.from_doubled(k), 2),
+    lambda k: berezin_coderivative(lebesgue(2), k, [0.5, 0.7]),
+    lambda k: weight(lebesgue(2), k),
+    lambda k: carleson_constant(lebesgue(2), k, (1.0, 1.0), window=1.0, spacing=0.5),
+    lambda k: weight_shift_check(lebesgue(2), (2, 2), k, (1.0, 1.0), 1.0, 0.5),
+    lambda k: gamma_2k(real_gaussian(2), k, np.zeros((3, 2))),
+    lambda k: gamma_samples(real_gaussian(2), k, 8),
+    lambda k: assemble_real_coderivative(lebesgue(2), k, enumerate_basis(2, 3)),
+], ids=["of", "berezin_coderivative", "weight", "carleson_constant", "weight_shift_check", "gamma_2k",
+        "gamma_samples", "assemble_real_coderivative"])
+@pytest.mark.parametrize("k", [(2,), (1, 1, 1)], ids=["short", "long"])
+def test_an_index_with_the_wrong_number_of_axes_is_refused(call, k):
+    # an index has one entry per axis of the measure; a short one must not broadcast, a long one not be cut
+    with pytest.raises(ValueError, match="axes, expected 2"):
+        call(k)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -15,6 +16,8 @@ from focklab.measures import (
     gaussian_density,
     lebesgue,
     moment,
+    moment_table,
+    pushforward,
     real_dirac,
     real_gaussian,
 )
@@ -152,6 +155,75 @@ def test_coderivative_pairing_identity_against_direct_quadrature():
             db = pows @ derivative(vb, bb, b)
             direct = np.sum(wts * density_vals * da * np.conj(db)) / math.pi
             assert t.entries[j, i] == pytest.approx(direct, abs=1e-8)
+
+
+def coderivative_reference(table, a, b, basis):
+    """The (a, b) coderivative gathered position by position from the moment table, with its
+    factorial ratios: the algorithm before the lowering steps."""
+    rows_ok, cols_ok, row_src, col_src, row_coef, col_coef = [], [], [], [], [], []
+    for pos, alpha in enumerate(basis.indices):
+        low_a = tuple(x - y for x, y in zip(alpha, a))
+        low_b = tuple(x - y for x, y in zip(alpha, b))
+        if min(low_a) >= 0:
+            cols_ok.append(pos)
+            col_src.append(basis.position[low_a])
+            col_coef.append((factorial(alpha) // factorial(low_a)) / basis.sqrt_factorials[pos])
+        if min(low_b) >= 0:
+            rows_ok.append(pos)
+            row_src.append(basis.position[low_b])
+            row_coef.append((factorial(alpha) // factorial(low_b)) / basis.sqrt_factorials[pos])
+    entries = np.zeros((basis.size, basis.size), dtype=complex)
+    if rows_ok and cols_ok:
+        sub = table[np.ix_(col_src, row_src)].T  # entry (beta, alpha) needs m_{alpha-a, beta-b}
+        coef = np.asarray(row_coef)[:, None] * np.asarray(col_coef)[None, :]
+        entries[np.ix_(rows_ok, cols_ok)] = math.pi ** (-basis.n) * coef * sub
+    return entries
+
+
+def real_coderivative_reference(mu, two_k, basis):
+    """The binomial sum over b <= 2k of the (2k - b, b) coderivatives."""
+    table = moment_table(mu, list(basis.indices))
+    entries = np.zeros((basis.size, basis.size), dtype=complex)
+    # the first axis of b varies fastest
+    for reversed_b in itertools.product(*(range(t + 1) for t in reversed(two_k))):
+        b = reversed_b[::-1]
+        coef = math.prod(math.comb(t, bj) for t, bj in zip(two_k, b))
+        a = tuple(t - bj for t, bj in zip(two_k, b))
+        entries += coef * coderivative_reference(table, a, b, basis)
+    return entries
+
+
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+REFERENCE_MEASURES_2D = {
+    "horizontal": lambda: Horizontal(real_gaussian(2)),
+    "atoms": lambda: Atoms([[0.3 + 0.2j, -0.5j], [1.0, 0.4]], [1.0, 0.5]),
+    "density": lambda: gaussian_density(2),
+    "pushforward": lambda: pushforward(Horizontal(real_gaussian(2)), _rotation(0.4)),
+}
+
+
+@pytest.mark.parametrize("make, n, degree, two_k", [
+    *[(lambda: Horizontal(real_gaussian(1)), 1, 30, (t,)) for t in (1, 2, 3)],
+    *[(make, 2, 16, two_k) for make in REFERENCE_MEASURES_2D.values() for two_k in ((1, 2), (2, 4))],
+    (lambda: Horizontal(real_gaussian(3)), 3, 10, (2, 2, 2)),
+], ids=[*(f"n1-{t}" for t in (1, 2, 3)),
+        *(f"n2-{name}-{t}" for name in REFERENCE_MEASURES_2D for t in ("12", "24")), "n3-222"])
+def test_real_coderivative_matches_the_binomial_sum_of_gathered_coderivatives(make, n, degree, two_k):
+    mu, b = make(), enumerate_basis(n, degree)
+    got = assemble_real_coderivative(mu, two_k, b).entries
+    want = real_coderivative_reference(mu, two_k, b)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", REFERENCE_MEASURES_2D)
+def test_coderivative_matches_the_gathered_reference(name):
+    mu, b = REFERENCE_MEASURES_2D[name](), enumerate_basis(2, 16)
+    got = assemble_coderivative(mu, (1, 0), (1, 2), b).entries
+    want = coderivative_reference(moment_table(mu, list(b.indices)), (1, 0), (1, 2), b)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_berezin_of_lebesgue_is_one():

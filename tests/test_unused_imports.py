@@ -1,11 +1,13 @@
-"""Every module-level import and private name in the package is used (a linter stand-in on the standard library)."""
+"""Every module-level import, private name and unexported public name in the package is used
+(a linter stand-in on the standard library)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "focklab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "focklab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -73,6 +75,52 @@ def unread_method_parameters(source: str) -> list[str]:
                 names, read = slots.get((fn.name, pos), (set(), False))
                 slots[fn.name, pos] = (names | {arg.arg}, read or arg.arg in loads)
     return sorted(f"{method}: {'/'.join(sorted(names))}" for (method, _), (names, read) in slots.items() if not read)
+
+
+def referenced_names(node) -> set[str]:
+    """Every name ``node`` mentions: identifiers, attributes, imported names and string constants."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found.add(n.value)
+    return found
+
+
+def unreferenced_public_names(modules: dict[str, str], exported: set[str], elsewhere=()) -> list[str]:
+    """Public module-level functions and classes of ``modules`` (name -> source) outside ``exported``
+    that nothing references outside their own definition: no other definition or module-level
+    statement of ``modules`` and no source in ``elsewhere``, as ``module.name``."""
+    definitions, outside = [], set().union(*(referenced_names(ast.parse(s)) for s in elsewhere))
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((module, node, referenced_names(node)))
+            else:
+                outside |= referenced_names(node)
+    return sorted(f"{module}.{node.name}" for module, node, _ in definitions
+                  if not node.name.startswith("_") and node.name not in exported and node.name not in outside
+                  and not any(node.name in names for _, other, names in definitions if other is not node))
+
+
+def test_every_unexported_public_name_is_referenced():
+    # a public name that neither the package exports nor any code reads is dead code
+    exported = {alias.asname or alias.name for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    elsewhere = [p.read_text() for d in ("scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced_public_names({p.stem: p.read_text() for p in MODULES}, exported, elsewhere) == []
+
+
+def test_detector_flags_an_unreferenced_public_name():
+    modules = {"a": "def kept():\n    return helper()\ndef helper():\n    return 1\n"
+                    "def dead(x):\n    return dead(x - 1)\nclass Dead:\n    pass\ndef _private():\n    pass\n",
+               "b": "from .a import kept\nTABLE = {'named': 1}\ndef named():\n    pass\ndef tool():\n    pass\n"}
+    assert unreferenced_public_names(modules, {"kept"}, ["from focklab.b import tool\n"]) == ["a.Dead", "a.dead"]
 
 
 def test_measure_protocol_parameters_are_read():
