@@ -60,25 +60,27 @@ def graded_lex_indices(n: int, max_degree: int) -> list[MultiIndex]:
 
 
 def _steps(indices: list[MultiIndex]):
-    """(column, j, parent column) of each nonconstant alpha = parent + e_j, j its first nonzero axis."""
+    """Per degree d >= 1, increasing: index arrays of its columns, their first nonzero axes j, parents alpha - e_j."""
     position = {a: i for i, a in enumerate(indices)}
+    by_degree = {}
     for col, alpha in enumerate(indices):
         if any(alpha):
             j = next(i for i, a in enumerate(alpha) if a > 0)
-            yield col, j, position[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]]
+            by_degree.setdefault(sum(alpha), []).append((col, j, position[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]]))
+    for d in sorted(by_degree):
+        yield tuple(np.array(x) for x in zip(*by_degree[d]))
 
 
 def monomial_matrix(points: np.ndarray, indices: list[MultiIndex]) -> np.ndarray:
     """Evaluate w^alpha for every point (rows) and multi-index (columns).
 
-    ``indices`` must be downward closed and graded (parents precede children),
-    which graded-lex enumerations are; powers are built incrementally from the
-    parent index with one fewer exponent.
+    ``indices`` must be downward closed; powers are built a degree at a time
+    from the parent index with one fewer exponent.
     """
     pts = np.atleast_2d(np.asarray(points))
     pows = np.ones((pts.shape[0], len(indices)), dtype=complex)
-    for col, j, parent in _steps(indices):
-        pows[:, col] = pows[:, parent] * pts[:, j]
+    for cols, js, parents in _steps(indices):
+        pows[:, cols] = pows[:, parents] * pts[:, js]
     return pows
 
 
@@ -86,8 +88,8 @@ def substitution_matrix(xstar: np.ndarray, indices: list[MultiIndex]) -> np.ndar
     """Coefficients C with (X* u)^alpha = sum_gamma C[gamma, alpha] u^gamma.
 
     The substitution preserves total degree, so C is block diagonal.  Every
-    multi-index up to the top degree must be in ``indices``, parents first;
-    column alpha is its parent's column times the linear form (X* u)_j.
+    multi-index up to the top degree must be in ``indices``; the columns of
+    one degree are their parents' columns times the linear forms (X* u)_j.
     """
     xstar = np.asarray(xstar, dtype=complex)
     position = {a: i for i, a in enumerate(indices)}
@@ -97,9 +99,9 @@ def substitution_matrix(xstar: np.ndarray, indices: list[MultiIndex]) -> np.ndar
     up = [np.array([position[index_add(indices[i], e)] for i in low], dtype=int)
           for e in np.eye(len(xstar), dtype=int).tolist()]
     c = np.diag([complex(not any(a)) for a in indices])
-    for col, j, parent in _steps(indices):
+    for cols, js, parents in _steps(indices):
         for m, rows in enumerate(up):
-            c[rows, col] += xstar[j, m] * c[low, parent]
+            c[np.ix_(rows, cols)] += xstar[js, m] * c[np.ix_(low, parents)]
     return c
 
 

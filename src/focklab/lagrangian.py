@@ -1,9 +1,10 @@
 """Symplectic linear algebra: Lagrangian frames, vertical rotations, invariance.
 
-A frame is n real vectors spanning an n-plane of R^{2n}; the plane is
-Lagrangian when the standard symplectic form vanishes on it.  Under the
-identification (x, y) <-> x + iy such a plane is U . R^n for a unitary U,
-and X = i U* rotates it onto the vertical plane i R^n.  Any two valid
+A frame is n real vectors b_j spanning an n-plane of R^{2n}; the plane is
+Lagrangian when the standard symplectic form vanishes on it, that is when the
+identified frame C (columns x_j + i y_j) has a real Gram matrix C*C, whose
+imaginary part is -omega_0(b_i, b_j).  Such a plane is U . R^n for a unitary
+U, and X = i U* rotates it onto the vertical plane i R^n.  Any two valid
 rotations differ by a real orthogonal factor on the left.
 """
 
@@ -28,37 +29,22 @@ from .toeplitz import (
 LAGRANGIAN_TOL = 1e-12
 
 
-def symplectic_matrix(n: int) -> np.ndarray:
-    """The standard 2n x 2n symplectic matrix J = [[0, I], [-I, 0]]."""
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = np.eye(n)
-    j[n:, :n] = -np.eye(n)
-    return j
-
-
-def symplectic_defect(vectors: np.ndarray) -> float:
-    """max_ij |omega_0(b_i, b_j)| over the frame vectors (rows of shape (n, 2n))."""
-    v = np.asarray(vectors, dtype=float)
+def complex_identification(vectors) -> np.ndarray:
+    """Columns c_j = x_j + i y_j of the frame (rows of shape (n, 2n)) under (x, y) <-> x + iy."""
+    v = np.atleast_2d(np.asarray(vectors, dtype=float))
     n = v.shape[0]
     if v.shape != (n, 2 * n):
         raise ValueError(f"frame must be n vectors in R^(2n), got shape {v.shape}")
-    omega = (symplectic_matrix(n) @ v.T).T @ v.T
-    return float(np.max(np.abs(omega)))
+    return (v[:, :n] + 1j * v[:, n:]).T
 
 
 def is_lagrangian(vectors) -> tuple[bool, float]:
-    """Whether the span is a Lagrangian plane, and the worst form violation."""
+    """Whether the span is a full-rank Lagrangian plane, and the worst form violation max |Im C*C|."""
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
-    defect = symplectic_defect(v)
+    c = complex_identification(v)
+    defect = float(np.max(np.abs((c.conj().T @ c).imag)))
     full_rank = np.linalg.matrix_rank(v, tol=1e-10) == v.shape[0]
     return bool(defect <= LAGRANGIAN_TOL and full_rank), defect
-
-
-def complex_identification(vectors) -> np.ndarray:
-    """Columns c_j = x_j + i y_j of the frame under (x, y) <-> x + iy."""
-    v = np.atleast_2d(np.asarray(vectors, dtype=float))
-    n = v.shape[0]
-    return (v[:, :n] + 1j * v[:, n:]).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,28 +66,23 @@ class LagrangianFrame:
 
     @cached_property
     def rotation(self) -> np.ndarray:
-        return rotation_to_vertical(self.vectors)
+        return rotation_to_vertical(self)
 
 
 def rotation_to_vertical(frame) -> np.ndarray:
     """A unitary X with X L = i R^n, deterministic given the frame.
 
-    The complex-identified frame matrix C has real Gram C*C exactly when the
-    plane is Lagrangian; polar orthonormalization U = C (C*C)^{-1/2} spans the
-    same plane, and X = i U* is vertical-rotating.  The leftover real
-    orthogonal gauge is fixed by sign-canonicalizing rows: the first
-    above-tolerance entry of each row of X gets a positive imaginary part
-    (positive real part as tie-break).
+    ``frame`` is a LagrangianFrame, or raw vectors that are validated as one.
+    Its identified Gram matrix C*C is real (``is_lagrangian``), so polar
+    orthonormalization U = C (C*C)^{-1/2} spans the same plane, and X = i U*
+    is vertical-rotating.  The leftover real orthogonal gauge is fixed by
+    sign-canonicalizing rows: the first above-tolerance entry of each row of
+    X gets a positive imaginary part (positive real part as tie-break).
     """
-    vectors = frame.vectors if isinstance(frame, LagrangianFrame) else np.atleast_2d(np.asarray(frame, dtype=float))
-    ok, defect = is_lagrangian(vectors)
-    if not ok:
-        raise ValueError(f"frame is not Lagrangian (max |omega_0| = {defect:.2e} or rank-deficient)")
-    c = complex_identification(vectors)
-    gram = c.conj().T @ c
-    if np.max(np.abs(gram.imag)) > 1e-10:
-        raise ValueError("identified frame has a non-real Gram matrix; plane is not Lagrangian")
-    evals, evecs = np.linalg.eigh(gram.real)
+    if not isinstance(frame, LagrangianFrame):
+        frame = LagrangianFrame(frame)
+    c = complex_identification(frame.vectors)
+    evals, evecs = np.linalg.eigh((c.conj().T @ c).real)
     if np.min(evals) < 1e-12 * np.max(evals):
         raise ValueError("frame is numerically degenerate; cannot orthonormalize")
     inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
@@ -122,8 +103,7 @@ def rotation_defect(frame, x: np.ndarray) -> float:
     Max of the unitarity defect and |Re(X c_j)| over the identified frame
     columns; <= 1e-12 certifies X L = i R^n at working precision.
     """
-    vectors = frame.vectors if isinstance(frame, LagrangianFrame) else np.atleast_2d(np.asarray(frame, dtype=float))
-    c = complex_identification(vectors)
+    c = complex_identification(frame.vectors if isinstance(frame, LagrangianFrame) else frame)
     c = c / np.linalg.norm(c, axis=0, keepdims=True)
     x = np.asarray(x, dtype=complex)
     unitarity = float(np.max(np.abs(x.conj().T @ x - np.eye(x.shape[0]))))

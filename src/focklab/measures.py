@@ -27,7 +27,7 @@ Every measure type implements one protocol, and the module functions
   polydisk masses' ``box_integral(x0, r, factor)`` of prod_j factor(j, t_j) per
   row of x0 (axis j's nodes reach the factor as rows (m, q), one per centre);
 - measures on C^n (``MeasureSpec``): ``nodes(center, order)``
-  (capped at ``quadrature.MAX_NODES`` nodes), ``pairing(centers, order)``
+  (refused by ``quadrature.check_nodes`` over ``MAX_NODES``), ``pairing(centers, order)``
   (one value per row of a batch of centres; the default sums the node
   weights centre by centre), ``moments(maxdeg, order)`` (each type's own
   moment route; the default is a Gram product over the nodes) and
@@ -57,7 +57,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyvander
 
 from .indices import HalfIndex, as_multi_index, graded_lex_indices, monomial_matrix, select_table, substitution_matrix
-from .quadrature import MAX_EVALS, MAX_NODES, contract_axes, gauss_hermite, gauss_legendre, tensor_grid, tensor_sums
+from .quadrature import MAX_EVALS, check_nodes, contract_axes, gauss_hermite, gauss_legendre, tensor_grid, tensor_sums
 
 DEFAULT_ORDER = 40
 _POLAR_ORDER = 40  # Gauss-Legendre radii per axis of a density's polydisk mass, with twice as many angles
@@ -293,9 +293,6 @@ class Density(_DensitySet, MeasureSpec):
         return contract_axes([g] * n, wts.reshape((pows.shape[0],) * n), maxdeg)
 
     def nodes(self, center, order: int):
-        size = gauss_hermite(order).order ** (2 * self.n)
-        if size > MAX_NODES:
-            raise ValueError(f"density discretization needs {size} nodes (cap {MAX_NODES})")
         axes, weights = self._axis_rules(center[None], order)
         pts, wts = tensor_grid([a[0] for a in axes], [w[0] for w in weights])
         return pts, wts * self.density(pts)
@@ -374,8 +371,7 @@ class AlphaHorizontal(MeasureSpec):
     def nodes(self, center, order: int):
         tpts, twts = real_nodes(self.rho, center.real, order)
         vpts, vwts = tensor_grid(*self._v_rule(center, order))
-        if tpts.shape[0] * vpts.shape[0] > MAX_NODES:
-            raise ValueError(f"horizontal discretization needs {tpts.shape[0] * vpts.shape[0]} nodes (cap {MAX_NODES})")
+        check_nodes(tpts.shape[0] * vpts.shape[0])
         pts = (tpts[:, None, :] + 1j * vpts[None, :, :]).reshape(-1, self.n)
         return pts, (twts[:, None] * vwts[None, :]).ravel()
 
@@ -519,10 +515,7 @@ class _ProductSet(_Measure):
         return self._flat(lambda pts: self.density(pts) * g(pts), self.n)
 
     def _tensor(self, sets):
-        """The tensor product of the factors' (nodes (q_j, 1), weights (q_j,)), capped at MAX_NODES."""
-        size = math.prod(w.size for _, w in sets)
-        if size > MAX_NODES:
-            raise ValueError(f"product discretization needs {size} nodes (cap {MAX_NODES})")
+        """The tensor product of the factors' (nodes (q_j, 1), weights (q_j,))."""
         return tensor_grid([p[:, 0] for p, _ in sets], [w for _, w in sets])
 
 

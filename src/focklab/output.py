@@ -13,8 +13,11 @@ import numpy as np
 from .toeplitz import OperatorMatrix
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_rows(path: Path, header: list[str], columns) -> Path:
+    """Write the header lines, then the repr values of each row of the float columns (1-d or 2-d, one length)."""
+    rows = np.column_stack(columns).tolist()
+    path.write_text("\n".join(header + [",".join(map(repr, row)) for row in rows]) + "\n")
+    return path
 
 
 def write_matrix_csv(op: OperatorMatrix, stem: Path) -> tuple[Path, Path]:
@@ -26,10 +29,8 @@ def write_matrix_csv(op: OperatorMatrix, stem: Path) -> tuple[Path, Path]:
     stem = Path(stem)
     matrix_path = stem.with_suffix(".csv")
     legend_path = stem.parent / (stem.name + "_legend.csv")
-    lines = []
-    for row in op.entries:
-        lines.append(",".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in row))
-    matrix_path.write_text("\n".join(lines) + "\n")
+    # a C-ordered complex array viewed as floats holds re, im of each entry side by side
+    _write_rows(matrix_path, [], [np.ascontiguousarray(op.entries, dtype=complex).view(float)])
     legend = ["position,degree,multi_index"]
     for i, alpha in enumerate(op.basis.indices):
         legend.append(f"{i},{sum(alpha)},{' '.join(str(a) for a in alpha)}")
@@ -43,11 +44,8 @@ def write_samples_csv(grid: np.ndarray, values: np.ndarray, path: Path) -> Path:
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     n = grid.shape[1]
     header = ",".join([f"x{j + 1}" for j in range(n)] + ["re", "im"])
-    lines = [header]
-    for x, v in zip(grid, np.asarray(values, dtype=complex)):
-        lines.append(",".join([_fmt(c) for c in x] + [_fmt(v.real), _fmt(v.imag)]))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    values = np.asarray(values, dtype=complex)
+    return _write_rows(path, [header], [grid, values.real, values.imag])
 
 
 def write_complex_grid_csv(z: np.ndarray, values: np.ndarray, path: Path) -> Path:
@@ -58,13 +56,8 @@ def write_complex_grid_csv(z: np.ndarray, values: np.ndarray, path: Path) -> Pat
     header = ",".join(
         [f"x{j + 1}" for j in range(n)] + [f"y{j + 1}" for j in range(n)] + ["re", "im"]
     )
-    lines = [header]
-    for zz, v in zip(z, np.asarray(values, dtype=complex)):
-        cells = [_fmt(c.real) for c in zz] + [_fmt(c.imag) for c in zz]
-        v = complex(v)
-        lines.append(",".join(cells + [_fmt(v.real), _fmt(v.imag)]))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    values = np.asarray(values, dtype=complex)
+    return _write_rows(path, [header], [z.real, z.imag, values.real, values.imag])
 
 
 def write_summary(path: Path, items: list[tuple[str, object]]) -> Path:

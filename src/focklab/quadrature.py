@@ -68,8 +68,6 @@ class TensorRule:
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Points (size, dim) and weights (size,) of the product rule."""
-        if self.size > MAX_NODES:
-            raise ValueError(f"tensor rule would materialize {self.size} nodes (cap {MAX_NODES})")
         return tensor_grid([r.nodes for r in self.rules], [r.weights for r in self.rules])
 
     def points(self) -> np.ndarray:
@@ -79,12 +77,19 @@ class TensorRule:
         return self.grid()[1]
 
 
+def check_nodes(count: int) -> None:
+    """Refuse a node set of more than ``MAX_NODES`` points before it is allocated."""
+    if count > MAX_NODES:
+        raise ValueError(f"discretization needs {count} nodes (cap {MAX_NODES})")
+
+
 def tensor_grid(axes, weights) -> tuple[np.ndarray, np.ndarray]:
     """Tensor product of per-axis nodes and weights, laid out in C order.
 
     Returns points of shape (m, d) and weights of shape (m,) with
     m = prod_j len(axes[j]); the last axis varies fastest.
     """
+    check_nodes(math.prod(len(a) for a in axes))
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     w = weights[0]

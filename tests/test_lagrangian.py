@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from focklab import lagrangian
 from focklab.basis import enumerate_basis
 from focklab.indices import HalfIndex
 from focklab.lagrangian import (
@@ -12,7 +13,6 @@ from focklab.lagrangian import (
     is_lagrangian,
     l_invariance_test,
     rotation_defect,
-    symplectic_matrix,
     vx_matrix,
 )
 from focklab.measures import (
@@ -29,9 +29,44 @@ from focklab.toeplitz import assemble_real_coderivative, assemble_toeplitz, inte
 K0 = HalfIndex.from_doubled((0,))
 
 
-def test_symplectic_matrix_squares_to_minus_one():
-    j = symplectic_matrix(3)
-    np.testing.assert_allclose(j @ j, -np.eye(6))
+def j_form_defect(vectors) -> float:
+    """Reference: max_ij |omega_0(b_i, b_j)| through the 2n x 2n matrix J = [[0, I], [-I, 0]]."""
+    v = np.asarray(vectors, dtype=float)
+    n = v.shape[0]
+    j = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    assert np.array_equal(j @ j, -np.eye(2 * n))
+    return float(np.max(np.abs((j @ v.T).T @ v.T)))
+
+
+def _frames(n, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    c = q @ (rng.standard_normal((n, n)) + 1.5 * np.eye(n))
+    yield np.hstack([c.T.real, c.T.imag])  # a real respan of a unitary's columns: Lagrangian
+    yield rng.standard_normal((n, 2 * n))  # a random real frame: not Lagrangian from n = 2 on
+    v = rng.standard_normal((n, 2 * n))
+    v[-1] = np.concatenate([v[0, n:], -v[0, :n]])  # a vector with its J-image, from n = 2 on
+    yield v
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gram_defect_matches_the_symplectic_form(seed, n):
+    for vectors in _frames(n, seed):
+        ok, defect = is_lagrangian(vectors)
+        reference = j_form_defect(vectors)
+        assert defect == pytest.approx(reference, rel=1e-15, abs=1e-15)
+        rank_ok = np.linalg.matrix_rank(vectors, tol=1e-10) == n
+        assert ok == (reference <= lagrangian.LAGRANGIAN_TOL and rank_ok)
+
+
+def test_frame_rotation_validates_the_frame_once(monkeypatch):
+    calls = []
+    original = lagrangian.is_lagrangian
+    monkeypatch.setattr(lagrangian, "is_lagrangian", lambda v: calls.append(1) or original(v))
+    frame = LagrangianFrame(np.array([[1.0, 0.0, 0.5, 0.3], [0.0, 1.0, 0.3, -0.2]]))
+    assert rotation_defect(frame, frame.rotation) <= 1e-12
+    assert len(calls) == 1
 
 
 def test_coordinate_planes_and_diagonal_are_lagrangian():

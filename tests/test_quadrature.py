@@ -5,9 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focklab import quadrature
 from focklab.basis import enumerate_basis
 from focklab.indices import hermite
-from focklab.measures import Lebesgue, lebesgue, real_nodes
+from focklab.measures import (
+    Density,
+    Horizontal,
+    Lebesgue,
+    gaussian_density,
+    gaussian_nodes,
+    lebesgue,
+    real_gaussian,
+    real_nodes,
+)
 from focklab.quadrature import (
     gauss_hermite,
     gauss_legendre,
@@ -188,3 +198,16 @@ def test_cached_rule_arrays_are_read_only():
     assert not (w.flags.writeable and np.shares_memory(w, rule.weights))
     assert assemble_toeplitz(lebesgue(1), enumerate_basis(1, 4)).entries[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert np.sum(gauss_hermite(40).weights) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assemble_toeplitz(lebesgue(3), enumerate_basis(3, 4)),  # 40^3 = 64,000 grid nodes
+    lambda: gaussian_nodes(Density(lambda pts: np.ones(pts.shape[0]), 2), np.zeros(2), 12),  # 12^4
+    lambda: gaussian_nodes(gaussian_density(2), np.zeros(2), 12),
+    lambda: gaussian_nodes(Horizontal(real_gaussian(2)), np.zeros(2), 12),
+    lambda: tensor_rule([120, 120]).grid(),
+], ids=["lebesgue-moments", "flat-density", "gaussian-product", "horizontal", "tensor-rule"])
+def test_every_node_set_is_refused_over_the_cap(build, monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_NODES", 10_000)
+    with pytest.raises(ValueError, match=r"nodes \(cap 10000\)"):
+        build()
