@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .indices import MultiIndex, factorial, graded_lex_indices, monomial_matrix
+from .indices import MultiIndex, graded_lex_indices, monomial_matrix
 
 MAX_BASIS_SIZE = 20_000
 
@@ -40,10 +40,6 @@ class BasisSet:
     def degrees(self) -> np.ndarray:
         return np.array([sum(a) for a in self.indices])
 
-    @cached_property
-    def sqrt_factorials(self) -> np.ndarray:
-        return np.array([math.sqrt(factorial(a)) for a in self.indices])
-
     def interior_positions(self) -> np.ndarray:
         """Positions of the interior block, |alpha| <= degree // 2."""
         return np.nonzero(self.degrees <= self.degree // 2)[0]
@@ -65,8 +61,7 @@ def enumerate_basis(n: int, degree: int) -> BasisSet:
 def kernel_coefficients(z, basis: BasisSet) -> np.ndarray:
     """Truncated expansion of K_z(w) = e^{conj(z) . w}: c_alpha = conj(z)^alpha / sqrt(alpha!)."""
     z = np.broadcast_to(np.asarray(z, dtype=complex), (basis.n,))
-    pows = monomial_matrix(np.conj(z)[None, :], list(basis.indices))[0]
-    return pows / basis.sqrt_factorials
+    return monomial_matrix(np.conj(z)[None, :], list(basis.indices))[0]
 
 
 def normalized_kernel(z, basis: BasisSet) -> np.ndarray:

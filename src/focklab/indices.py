@@ -1,9 +1,11 @@
-"""Multi-index arithmetic, half-integer orders, and Hermite polynomials.
+"""Multi-index arithmetic, the orthonormal Fock basis, half-integer orders, and Hermite polynomials.
 
 Multi-indices are plain tuples of nonnegative ints, one entry per complex
-axis.  Half-integer orders k in (Z+/2)^n are carried through their doubled
-values 2k, which keeps comparisons, differences and the derivative order
-2k itself exact.  Hermite polynomials use the physicists' convention
+axis.  Every table over them is born in the orthonormal basis
+e_alpha(w) = w^alpha / sqrt(alpha!) of F^2(C^n), so no other module scales
+by factorials.  Half-integer orders k in (Z+/2)^n are carried through their
+doubled values 2k, which keeps comparisons, differences and the derivative
+order 2k itself exact.  Hermite polynomials use the physicists' convention
 H_{m+1}(x) = 2 x H_m(x) - 2 m H_{m-1}(x), H_0 = 1.
 """
 
@@ -60,49 +62,73 @@ def graded_lex_indices(n: int, max_degree: int) -> list[MultiIndex]:
 
 
 def _steps(indices: list[MultiIndex]):
-    """Per degree d >= 1, increasing: index arrays of its columns, their first nonzero axes j, parents alpha - e_j."""
+    """Per degree d >= 1, increasing: index arrays of its columns, their first nonzero axes j,
+    parents alpha - e_j, and sqrt(alpha_j), the step e_alpha = e_(alpha - e_j) w_j / sqrt(alpha_j)."""
     position = {a: i for i, a in enumerate(indices)}
     by_degree = {}
     for col, alpha in enumerate(indices):
         if any(alpha):
             j = next(i for i, a in enumerate(alpha) if a > 0)
-            by_degree.setdefault(sum(alpha), []).append((col, j, position[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]]))
+            parent = position[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]]
+            by_degree.setdefault(sum(alpha), []).append((col, j, parent, math.sqrt(alpha[j])))
     for d in sorted(by_degree):
         yield tuple(np.array(x) for x in zip(*by_degree[d]))
 
 
 def monomial_matrix(points: np.ndarray, indices: list[MultiIndex]) -> np.ndarray:
-    """Evaluate w^alpha for every point (rows) and multi-index (columns).
+    """Evaluate e_alpha(w) = w^alpha / sqrt(alpha!) for every point (rows) and multi-index (columns).
 
-    ``indices`` must be downward closed; powers are built a degree at a time
-    from the parent index with one fewer exponent.
+    ``indices`` must be downward closed; values are built a degree at a time
+    from the parent index with one fewer exponent, one row per index, and
+    returned transposed.
     """
-    pts = np.atleast_2d(np.asarray(points))
-    pows = np.ones((pts.shape[0], len(indices)), dtype=complex)
-    for cols, js, parents in _steps(indices):
-        pows[:, cols] = pows[:, parents] * pts[:, js]
-    return pows
+    pts = np.atleast_2d(np.asarray(points)).T
+    pows = np.ones((len(indices), pts.shape[1]), dtype=complex)
+    for cols, js, parents, roots in _steps(indices):
+        pows[cols] = pows[parents] * (pts[js] / roots[:, None])
+    return pows.T
+
+
+def orthonormal_powers(degree: int, z) -> np.ndarray:
+    """e_0(z) .. e_degree(z), e_a = z^a / sqrt(a!), on a last axis (numpy's ``polyvander`` layout),
+    by the recurrence e_a = e_(a-1) z / sqrt(a) on a leading axis."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty((degree + 1,) + z.shape, dtype=complex)
+    out[0] = 1.0
+    for a in range(1, degree + 1):
+        np.multiply(out[a - 1], z / math.sqrt(a), out=out[a])
+    return np.moveaxis(out, 0, -1)
 
 
 def substitution_matrix(xstar: np.ndarray, indices: list[MultiIndex]) -> np.ndarray:
-    """Coefficients C with (X* u)^alpha = sum_gamma C[gamma, alpha] u^gamma.
+    """Coefficients C with e_alpha(X* u) = sum_gamma C[gamma, alpha] e_gamma(u): the matrix of
+    V_X f(u) = f(X* u) in the basis e_alpha = u^alpha / sqrt(alpha!), unitary for unitary X.
 
     The substitution preserves total degree, so C is block diagonal.  Every
     multi-index up to the top degree must be in ``indices``; the columns of
-    one degree are their parents' columns times the linear forms (X* u)_j.
+    one degree are their parents' columns times the linear forms (X* u)_j / sqrt(alpha_j).
     """
     xstar = np.asarray(xstar, dtype=complex)
     position = {a: i for i, a in enumerate(indices)}
     top = max(sum(a) for a in indices)
-    # multiplying by u_m moves the coefficient of u^gamma (rows ``low``) to u^(gamma + e_m) (rows up[m])
+    # u_m e_gamma = sqrt(gamma_m + 1) e_(gamma + e_m): the coefficient of e_gamma (rows ``low``)
+    # moves to rows up[m] with that factor
     low = [i for i, a in enumerate(indices) if sum(a) < top]
-    up = [np.array([position[index_add(indices[i], e)] for i in low], dtype=int)
-          for e in np.eye(len(xstar), dtype=int).tolist()]
+    up = [(np.array([position[index_add(indices[i], e)] for i in low], dtype=int),
+           np.sqrt([indices[i][m] + 1.0 for i in low])[:, None])
+          for m, e in enumerate(np.eye(len(xstar), dtype=int).tolist())]
     c = np.diag([complex(not any(a)) for a in indices])
-    for cols, js, parents in _steps(indices):
-        for m, rows in enumerate(up):
-            c[np.ix_(rows, cols)] += xstar[js, m] * c[np.ix_(low, parents)]
+    for cols, js, parents, roots in _steps(indices):
+        for m, (rows, raise_) in enumerate(up):
+            c[np.ix_(rows, cols)] += raise_ * (xstar[js, m] / roots) * c[np.ix_(low, parents)]
     return c
+
+
+def lowering(indices: list[MultiIndex], j: int):
+    """d/dw_j e_alpha = sqrt(alpha_j) e_(alpha - e_j): per index, the position of alpha - e_j
+    (0 where alpha_j = 0) and the factor sqrt(alpha_j), which is then 0."""
+    position = {a: i for i, a in enumerate(indices)}
+    return [position.get(a[:j] + (a[j] - 1,) + a[j + 1:], 0) for a in indices], np.sqrt([a[j] for a in indices])
 
 
 def select_table(keys: list[MultiIndex], table: np.ndarray, indices: list[MultiIndex]) -> np.ndarray:

@@ -112,15 +112,12 @@ def rotation_defect(frame, x: np.ndarray) -> float:
 
 
 def vx_matrix(x: np.ndarray, basis: BasisSet) -> np.ndarray:
-    """Matrix of V_X f(z) = f(X* z) on the truncated basis.
+    """Matrix of V_X f(z) = f(X* z) on the truncated basis: ``substitution_matrix(X*)``.
 
-    In monomials V_X is ``substitution_matrix(X*)``; the basis e_alpha =
-    z^alpha / sqrt(alpha!) rescales rows and columns.  V_X preserves total
-    degree, so it is block diagonal and stays exactly unitary in truncation.
+    V_X preserves total degree, so it is block diagonal and stays exactly
+    unitary in truncation.
     """
-    sf = basis.sqrt_factorials
-    c = substitution_matrix(np.conj(np.asarray(x, dtype=complex)).T, list(basis.indices))
-    return c * sf[:, None] / sf[None, :]
+    return substitution_matrix(np.conj(np.asarray(x, dtype=complex)).T, list(basis.indices))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,9 @@ Every measure type implements one protocol, and the module functions
   (refused by ``quadrature.check_nodes`` over ``MAX_NODES``), ``pairing(centers, order)``
   (one value per row of a batch of centres; the default sums the node
   weights centre by centre), ``moments(maxdeg, order)`` (each type's own
-  moment route; the default is a Gram product over the nodes) and
+  moment route, a table in the orthonormal basis e_alpha = w^alpha /
+  sqrt(alpha!) built by ``indices``; the default is a Gram product over the
+  nodes) and
   ``ball_mass(centers, r)`` (one polydisk mass per row of a batch of centres,
   by fixed rules: 48-node chords, and a polar rule of 40 radii by 80 angles
   per axis for densities).
@@ -54,9 +56,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyvander
 
-from .indices import HalfIndex, as_multi_index, graded_lex_indices, monomial_matrix, select_table, substitution_matrix
+from .indices import HalfIndex, as_multi_index, graded_lex_indices, monomial_matrix, orthonormal_powers
+from .indices import select_table, substitution_matrix
 from .quadrature import MAX_EVALS, check_nodes, contract_axes, gauss_hermite, gauss_legendre, tensor_grid, tensor_sums
 
 DEFAULT_ORDER = 40
@@ -182,7 +184,7 @@ class MeasureSpec(_Measure):
         return np.array([np.sum(gaussian_nodes(self, c, order)[1]) for c in centers], dtype=complex)
 
     def moments(self, maxdeg: int, order: int):
-        """(keys, table): the moments over all degrees <= maxdeg, by a Gram product over the nodes."""
+        """(keys, table): the moments in e_alpha over all degrees <= maxdeg, by a Gram product over the nodes."""
         keys = graded_lex_indices(self.n, maxdeg)
         pts, wts = gaussian_nodes(self, np.zeros(self.n), order)
         table = np.zeros((len(keys), len(keys)), dtype=complex)
@@ -284,11 +286,14 @@ class Density(_DensitySet, MeasureSpec):
         return [c[:, None] + z for c in centers.T], [w] * self.n
 
     def moments(self, maxdeg: int, order: int):
-        # per-axis tables z^a conj(z)^b on the q^2 complex nodes of each axis, against the weight grid
+        # one axis (every gaussian_density factor) is the Gram product over its q^2 nodes
+        if self.n == 1:
+            return super().moments(maxdeg, order)
+        # per-axis tables e_a(z) conj(e_b(z)) on the q^2 complex nodes of each axis, against the weight grid
         n = self.n
         _, wts = gaussian_nodes(self, np.zeros(n), order)
         axes, _ = self._axis_rules(np.zeros((1, n)), order)
-        pows = polyvander(axes[0][0], maxdeg)
+        pows = orthonormal_powers(maxdeg, axes[0][0])
         g = pows[:, :, None] * np.conj(pows)[:, None, :]
         return contract_axes([g] * n, wts.reshape((pows.shape[0],) * n), maxdeg)
 
@@ -358,13 +363,13 @@ class AlphaHorizontal(MeasureSpec):
         return rho_part * math.prod(w.sum(axis=1) for w in self._v_rule(centers, order)[1])
 
     def moments(self, maxdeg: int, order: int):
-        # per-axis tables g_j[i, a, b] = sum_v w(v) (t_i+iv)^a (t_i-iv)^b (1+v^2)^{-alpha_j}
+        # per-axis tables g_j[i, a, b] = sum_v w(v) e_a(t_i+iv) conj(e_b(t_i+iv)) (1+v^2)^{-alpha_j}
         # on the distinct t-values of each axis, contracted against rho's weight grid
         axes, grid = self.rho.axis_grid(order)
         vaxes, vweights = self._v_rule(np.zeros(self.n), order)
         tables = []
         for t, v, wv in zip(axes, vaxes, vweights):
-            pows = polyvander(t[:, None] + 1j * v[None, :], maxdeg)
+            pows = orthonormal_powers(maxdeg, t[:, None] + 1j * v[None, :])
             tables.append(np.swapaxes(pows * wv[None, :, None], 1, 2) @ np.conj(pows))
         return contract_axes(tables, grid, maxdeg)
 
@@ -528,11 +533,16 @@ class RealProduct(_ProductSet):
         return self._tensor([real_nodes(f, center[j:j + 1], order, scale) for j, f in enumerate(self.factors)])
 
     def real_sums(self, centers, order: int, scale: float, factor):
-        return math.prod(real_sums(f, centers[:, j:j + 1], lambda _, c, t, j=j: factor(j, c, t), order, scale)
-                         for j, f in enumerate(self.factors))
+        # axis j's sum depends on a centre only through c_j: one per distinct c_j, gathered back
+        def axis(j, f):
+            values, back = np.unique(centers[:, j], return_inverse=True)
+            return real_sums(f, values[:, None], lambda _, c, t: factor(j, c, t), order, scale)[back]
+
+        return math.prod(axis(j, f) for j, f in enumerate(self.factors))
 
     def axis_grid(self, order: int):
         axes, grids = zip(*(f.axis_grid(order) for f in self.factors))
+        check_nodes(math.prod(g.size for g in grids))
         return tuple(a[0] for a in axes), functools.reduce(np.multiply.outer, grids)
 
     def box_integral(self, x0, r, factor):
@@ -717,11 +727,13 @@ def gaussian_pairings(mu, centers, order: int = DEFAULT_ORDER) -> np.ndarray:
 
 
 def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """All moments m_{alpha,beta} for alpha, beta in ``indices`` as one pass.
+    """All moments for alpha, beta in ``indices`` as one pass, in the orthonormal basis:
+    entry m_{alpha,beta} / sqrt(alpha! beta!) = int e_alpha conj(e_beta) e^{-|w|^2} dmu.
 
     ``indices`` may be any set of multi-indices, in any order.  The table is
-    the shared input for every operator assembly; entry growth or a violated
-    decay contract surfaces as a non-finite value located by the caller.
+    the shared input for every operator assembly, pi^n times its transpose
+    for the Toeplitz matrix; entry growth or a violated decay contract
+    surfaces as a non-finite value located by the caller.
 
     ``order`` is a floor: the rule has max(order, D + 1) nodes per axis, the
     fewest exact for the polynomial part of every entry; past order 200 or
@@ -729,13 +741,13 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
 
     The measure's ``moments`` gives the table over all degrees <= D, which
     is gathered into the caller's order.  ``AlphaHorizontal`` (every weighted
-    horizontal product) and ``Density`` contract per-axis tables on the
-    distinct node values one axis at a time (``quadrature.contract_axes``), about
-    (D+1)^2 operations per grid point instead of N^2 per node.  A ``Product``
-    gathers its table from n one-axis (D+1)^2 tables.  A pushforward
-    mu_X conjugates its base's table by the substitution matrix of X* (V_X in
-    monomials).  Complex atoms and weighted pushforwards, whose weight is not
-    rotation invariant, pay a Gram product over their nodes.
+    horizontal product) and an n >= 2 ``Density`` contract per-axis tables on
+    the distinct node values one axis at a time (``quadrature.contract_axes``),
+    about (D+1)^2 operations per grid point instead of N^2 per node.  A
+    ``Product`` gathers its table from n one-axis (D+1)^2 tables.  A pushforward
+    mu_X conjugates its base's table by the substitution matrix of X* (V_X).
+    Complex atoms, one-axis densities and weighted pushforwards, whose weight
+    is not rotation invariant, pay a Gram product over their nodes.
     """
     indices = [tuple(a) for a in indices]
     maxdeg = max(sum(a) for a in indices)
@@ -744,8 +756,8 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
 
 
 def moment(mu, alpha, beta, order: int = DEFAULT_ORDER) -> complex:
-    """m_{alpha,beta}(mu) = int w^alpha conj(w)^beta e^{-|w|^2} dmu(w), node by node
-    at the order floor max(order, |alpha| + 1, |beta| + 1)."""
+    """The raw moment m_{alpha,beta}(mu) = int w^alpha conj(w)^beta e^{-|w|^2} dmu(w), node by node
+    at the order floor max(order, |alpha| + 1, |beta| + 1): the per-node reference."""
     n = dimension(mu)
     alpha = as_multi_index(alpha, n)
     beta = as_multi_index(beta, n)

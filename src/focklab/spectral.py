@@ -20,7 +20,7 @@ import numpy as np
 from .basis import BasisSet
 from .indices import HalfIndex, hermite, select_table
 from .measures import DEFAULT_ORDER, Horizontal, MeasureSpec, dimension, real_sums
-from .quadrature import contract_axes, gauss_hermite, tensor_rule
+from .quadrature import MAX_NODES, contract_axes, gauss_hermite, tensor_rule
 from .toeplitz import (
     OperatorMatrix,
     assemble_real_coderivative,
@@ -189,6 +189,13 @@ def norm_and_spectrum(op: OperatorMatrix, samples: SpectralSamples) -> SpectrumR
     opnorm = radius if defect < 1e-10 else float(np.linalg.norm(entries, 2))
     gvals = np.asarray(samples.values)
     gsup = float(np.max(np.abs(gvals)))
-    dist = np.abs(eigs[:, None] - gvals[None, :])
-    eig_to_range = float(np.max(np.min(dist, axis=1)))
-    return SpectrumReport(opnorm, radius, gsup, eig_to_range, defect)
+    if not np.any(np.imag(gvals)):
+        # the real sample nearest an eigenvalue neighbours its real part in the sorted samples
+        s = np.sort(np.real(gvals))
+        i = np.searchsorted(s, eigs.real)
+        near = np.minimum(np.abs(eigs - s[np.maximum(i - 1, 0)]), np.abs(eigs - s[np.minimum(i, s.size - 1)]))
+    else:  # complex samples: eigenvalue blocks of at most MAX_NODES distances, never N x q^n
+        step = max(1, MAX_NODES // gvals.size)
+        near = np.concatenate([np.min(np.abs(eigs[i:i + step, None] - gvals), axis=1)
+                               for i in range(0, eigs.size, step)])
+    return SpectrumReport(opnorm, radius, gsup, float(np.max(near)), defect)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet, kernel_coefficients
-from .indices import HalfIndex, as_multi_index
+from .indices import HalfIndex, as_multi_index, lowering
 from .measures import (
     DEFAULT_ORDER,
     Horizontal,
@@ -66,33 +66,32 @@ def _locate_bad_entry(table: np.ndarray, basis: BasisSet):
 
 
 def _assemble(mu, basis: BasisSet, order: int, steps=()) -> OperatorMatrix:
-    """The operator of the moment table m[alpha, beta] after each lowering step in ``steps``.
+    """The operator of the moment table m[alpha, beta] (in e_alpha) after each lowering step in ``steps``.
 
     A derivative d/dw_j of f lowers the rows of m, one of g its columns:
-    m'[alpha, beta] = alpha_j m[alpha - e_j, beta], and 0 where alpha_j = 0.  A step
+    m'[alpha, beta] = sqrt(alpha_j) m[alpha - e_j, beta], and 0 where alpha_j = 0.  A step
     (j, axes) adds up the lowerings of the table axes in ``axes``, so (j, (0, 1)) is
-    d/dx_j of f conj(g).  Entry (beta, alpha) is then pi^{-n} m[alpha, beta] / sqrt(alpha! beta!).
+    d/dx_j of f conj(g).  Entry (beta, alpha) is then pi^{-n} m[alpha, beta].
     """
-    table = moment_table(mu, list(basis.indices), order)
+    # past the float range the moment pass overflows; the located refusal is the only signal
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = moment_table(mu, list(basis.indices), order)
     _locate_bad_entry(table, basis)
     for j, axes in steps:
-        src = [basis.position.get(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:], 0) for alpha in basis.indices]
-        factor = np.array([alpha[j] for alpha in basis.indices], dtype=float)
+        src, factor = lowering(list(basis.indices), j)
         lowered = np.zeros_like(table)
         for axis in axes:
             term = np.take(table, src, axis=axis)
             term *= np.expand_dims(factor, 1 - axis)
             lowered += term
         table = lowered
-    sf = basis.sqrt_factorials
-    entries = math.pi ** (-basis.n) * table.T / (sf[:, None] * sf[None, :])
-    return OperatorMatrix(basis, entries)
+    return OperatorMatrix(basis, math.pi ** (-basis.n) * table.T)
 
 
 def assemble_toeplitz(mu, basis: BasisSet, order: int = DEFAULT_ORDER) -> OperatorMatrix:
     """T_mu f(z) = pi^{-n} int e^{z.wbar} f(w) e^{-|w|^2} dmu(w), truncated.
 
-    Entry (beta, alpha) = pi^{-n} m_{alpha,beta}(mu) / sqrt(alpha! beta!).
+    Entry (beta, alpha) = pi^{-n} m_{alpha,beta}(mu) / sqrt(alpha! beta!), the moment table in e_alpha.
     """
     return _assemble(mu, basis, order)
 

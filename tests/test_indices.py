@@ -86,7 +86,7 @@ def test_monomial_matrix_incremental_powers():
     idx = graded_lex_indices(2, 3)
     pows = monomial_matrix(pts, idx)
     for j, alpha in enumerate(idx):
-        expected = pts[:, 0] ** alpha[0] * pts[:, 1] ** alpha[1]
+        expected = pts[:, 0] ** alpha[0] * pts[:, 1] ** alpha[1] / math.sqrt(factorial(alpha))
         np.testing.assert_allclose(pows[:, j], expected)
 
 

@@ -253,7 +253,8 @@ def test_moment_table_matches_single_moments():
     table = moment_table(mu, idx)
     for i, a in enumerate(idx):
         for j, b in enumerate(idx):
-            assert table[i, j] == pytest.approx(moment(mu, a, b), rel=1e-12, abs=1e-12)
+            want = moment(mu, a, b) / math.sqrt(math.factorial(a[0]) * math.factorial(b[0]))
+            assert table[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_alpha_horizontal_chord_weight_oracle():
@@ -347,8 +348,8 @@ def test_parse_rejects_garbage(spec):
 
 
 def test_moment_matches_table_past_default_order():
-    # m_{a,a}(Lebesgue) = pi a!; degree 45 needs more than the default 40 nodes
+    # m_{a,a}(Lebesgue) = pi a!, pi in e_a; degree 45 needs more than the default 40 nodes
     table = moment_table(lebesgue(1), [(a,) for a in range(46)])
     exact = math.pi * math.factorial(45)
-    assert table[45, 45] == pytest.approx(exact, rel=1e-13)
-    assert moment(lebesgue(1), (45,), (45,)) == pytest.approx(table[45, 45], rel=1e-13)
+    assert table[45, 45] == pytest.approx(exact / math.factorial(45), rel=1e-13)
+    assert moment(lebesgue(1), (45,), (45,)) == pytest.approx(math.factorial(45) * table[45, 45], rel=1e-13)

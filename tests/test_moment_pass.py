@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from focklab.basis import enumerate_basis
-from focklab.indices import HalfIndex, graded_lex_indices
+from focklab.indices import HalfIndex, factorial, graded_lex_indices
 from focklab.measures import (
     AlphaHorizontal,
     Atoms,
@@ -31,9 +31,9 @@ ORDER = 12  # small enough for a per-node reference, >= D + 1 so both use the sa
 
 
 def per_node_table(mu, indices, order=ORDER):
-    """sum_i w_i z_i^alpha conj(z_i)^beta over every quadrature node of mu."""
+    """sum_i w_i z_i^alpha conj(z_i)^beta / sqrt(alpha! beta!) over every quadrature node of mu."""
     pts, wts = gaussian_nodes(mu, np.zeros(dimension(mu)), order)
-    pows = np.stack([np.prod(pts ** np.array(a), axis=1) for a in indices], axis=1)
+    pows = np.stack([np.prod(pts ** np.array(a), axis=1) / math.sqrt(factorial(a)) for a in indices], axis=1)
     return (pows * wts[:, None]).T @ np.conj(pows)
 
 
@@ -134,6 +134,8 @@ def test_horizontal_gaussian_n3_exact_moments():
     axis = np.array([[float(_horizontal_gaussian_axis(a, b)) for b in range(9)] for a in range(9)])
     exact = (math.pi / math.sqrt(2.0)) ** 3 * np.prod(
         [axis[idx[:, j][:, None], idx[:, j][None, :]] for j in range(3)], axis=0)
+    sf = np.array([math.sqrt(factorial(a)) for a in idx])
+    exact /= np.outer(sf, sf)
     assert np.max(np.abs(table - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
@@ -148,6 +150,19 @@ def test_n4_degree8_stays_under_memory_bound():
     assert peak < 512e6
     assert table.shape == (495, 495)
     assert table[0, 0] == pytest.approx((math.pi / math.sqrt(2.0)) ** 4, rel=1e-12)
+
+
+def test_one_axis_density_table_is_a_gram_product():
+    # the (q^2, D+1, D+1) per-axis table would be 3,721 x 61 x 61 complex values (221 MB) here
+    b = enumerate_basis(1, 60)
+    tracemalloc.start()
+    try:
+        t = assemble_toeplitz(gaussian_density(1), b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+    assert np.max(np.abs(t.entries - np.diag(0.5 ** (np.arange(b.size) + 1.0)))) <= 1e-15
 
 
 def test_product_path_growth_surfaces_with_location():

@@ -29,7 +29,7 @@ from focklab.measures import (
     variation,
     weight,
 )
-from focklab.spectral import gamma_2k
+from focklab.spectral import gamma_2k, spectral_grid
 
 RTOL = 1e-13
 SIGMAS = [0.7, 1.0, 1.5]
@@ -142,6 +142,20 @@ def test_pushforwards(n, sigma):
     mu, ref = pushforward(Horizontal(real_gaussian(2, sigma)), turn), pushforward(Horizontal(flat_real(2, sigma)), turn)
     assert type(mu.rho) is RealDensity
     assert_close(gaussian_pairings(mu, c), gaussian_pairings(ref, c))
+
+
+def test_product_sums_see_each_centre_coordinate_once():
+    # a 20 x 20 tensor grid has 20 distinct coordinates per axis; the spy factor sees their nodes only
+    seen = []
+
+    def spy_density(pts):
+        seen.append(pts.shape[0])
+        return np.exp(-pts[:, 0] ** 2)
+
+    rho = RealProduct((RealDensity(spy_density, 1), real_gaussian(1)))
+    grid = spectral_grid(2, 20)
+    assert_close(gamma_2k(rho, (2, 1), grid, 16), gamma_2k(flat_real(2, 1.0), (2, 1), grid, 16))
+    assert sum(seen) == 20 * 16
 
 
 def test_three_axis_polydisk_mass_is_a_product_of_disk_masses():

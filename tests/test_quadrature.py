@@ -205,8 +205,10 @@ def test_cached_rule_arrays_are_read_only():
     lambda: gaussian_nodes(Density(lambda pts: np.ones(pts.shape[0]), 2), np.zeros(2), 12),  # 12^4
     lambda: gaussian_nodes(gaussian_density(2), np.zeros(2), 12),
     lambda: gaussian_nodes(Horizontal(real_gaussian(2)), np.zeros(2), 12),
+    lambda: assemble_toeplitz(Horizontal(real_gaussian(3)), enumerate_basis(3, 4)),  # its 40^3 weight grid
     lambda: tensor_rule([120, 120]).grid(),
-], ids=["lebesgue-moments", "flat-density", "gaussian-product", "horizontal", "tensor-rule"])
+], ids=["lebesgue-moments", "flat-density", "gaussian-product", "horizontal", "product-weight-grid",
+        "tensor-rule"])
 def test_every_node_set_is_refused_over_the_cap(build, monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_NODES", 10_000)
     with pytest.raises(ValueError, match=r"nodes \(cap 10000\)"):

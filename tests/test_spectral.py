@@ -288,6 +288,46 @@ def test_operator_norm_of_both_branches_is_the_svd_norm():
         assert rep.operator_norm == pytest.approx(float(np.linalg.norm(op.entries, 2)), rel=1e-12)
 
 
+def brute_force_distance(eigs, gvals):
+    return float(np.max(np.min(np.abs(eigs[:, None] - gvals[None, :]), axis=1)))
+
+
+@pytest.mark.parametrize("n, degree", [(1, 20), (2, 12)])
+@pytest.mark.parametrize("rho", [real_gaussian, lambda n: RealAtoms([[0.3] * n, [-0.8] * n], [0.6, 0.4 - 0.2j])],
+                         ids=["real-samples", "complex-samples"])
+def test_eig_to_range_is_the_brute_force_distance(rho, n, degree, monkeypatch):
+    from focklab import spectral
+    from focklab.toeplitz import OperatorMatrix, assemble_toeplitz
+
+    monkeypatch.setattr(spectral, "MAX_NODES", 1_000)  # blocks of a few eigenvalues for complex samples
+    b = enumerate_basis(n, degree)
+    samples = gamma_samples(rho(n), (0,) * n, 24)
+    hermitian = assemble_toeplitz(Horizontal(rho(n)), b)
+    skew = OperatorMatrix(b, hermitian.entries @ np.diag(np.exp(1j * np.arange(b.size))))
+    for op in (hermitian, skew):
+        entries = op.entries
+        eigs = (np.linalg.eigvalsh((entries + entries.conj().T) / 2.0).astype(complex)
+                if op.hermitian_defect() < 1e-10 else np.linalg.eigvals(entries))
+        assert norm_and_spectrum(op, samples).eig_to_range == brute_force_distance(eigs, samples.values)
+
+
+def test_norm_and_spectrum_stays_under_memory_bound():
+    # the eigenvalue-by-sample distance array would be 231 x 6,400 complex values (24 MB)
+    from focklab.toeplitz import assemble_toeplitz
+
+    b = enumerate_basis(2, 20)
+    samples = gamma_samples(real_gaussian(2), (0, 0), 80)
+    op = assemble_toeplitz(Horizontal(real_gaussian(2)), b)
+    tracemalloc.start()
+    try:
+        rep = norm_and_spectrum(op, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert rep.eig_to_range < 0.05
+
+
 def phi_reference(gamma, basis, order=80):
     """The Hermite-side matrix as (Phi * w gamma) @ Phi.T, Phi[pos, i] = prod_j hhat_{alpha_j}(x_ij)
     built position by position on the order-q tensor nodes: the algorithm before the contraction."""

@@ -143,7 +143,7 @@ def test_coderivative_pairing_identity_against_direct_quadrature():
     pts2 = rule.points()
     wts = rule.weights()
     w = pts2[:, :1] + 1j * pts2[:, 1:]
-    pows = monomial_matrix(w, list(b.indices)) / b.sqrt_factorials
+    pows = monomial_matrix(w, list(b.indices))
     density_vals = mu.density(w)
     for i, alpha in enumerate(b.indices):
         va = np.zeros(b.size, dtype=complex)
@@ -157,9 +157,13 @@ def test_coderivative_pairing_identity_against_direct_quadrature():
             assert t.entries[j, i] == pytest.approx(direct, abs=1e-8)
 
 
+def sqrt_factorial(alpha) -> float:
+    return math.sqrt(factorial(alpha))
+
+
 def coderivative_reference(table, a, b, basis):
-    """The (a, b) coderivative gathered position by position from the moment table, with its
-    factorial ratios: the algorithm before the lowering steps."""
+    """The (a, b) coderivative gathered position by position from the moment table in e_alpha,
+    with its factorial ratios: the algorithm before the lowering steps."""
     rows_ok, cols_ok, row_src, col_src, row_coef, col_coef = [], [], [], [], [], []
     for pos, alpha in enumerate(basis.indices):
         low_a = tuple(x - y for x, y in zip(alpha, a))
@@ -167,11 +171,11 @@ def coderivative_reference(table, a, b, basis):
         if min(low_a) >= 0:
             cols_ok.append(pos)
             col_src.append(basis.position[low_a])
-            col_coef.append((factorial(alpha) // factorial(low_a)) / basis.sqrt_factorials[pos])
+            col_coef.append((factorial(alpha) // factorial(low_a)) * sqrt_factorial(low_a) / sqrt_factorial(alpha))
         if min(low_b) >= 0:
             rows_ok.append(pos)
             row_src.append(basis.position[low_b])
-            row_coef.append((factorial(alpha) // factorial(low_b)) / basis.sqrt_factorials[pos])
+            row_coef.append((factorial(alpha) // factorial(low_b)) * sqrt_factorial(low_b) / sqrt_factorial(alpha))
     entries = np.zeros((basis.size, basis.size), dtype=complex)
     if rows_ok and cols_ok:
         sub = table[np.ix_(col_src, row_src)].T  # entry (beta, alpha) needs m_{alpha-a, beta-b}
@@ -337,11 +341,21 @@ def test_moment_growth_surfaces_with_location():
 
 
 def test_float_range_refusal_names_both_causes():
-    # Lebesgue measure meets the growth contract; at D = 150 its moments leave the float range.
-    # The located refusal is the only signal: no numpy warning comes first.
+    # Lebesgue measure meets the growth contract.  In e_alpha its table stays in the float range at
+    # D = 150, while its raw moment m_{150,150} = pi 150! leaves it.
+    b = enumerate_basis(1, 150)
+    assert np.max(np.abs(assemble_toeplitz(lebesgue(1), b).entries - np.eye(b.size))) <= 1e-14
+    # An atom at t = 1e120 leaves the float range from degree 3 on.  The located refusal is the
+    # only signal: no numpy warning comes first.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"\(\(103,\), \(150,\)\): past the float range, or growth contract"):
-            assemble_toeplitz(lebesgue(1), enumerate_basis(1, 150))
+        with pytest.raises(ValueError, match=r"\(\(0,\), \(3,\)\): past the float range, or growth contract"):
+            assemble_toeplitz(Horizontal(RealAtoms([[1e120]], [1.0])), enumerate_basis(1, 4))
         with pytest.raises(ValueError, match="float range"):
             moment(lebesgue(1), (150,), (150,))
+
+
+def test_lebesgue_is_the_identity_at_the_largest_order():
+    # D = 199 needs 200 Gauss-Hermite nodes per axis, MAX_ORDER
+    b = enumerate_basis(1, 199)
+    assert np.max(np.abs(assemble_toeplitz(lebesgue(1), b).entries - np.eye(b.size))) <= 1e-14
