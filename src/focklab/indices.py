@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermvander
@@ -61,9 +62,12 @@ def graded_lex_indices(n: int, max_degree: int) -> list[MultiIndex]:
     return idx
 
 
-def _steps(indices: list[MultiIndex]):
+@lru_cache(maxsize=8)
+def _steps(indices: tuple[MultiIndex, ...]):
     """Per degree d >= 1, increasing: index arrays of its columns, their first nonzero axes j,
-    parents alpha - e_j, and sqrt(alpha_j), the step e_alpha = e_(alpha - e_j) w_j / sqrt(alpha_j)."""
+    parents alpha - e_j, and sqrt(alpha_j), the step e_alpha = e_(alpha - e_j) w_j / sqrt(alpha_j).
+
+    Cached per index set (each Berezin point evaluates one kernel row), so the arrays are read-only."""
     position = {a: i for i, a in enumerate(indices)}
     by_degree = {}
     for col, alpha in enumerate(indices):
@@ -71,8 +75,11 @@ def _steps(indices: list[MultiIndex]):
             j = next(i for i, a in enumerate(alpha) if a > 0)
             parent = position[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]]
             by_degree.setdefault(sum(alpha), []).append((col, j, parent, math.sqrt(alpha[j])))
-    for d in sorted(by_degree):
-        yield tuple(np.array(x) for x in zip(*by_degree[d]))
+    blocks = tuple(tuple(np.array(x) for x in zip(*by_degree[d])) for d in sorted(by_degree))
+    for block in blocks:
+        for x in block:
+            x.flags.writeable = False
+    return blocks
 
 
 def monomial_matrix(points: np.ndarray, indices: list[MultiIndex]) -> np.ndarray:
@@ -84,7 +91,7 @@ def monomial_matrix(points: np.ndarray, indices: list[MultiIndex]) -> np.ndarray
     """
     pts = np.atleast_2d(np.asarray(points)).T
     pows = np.ones((len(indices), pts.shape[1]), dtype=complex)
-    for cols, js, parents, roots in _steps(indices):
+    for cols, js, parents, roots in _steps(tuple(indices)):
         pows[cols] = pows[parents] * (pts[js] / roots[:, None])
     return pows.T
 
@@ -118,7 +125,7 @@ def substitution_matrix(xstar: np.ndarray, indices: list[MultiIndex]) -> np.ndar
            np.sqrt([indices[i][m] + 1.0 for i in low])[:, None])
           for m, e in enumerate(np.eye(len(xstar), dtype=int).tolist())]
     c = np.diag([complex(not any(a)) for a in indices])
-    for cols, js, parents, roots in _steps(indices):
+    for cols, js, parents, roots in _steps(tuple(indices)):
         for m, (rows, raise_) in enumerate(up):
             c[np.ix_(rows, cols)] += raise_ * (xstar[js, m] / roots) * c[np.ix_(low, parents)]
     return c

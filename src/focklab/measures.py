@@ -11,8 +11,9 @@ split into rho's part and y-integrals.  ``Product`` (on C^n) and
 ``RealProduct`` (on R^n) hold mu_1 (x) .. (x) mu_n: the kernel, the weight,
 the monomials and the polydisk factor over the axes, so each of their
 pairings, moment tables, polydisk masses and gamma sums is a product of
-one-axis ones.  ``gaussian_density(n)`` and ``real_gaussian(n)`` build them
-for n >= 2.
+one-axis ones, gathered by ``quadrature.gather_axes`` for moment tables (a
+``RealProduct``'s weight grid is rank one).  ``gaussian_density(n)`` and
+``real_gaussian(n)`` build them for n >= 2.
 
 Every measure type implements one protocol, and the module functions
 (``dimension``, ``variation``, ``weight``, ``pushforward``, ``real_nodes``,
@@ -23,9 +24,12 @@ Every measure type implements one protocol, and the module functions
   g, where the type can hold the product), ``weighted(p)`` and ``pushed(x)``;
 - real measures on R^n: ``real_nodes(center, order, scale)``, its batch over
   centres ``real_sums(centers, order, scale, factor)`` of sum_i w_i(c)
-  prod_j factor(j, c_j, t_ij), the moment pass's ``axis_grid(order)`` and the
-  polydisk masses' ``box_integral(x0, r, factor)`` of prod_j factor(j, t_j) per
-  row of x0 (axis j's nodes reach the factor as rows (m, q), one per centre);
+  prod_j factor(j, c_j, t_ij), the moment pass's ``axis_grid(order)`` (a
+  product's grid is the tuple of its factors' weight vectors), the polydisk
+  masses' ``box_integral(x0, r, factor)`` of prod_j factor(j, t_j) per row of
+  x0 (axis j's nodes reach the factor as rows (m, q), one per centre) and
+  ``axis_factors()``, a product's one-axis factors (None for the rest), from
+  which ``spectral.gamma_samples`` keeps gamma as one vector per axis;
 - measures on C^n (``MeasureSpec``): ``nodes(center, order)``
   (refused by ``quadrature.check_nodes`` over ``MAX_NODES``), ``pairing(centers, order)``
   (one value per row of a batch of centres; the default sums the node
@@ -51,7 +55,6 @@ the module functions again, so every node set is requested through
 from __future__ import annotations
 
 import ast
-import functools
 import math
 from dataclasses import dataclass
 
@@ -59,7 +62,8 @@ import numpy as np
 
 from .indices import HalfIndex, as_multi_index, graded_lex_indices, monomial_matrix, orthonormal_powers
 from .indices import select_table, substitution_matrix
-from .quadrature import MAX_EVALS, check_nodes, contract_axes, gauss_hermite, gauss_legendre, tensor_grid, tensor_sums
+from .quadrature import MAX_EVALS, check_nodes, contract_axes, gather_axes, gauss_hermite, gauss_legendre, tensor_grid
+from .quadrature import tensor_sums
 
 DEFAULT_ORDER = 40
 _POLAR_ORDER = 40  # Gauss-Legendre radii per axis of a density's polydisk mass, with twice as many angles
@@ -81,6 +85,10 @@ class _Measure:
     def weighted(self, p: HalfIndex):
         # on real points the y-factor (1 + 0)^{p_j} is 1, so one weight serves R^n and C^n
         return self.times(lambda pts: _weight_values(p.doubled, pts))
+
+    def axis_factors(self):
+        """The one-axis measures whose tensor product this measure is, or None if it is not one."""
+        return None
 
 
 class _RealGrid(_Measure):
@@ -364,13 +372,18 @@ class AlphaHorizontal(MeasureSpec):
 
     def moments(self, maxdeg: int, order: int):
         # per-axis tables g_j[i, a, b] = sum_v w(v) e_a(t_i+iv) conj(e_b(t_i+iv)) (1+v^2)^{-alpha_j}
-        # on the distinct t-values of each axis, contracted against rho's weight grid
+        # on the distinct t-values of each axis, contracted against rho's weight grid (rank one for
+        # a product rho); the powers are built for blocks of t-values of at most _CHUNK entries
         axes, grid = self.rho.axis_grid(order)
         vaxes, vweights = self._v_rule(np.zeros(self.n), order)
         tables = []
         for t, v, wv in zip(axes, vaxes, vweights):
-            pows = orthonormal_powers(maxdeg, t[:, None] + 1j * v[None, :])
-            tables.append(np.swapaxes(pows * wv[None, :, None], 1, 2) @ np.conj(pows))
+            g = np.empty((t.size, maxdeg + 1, maxdeg + 1), dtype=complex)
+            step = max(1, _CHUNK // (v.size * (maxdeg + 1)))
+            for i in range(0, t.size, step):
+                pows = orthonormal_powers(maxdeg, t[i:i + step, None] + 1j * v)
+                np.matmul(np.swapaxes(pows * wv[:, None], 1, 2), np.conj(pows), out=g[i:i + step])
+            tables.append(g)
         return contract_axes(tables, grid, maxdeg)
 
     def nodes(self, center, order: int):
@@ -540,10 +553,13 @@ class RealProduct(_ProductSet):
 
         return math.prod(axis(j, f) for j, f in enumerate(self.factors))
 
+    def axis_factors(self):
+        return self.factors
+
     def axis_grid(self, order: int):
+        # the weight grid is rank one: the factors' weight vectors, never their outer product
         axes, grids = zip(*(f.axis_grid(order) for f in self.factors))
-        check_nodes(math.prod(g.size for g in grids))
-        return tuple(a[0] for a in axes), functools.reduce(np.multiply.outer, grids)
+        return tuple(a[0] for a in axes), grids
 
     def box_integral(self, x0, r, factor):
         return math.prod(f.box_integral(x0[:, j:j + 1], r[j:j + 1], lambda _, t, j=j: factor(j, t))
@@ -562,12 +578,7 @@ class Product(_ProductSet, MeasureSpec):
         return math.prod(gaussian_pairings(f, centers[:, j:j + 1], order) for j, f in enumerate(self.factors))
 
     def moments(self, maxdeg: int, order: int):
-        # table[alpha, beta] = prod_j m_j[alpha_j, beta_j], gathered from one-axis (D+1)^2 tables
-        keys = graded_lex_indices(self.n, maxdeg)
-        table = np.ones((len(keys), len(keys)), dtype=complex)
-        for a, f in zip(np.array(keys).T, self.factors):
-            table *= moment_table(f, [(d,) for d in range(maxdeg + 1)], order)[np.ix_(a, a)]
-        return keys, table
+        return gather_axes([moment_table(f, [(d,) for d in range(maxdeg + 1)], order) for f in self.factors], maxdeg)
 
     def ball_mass(self, centers, r):
         # axis j's disk mass depends on a centre only through c_j: one per distinct c_j, gathered back
@@ -743,8 +754,11 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     is gathered into the caller's order.  ``AlphaHorizontal`` (every weighted
     horizontal product) and an n >= 2 ``Density`` contract per-axis tables on
     the distinct node values one axis at a time (``quadrature.contract_axes``),
-    about (D+1)^2 operations per grid point instead of N^2 per node.  A
-    ``Product`` gathers its table from n one-axis (D+1)^2 tables.  A pushforward
+    about (D+1)^2 operations per grid point instead of N^2 per node; over a
+    product rho the weight grid is rank one and the table is the gather
+    prod_j m_j[alpha_j, beta_j] of n one-axis (D+1)^2 tables, as a ``Product``'s
+    is.  Requests whose contraction would hold more than
+    ``quadrature.MAX_BYTES`` are refused.  A pushforward
     mu_X conjugates its base's table by the substitution matrix of X* (V_X).
     Complex atoms, one-axis densities and weighted pushforwards, whose weight
     is not rotation invariant, pay a Gram product over their nodes.

@@ -4,7 +4,9 @@ Every Gaussian-weighted integral in the package runs through these rules.
 Integrands against shifted kernels e^{-(t-c)^2} are recentered onto the
 e^{-t^2} weight before quadrature, so the stated polynomial-exactness
 degrees stay meaningful.  Sums of one-axis tables over a tensor grid (moment
-tables, the Hermite-side matrix) are contracted an axis at a time by ``contract_axes``.
+tables, the Hermite-side matrix) are contracted an axis at a time by ``contract_axes``;
+over the rank-one grid of a product measure they are gathered from n one-axis tables
+by ``gather_axes``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .indices import graded_lex_indices
+
 MAX_ORDER = 200
 MAX_NODES = 6_000_000  # largest node set any tensor discretization may materialize
 MAX_EVALS = 2_000_000_000  # most point evaluations one streamed tensor sum may request
+MAX_BYTES = 1 << 30  # largest complex array one moment contraction or gather may allocate
 # points per slab of a streamed tensor sum: 20,000 to 100,000 measured alike, while
 # 200,000-point slabs made gamma_samples at n = 2 three times slower (2-core Xeon)
 _SLAB = 65_536
@@ -127,16 +132,25 @@ def tensor_sums(axes, weights, f) -> np.ndarray:
 
 
 def contract_axes(tables, grid, maxdeg: int):
-    """Moments from per-axis tables by contracting the weight grid one axis at a time.
+    """Moments from per-axis tables against a weight grid, over the multi-indices of degree <= maxdeg.
 
-    ``grid[i_1, .., i_n]`` weights the i_j-th value of each axis j, and
     ``tables[j][i, a, b]`` is axis j's factor of order (a, b) at its i-th
-    value.  The state is a list of pairs of partial multi-indices over the
-    axes contracted so far, each holding its sum over those axes; only pairs
-    of degree <= maxdeg on both sides are extended, so the dense
-    (maxdeg+1)^(2n) tensor is never formed.  Returns the multi-indices of
-    degree <= maxdeg (prefix-lex order) and the moment table over them.
+    value.  A rank-one grid, a tuple of per-axis weight vectors w_j, reduces
+    each axis to m_j[a, b] = sum_i w_j[i] tables[j][i, a, b] and hands the
+    n one-axis (maxdeg+1)^2 tables to ``gather_axes``.  A dense grid
+    ``grid[i_1, .., i_n]`` is contracted one axis at a time: the state is a
+    list of pairs of partial multi-indices over the axes contracted so far,
+    each holding its sum over those axes; only pairs of degree <= maxdeg on
+    both sides are extended, so the dense (maxdeg+1)^(2n) tensor is never
+    formed, and a step whose pair array would pass ``MAX_BYTES`` is refused
+    before anything is allocated.  Returns the multi-indices of degree <= maxdeg
+    (graded-lex for a rank-one grid, prefix-lex for a dense one) and the
+    moment table over them.
     """
+    if isinstance(grid, tuple):
+        return gather_axes([np.tensordot(w, g, axes=1) for g, w in zip(tables, grid)], maxdeg)
+    # after j axes the pairs are all (key, key) of degree <= maxdeg: comb(j + maxdeg, j)^2 of them
+    _check_bytes(max(math.comb(j + maxdeg, j) ** 2 * math.prod(grid.shape[j:]) for j in range(1, grid.ndim + 1)))
     radix = maxdeg + 1
     a_of, b_of = (e.ravel() for e in np.indices((radix, radix)))
     keys = [()]
@@ -170,6 +184,23 @@ def contract_axes(tables, grid, maxdeg: int):
     table = np.empty((len(keys), len(keys)), dtype=complex)
     table[row, col] = vals
     return keys, table
+
+
+def gather_axes(mats, maxdeg: int):
+    """The table prod_j mats[j][alpha_j, beta_j] of a product measure over the multi-indices of
+    degree <= maxdeg (graded-lex), gathered from its n one-axis (maxdeg+1)^2 tables."""
+    keys = graded_lex_indices(len(mats), maxdeg)
+    _check_bytes(len(keys) ** 2)
+    table = np.ones((len(keys), len(keys)), dtype=complex)
+    for a, m in zip(np.array(keys).T, mats):
+        table *= np.take(m[a], a, axis=1)  # m[a][:, a]: 1.7x faster than m[np.ix_(a, a)] at n = 4, D = 12
+    return keys, table
+
+
+def _check_bytes(entries: int) -> None:
+    """Refuse a complex array of ``entries`` values over ``MAX_BYTES`` before it is allocated."""
+    if 16 * entries > MAX_BYTES:
+        raise ValueError(f"moment contraction needs a {16 * entries}-byte array (cap {MAX_BYTES})")
 
 
 def tensor_rule(orders) -> TensorRule:

@@ -7,11 +7,14 @@ is realized exactly through the bases rather than by discretizing the
 transform kernels, which removes one quadrature layer from the headline
 dual-path comparison.  The Hermite-side matrix is a Gauss-Hermite sum of
 w gamma against hhat_a(x_j) hhat_b(x_j) on every axis j, the shape of a moment
-table, so it goes through the moment pass's ``quadrature.contract_axes``.
+table, so it goes through the moment pass's ``quadrature.contract_axes``.  For a
+product rho, gamma is a product of one-axis gammas: the samples keep one vector
+per axis and the matrix is a gather of n one-axis tables, as the moment table is.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +23,7 @@ import numpy as np
 from .basis import BasisSet
 from .indices import HalfIndex, hermite, select_table
 from .measures import DEFAULT_ORDER, Horizontal, MeasureSpec, dimension, real_sums
-from .quadrature import MAX_NODES, contract_axes, gauss_hermite, tensor_rule
+from .quadrature import MAX_NODES, check_nodes, contract_axes, gauss_hermite, tensor_rule
 from .toeplitz import (
     OperatorMatrix,
     assemble_real_coderivative,
@@ -35,12 +38,25 @@ _ORDER_MARGIN = 5
 
 @dataclass(frozen=True, eq=False)
 class SpectralSamples:
-    """gamma_{rho,2k} on the tensor Gauss-Hermite nodes of ``quad_order``, with its order k."""
+    """gamma_{rho,2k} on the tensor Gauss-Hermite nodes of ``quad_order``, with its order k.
 
-    grid: np.ndarray
-    values: np.ndarray
+    For a product rho, gamma = prod_j gamma_{rho_j,2k_j}(x_j) and ``factors`` holds one q-vector
+    per axis; otherwise it holds gamma as one array of shape (q,) * n.  The nodes and the flat
+    values are built on demand, so past ``quadrature.MAX_NODES`` they are refused.
+    """
+
+    factors: tuple
     k: HalfIndex
     quad_order: int
+
+    @property
+    def grid(self) -> np.ndarray:
+        return spectral_grid(self.k.n, self.quad_order)
+
+    @property
+    def values(self) -> np.ndarray:
+        check_nodes(self.quad_order ** self.k.n)
+        return functools.reduce(np.multiply.outer, self.factors).ravel()
 
 
 def gamma_plain(rho, grid) -> np.ndarray:
@@ -67,9 +83,15 @@ def spectral_grid(n: int, order: int = DEFAULT_SPECTRAL_ORDER) -> np.ndarray:
 
 def gamma_samples(rho, k: HalfIndex, order: int = DEFAULT_SPECTRAL_ORDER,
                   rho_order: int = DEFAULT_ORDER) -> SpectralSamples:
-    grid = spectral_grid(dimension(rho), order)
-    values = gamma_2k(rho, k, grid, rho_order)
-    return SpectralSamples(grid, values, HalfIndex.of(k, dimension(rho)), order)
+    """gamma_{rho,2k} on the order-q nodes: q values per axis of a product rho, else q^n values."""
+    k = HalfIndex.of(k, dimension(rho))
+    factors = rho.axis_factors()
+    if factors is None:
+        values = gamma_2k(rho, k, spectral_grid(k.n, order), rho_order)
+        return SpectralSamples((values.reshape((order,) * k.n),), k, order)
+    nodes = gauss_hermite(order).nodes[:, None]
+    return SpectralSamples(tuple(gamma_2k(f, HalfIndex(k.doubled[j:j + 1]), nodes, rho_order)
+                                 for j, f in enumerate(factors)), k, order)
 
 
 def hermite_function_matrix(degree: int, x) -> np.ndarray:
@@ -88,28 +110,30 @@ def hermite_function_matrix(degree: int, x) -> np.ndarray:
 def multiplication_matrix(gamma, basis: BasisSet, order: int = DEFAULT_SPECTRAL_ORDER) -> OperatorMatrix:
     """Matrix of multiplication by gamma in the orthonormal Hermite-function basis:
     ``contract_axes`` of the one-axis table g[i, a, b] = hhat_a(x_i) hhat_b(x_i),
-    shared by every axis, against w gamma on the order-q tensor nodes.
+    shared by every axis, against w gamma on the order-q tensor nodes.  Factored
+    samples of a product rho give the rank-one grid of the vectors w gamma_j, so
+    the matrix is a gather of n one-axis tables and no q^n array is formed.
 
-    ``gamma`` is either SpectralSamples on the default node grid or a callable
-    on point arrays.  Quadrature order must cover the basis degree plus the
-    polynomial content of gamma; insufficient orders are rejected.
+    ``gamma`` is either SpectralSamples or a callable on point arrays.
+    Quadrature order must cover the basis degree plus the polynomial content
+    of gamma; insufficient orders are rejected.
     """
     degree_hint = 0
     if isinstance(gamma, SpectralSamples):
+        if gamma.k.n != basis.n:
+            raise ValueError(f"samples on {gamma.k.n} axes do not fit a basis on {basis.n}")
         order, degree_hint = gamma.quad_order, gamma.k.total_order()
     needed = basis.degree + degree_hint // 2 + _ORDER_MARGIN
     if order < needed:
         raise ValueError(f"quadrature order {order} is insufficient for degree {basis.degree} (need >= {needed})")
-    pts, wts = tensor_rule([order] * basis.n).grid()
-    if isinstance(gamma, SpectralSamples):
-        if gamma.grid.shape != pts.shape or not np.allclose(gamma.grid, pts, atol=1e-12):
-            raise ValueError("SpectralSamples grid does not match the quadrature nodes of its order")
-        vals = np.asarray(gamma.values)
-    else:
-        vals = np.asarray(gamma(pts))
-    h = hermite_function_matrix(basis.degree, gauss_hermite(order).nodes).T
+    factors = gamma.factors if isinstance(gamma, SpectralSamples) else (
+        np.asarray(gamma(spectral_grid(basis.n, order))).reshape((order,) * basis.n),)
+    rule = gauss_hermite(order)
+    grid = (tuple(rule.weights * f for f in factors) if len(factors) > 1
+            else functools.reduce(np.multiply.outer, [rule.weights] * basis.n) * factors[0])
+    h = hermite_function_matrix(basis.degree, rule.nodes).T
     g = h[:, :, None] * h[:, None, :]
-    keys, table = contract_axes([g] * basis.n, (wts * vals).reshape((order,) * basis.n), basis.degree)
+    keys, table = contract_axes([g] * basis.n, grid, basis.degree)
     return OperatorMatrix(basis, select_table(keys, table, basis.indices))
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focklab import indices
 from focklab.indices import (
     HalfIndex,
     factorial,
@@ -138,3 +139,19 @@ def test_substitution_matrix_expands_rotated_monomials(n, degree):
     np.testing.assert_allclose(monomial_matrix(u @ xstar.T, idx), monomial_matrix(u, idx) @ c, rtol=1e-12, atol=1e-12)
     degrees = np.array([sum(a) for a in idx])
     assert np.all(c[degrees[:, None] != degrees[None, :]] == 0)
+
+
+def test_monomial_rows_are_bit_identical_from_a_cold_or_a_warm_cache():
+    # the degree blocks are cached per index set; a row never depends on the batch it came in
+    idx = graded_lex_indices(2, 20)
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(5000, 2)) + 1j * rng.normal(size=(5000, 2))
+    indices._steps.cache_clear()
+    one = monomial_matrix(pts[:1], idx)
+    many = monomial_matrix(pts, idx)
+    assert indices._steps.cache_info().hits == 1
+    np.testing.assert_array_equal(one, many[:1])
+    np.testing.assert_array_equal(monomial_matrix(pts[:1], tuple(idx)), one)
+    indices._steps.cache_clear()
+    np.testing.assert_array_equal(monomial_matrix(pts, idx), many)
+    assert not any(x.flags.writeable for block in indices._steps(tuple(idx)) for x in block)

@@ -24,6 +24,7 @@ from focklab.quadrature import (
     integrate_gaussian,
     tensor_rule,
 )
+from focklab.spectral import gamma_samples
 from focklab.toeplitz import assemble_toeplitz
 
 
@@ -205,9 +206,9 @@ def test_cached_rule_arrays_are_read_only():
     lambda: gaussian_nodes(Density(lambda pts: np.ones(pts.shape[0]), 2), np.zeros(2), 12),  # 12^4
     lambda: gaussian_nodes(gaussian_density(2), np.zeros(2), 12),
     lambda: gaussian_nodes(Horizontal(real_gaussian(2)), np.zeros(2), 12),
-    lambda: assemble_toeplitz(Horizontal(real_gaussian(3)), enumerate_basis(3, 4)),  # its 40^3 weight grid
+    lambda: gamma_samples(real_gaussian(3), (0, 0, 0)).values,  # 80^3 flat values of three factors
     lambda: tensor_rule([120, 120]).grid(),
-], ids=["lebesgue-moments", "flat-density", "gaussian-product", "horizontal", "product-weight-grid",
+], ids=["lebesgue-moments", "flat-density", "gaussian-product", "horizontal", "product-samples",
         "tensor-rule"])
 def test_every_node_set_is_refused_over_the_cap(build, monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_NODES", 10_000)
