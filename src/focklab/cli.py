@@ -25,6 +25,7 @@ from .indices import HalfIndex
 from .lagrangian import LagrangianFrame, assemble_l_real_coderivative, l_invariance_test, rotation_defect
 from .measures import DEFAULT_ORDER, Horizontal, parse_measure, pushforward, weight
 from .output import write_complex_grid_csv, write_matrix_csv, write_samples_csv, write_summary
+from .quadrature import check_nodes
 from .spectral import DEFAULT_SPECTRAL_ORDER, diagonalization_residual, gamma_samples, norm_and_spectrum
 from .toeplitz import (
     assemble_real_coderivative,
@@ -121,6 +122,8 @@ def _symbol(config: ExperimentConfig, k: HalfIndex, horizontal: bool = False):
         mu, k = weight(mu, alpha), k - alpha
     if horizontal and not isinstance(mu, Horizontal):
         raise ValueError(f"field 'measure': {config.command} needs a horizontal(...) measure (after alpha reduction)")
+    if horizontal:  # gamma.csv holds the flat q^n samples: refuse past the node cap before any work
+        check_nodes(config.spectral_order ** config.n)
     return mu, k
 
 

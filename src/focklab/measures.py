@@ -26,10 +26,10 @@ Every measure type implements one protocol, and the module functions
   centres ``real_sums(centers, order, scale, factor)`` of sum_i w_i(c)
   prod_j factor(j, c_j, t_ij), the moment pass's ``axis_grid(order)`` (a
   product's grid is the tuple of its factors' weight vectors), the polydisk
-  masses' ``box_integral(x0, r, factor)`` of prod_j factor(j, t_j) per row of
-  x0 (axis j's nodes reach the factor as rows (m, q), one per centre) and
-  ``axis_factors()``, a product's one-axis factors (None for the rest), from
-  which ``spectral.gamma_samples`` keeps gamma as one vector per axis;
+  masses' ``box_integral(x0, r, factor)`` of prod_j factor(j, t_j - x0_j) per row of x0
+  (offsets (1, q) shared by every row on a grid, (m, atoms) for atoms; products have
+  none, their masses factor) and ``axis_factors()``, a product's one-axis factors (None
+  for the rest), from which ``spectral.gamma_samples`` keeps gamma as one vector per axis;
 - measures on C^n (``MeasureSpec``): ``nodes(center, order)``
   (refused by ``quadrature.check_nodes`` over ``MAX_NODES``), ``pairing(centers, order)``
   (one value per row of a batch of centres; the default sums the node
@@ -114,10 +114,11 @@ class _RealGrid(_Measure):
         return (rule.nodes,) * self.n, wts.reshape((rule.order,) * self.n)
 
     def box_integral(self, x0, r, factor):
-        # per-axis substitution t = x0 + r sin(phi) at every row of x0; axis j's factor joins its chord weights
+        # t = x0 + r sin(phi) per axis; axis j's factor gets the offsets r_j sin(phi) as one row shared
+        # by every centre, (1, 48), and joins that axis' chord weights
         s, sw = _chord_rule()
         axes = [x[:, None] + rj * s for x, rj in zip(x0.T, r)]
-        return self.grid_sums(axes, [rj * sw * factor(j, t) for j, (rj, t) in enumerate(zip(r, axes))])
+        return self.grid_sums(axes, [rj * sw * factor(j, rj * s[None]) for j, rj in enumerate(r)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,10 +153,11 @@ class _AtomSet(_Measure):
         return type(self)(self.points @ np.conj(x), self.weights)
 
     def box_integral(self, centers, r, factor):
-        """Per row c of ``centers``, the sum of w prod_j factor(j, p_j) over atoms with all
-        |p_j - c_j| < r_j (a box on R^n, a polydisk on C^n)."""
-        inside = np.all(np.abs(self.points[None] - centers[:, None]) < r, axis=2)  # (centres, atoms)
-        values = math.prod(factor(j, np.broadcast_to(t, inside.shape)) for j, t in enumerate(self.points.T))
+        """Per row c of ``centers``, the sum of w prod_j factor(j, p_j - c_j) over atoms with all
+        |p_j - c_j| < r_j (a box on R^n, a polydisk on C^n); the offsets come as (centres, atoms)."""
+        offsets = self.points[None] - centers[:, None]  # (centres, atoms, n)
+        inside = np.all(np.abs(offsets) < r, axis=2)
+        values = math.prod(factor(j, offsets[:, :, j]) for j in range(self.n))
         return np.sum(np.where(inside, self.weights * values, 0.0), axis=1)
 
 
@@ -394,23 +396,27 @@ class AlphaHorizontal(MeasureSpec):
         return pts, (twts[:, None] * vwts[None, :]).ravel()
 
     def ball_mass(self, centers, r):
-        """rho integrated over the box |t_j - x_j| < r_j against the product of the
-        per-axis nu_alpha masses of the chords |v_j - y_j| < sqrt(r_j^2 - (t_j - x_j)^2).
-
-        Axis j's chord masses depend on a centre only through c_j, so they are built
-        once per distinct c_j (a few dozen on a tensor lattice of thousands of centres),
-        in blocks of at most _CHUNK chord nodes, and gathered back to the rows."""
+        """rho integrated over the box |t_j - x_j| < r_j against the product of the per-axis
+        nu_alpha masses of the chords |v_j - y_j| < sqrt(r_j^2 - u_j^2), u_j = t_j - x_j: over
+        a product rho a product of one-axis masses (``_axis_masses``); else rho's box integral
+        hands the chords the offsets u, the same r_j sin(phi) under every row for a grid rho
+        (one chord table per distinct Im c_j) and p_j - x_j for atoms (one per distinct c_j),
+        in blocks of at most _CHUNK chord nodes, gathered back to the rows."""
+        factors = self.rho.axis_factors()
+        if factors is not None:
+            return _axis_masses([AlphaHorizontal(f, (a,)) for f, a in zip(factors, self.alpha_doubled)], centers, r)
         s, sw = _chord_rule()
 
-        def chord(j, t):
-            _, first, back = np.unique(centers[:, j], return_index=True, return_inverse=True)
+        def chord(j, u):
+            key = centers[:, j].imag if u.shape[0] == 1 else centers[:, j]
+            _, first, back = np.unique(key, return_index=True, return_inverse=True)
+            u = np.broadcast_to(u, (centers.shape[0], u.shape[1]))
 
             def table(f):
-                x, y = centers[f, j].real[:, None], centers[f, j].imag[:, None, None]
-                c = np.sqrt(np.maximum(r[j] ** 2 - (t[f] - x) ** 2, 0.0))[:, :, None]
-                return (c * self._nu(j, y + c * s) * sw).sum(axis=2)
+                c = np.sqrt(np.maximum(r[j] ** 2 - u[f] ** 2, 0.0))[:, :, None]
+                return (c * self._nu(j, centers[f, j].imag[:, None, None] + c * s) * sw).sum(axis=2)
 
-            return _row_blocks(first, _CHUNK // (t.shape[1] * s.size), table)[back]
+            return _row_blocks(first, _CHUNK // (u.shape[1] * s.size), table)[back]
 
         return self.rho.box_integral(centers.real, r, chord)
 
@@ -561,10 +567,6 @@ class RealProduct(_ProductSet):
         axes, grids = zip(*(f.axis_grid(order) for f in self.factors))
         return tuple(a[0] for a in axes), grids
 
-    def box_integral(self, x0, r, factor):
-        return math.prod(f.box_integral(x0[:, j:j + 1], r[j:j + 1], lambda _, t, j=j: factor(j, t))
-                         for j, f in enumerate(self.factors))
-
 
 class Product(_ProductSet, MeasureSpec):
     """Tensor product of one-axis measures on C^n."""
@@ -581,12 +583,7 @@ class Product(_ProductSet, MeasureSpec):
         return gather_axes([moment_table(f, [(d,) for d in range(maxdeg + 1)], order) for f in self.factors], maxdeg)
 
     def ball_mass(self, centers, r):
-        # axis j's disk mass depends on a centre only through c_j: one per distinct c_j, gathered back
-        def disk(j, f):
-            values, back = np.unique(centers[:, j], return_inverse=True)
-            return ball_mass(f, values[:, None], r[j:j + 1])[back]
-
-        return math.prod(disk(j, f) for j, f in enumerate(self.factors))
+        return _axis_masses(self.factors, centers, r)
 
 
 RealMeasure = RealAtoms | RealDensity | Lebesgue | RealProduct
@@ -800,6 +797,16 @@ def _chord_rule():
     gl_nodes, gl_weights = gauss_legendre(48)
     theta = 0.5 * math.pi * gl_nodes
     return np.sin(theta), np.cos(theta) * 0.5 * math.pi * gl_weights
+
+
+def _axis_masses(factors, centers, r):
+    """prod_j of the one-axis polydisk masses of ``factors``; axis j's depends on a centre only
+    through c_j, so it is built once per distinct c_j and gathered back to the rows."""
+    masses = []
+    for j, f in enumerate(factors):
+        values, back = np.unique(centers[:, j], return_inverse=True)
+        masses.append(ball_mass(f, values[:, None], r[j:j + 1])[back])
+    return math.prod(masses)
 
 
 def ball_mass(mu, center, r):

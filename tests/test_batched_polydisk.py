@@ -1,12 +1,14 @@
 """Polydisk masses of rows of centres against the per-point loop, and one call per lattice scan."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from focklab import carleson, measures, quadrature, toeplitz
 from focklab.carleson import carleson_constant, lattice, weight_shift_check
+from focklab.cli import load_config
 from focklab.indices import HalfIndex
 from focklab.measures import (
     AlphaHorizontal,
@@ -77,6 +79,14 @@ def test_alpha_horizontal_with_nonzero_alpha():
     assert_rows_match(AlphaHorizontal(rho, (2, -1)), np.concatenate([rows(2, 20), rows(2, 20)[:5]]), (0.8, 1.1))
     z, _ = lattice(2, 1.0, 0.5)
     assert_rows_match(AlphaHorizontal(Lebesgue(2), (1, 3)), z, (1.0, 0.7))
+
+
+def test_atom_chords_are_keyed_on_the_whole_centre_coordinate():
+    # atom offsets p_j - x_j move with Re c_j, so rows that share Im c_j still need their own chords
+    rng = np.random.default_rng(11)
+    shared_im = rng.uniform(-1.0, 1.0, (12, 2)) + 1j * np.tile([[0.3, -0.2], [0.5, 0.5]], (6, 1))
+    for alpha in ((0, 0), (2, -1)):
+        assert_rows_match(AlphaHorizontal(RealAtoms(*two_axis_atoms(False)), alpha), shared_im, (0.8, 1.1))
 
 
 def test_weighted_atoms():
@@ -161,6 +171,27 @@ def test_lattice_scans_make_one_ball_mass_call_per_lattice(monkeypatch):
     spy.rows.clear()
     weight_shift_check(lebesgue(2), (2, 2), (1, 1), (1.0, 1.0), window=1.0, spacing=0.5)
     assert spy.rows == [625] * 3
+
+
+def test_chord_tables_are_built_once_per_distinct_coordinate(monkeypatch):
+    seen = []
+    nu = AlphaHorizontal._nu
+
+    def spy(self, j, v):
+        seen.append((self.n, np.size(v)))
+        return nu(self, j, v)
+
+    monkeypatch.setattr(AlphaHorizontal, "_nu", spy)
+    chord_table = 48 * 48  # chord nodes by the 48 offsets of the box rule
+    # the carleson config: 81 lattice points with 9 distinct Im c, over a grid rho
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "carleson.yaml")
+    carleson_constant(lebesgue(1), HalfIndex.from_doubled(config.k), config.r, config.window, config.spacing)
+    assert seen == [(1, 9 * chord_table)]
+    # n = 2, the default 6,561-point lattice: a product rho sees one one-axis table per axis
+    for mu, k in ((lebesgue(2), (1, 1)), (Horizontal(real_gaussian(2)), (2, 2))):
+        seen.clear()
+        carleson_constant(mu, k, (1.0, 1.0))
+        assert seen == [(1, 9 * chord_table)] * 2
 
 
 def test_berezin_rows_of_a_product_make_one_pairing_call(monkeypatch):

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,20 @@ def test_main_mistyped_field_exits_two(tmp_path, capsys, mistyped):
     assert "invalid input" in capsys.readouterr().err
     # a refused config leaves no resolved config behind, even when refused mid-run
     assert not (tmp_path / "o" / "resolved_config.yaml").exists()
+
+
+@pytest.mark.parametrize("command", ["spectral", "verify-diagonalization"])
+def test_four_axis_gamma_table_is_refused_before_any_work(tmp_path, capsys, command):
+    # gamma.csv needs the 80^4 flat samples, past MAX_NODES: refused before any matrix is built or written
+    cfg = write_config(tmp_path, command=command, n=4, truncation=12, measure="horizontal(gaussian(1.0))",
+                       out=str(tmp_path / "o"))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)])
+    assert time.perf_counter() - start < 5.0
+    assert exc.value.code == 2
+    assert "discretization needs 40960000 nodes" in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("*.csv"))
 
 
 def test_verify_diagonalization_samples_gamma_once(tmp_path, monkeypatch):

@@ -156,16 +156,19 @@ POLYDISK_RADII = np.array([0.8, 1.3])
 
 
 def nu_chord_mass(alpha_doubled: int, y: float, c: float) -> float:
-    """Closed-form nu_alpha mass of the chord |v - y| < c: int (1+v^2)^{-alpha} dv."""
-    if alpha_doubled == 0:
-        return 2.0 * c
-    if alpha_doubled == 1:
-        return math.asinh(y + c) - math.asinh(y - c)
-    assert alpha_doubled == 2
-    return math.atan(y + c) - math.atan(y - c)
+    """Closed-form nu_alpha mass of the chord |v - y| < c: int (1+v^2)^{-alpha} dv, including the
+    growth weights alpha = -1, -1/2 that the weighting calculus produces."""
+    antiderivative = {
+        -2: lambda v: v + v**3 / 3.0,
+        -1: lambda v: 0.5 * (v * math.sqrt(1.0 + v * v) + math.asinh(v)),
+        0: lambda v: v,
+        1: math.asinh,
+        2: math.atan,
+    }[alpha_doubled]
+    return antiderivative(y + c) - antiderivative(y - c)
 
 
-@pytest.mark.parametrize("alpha_doubled", [(0, 0), (1, 1), (2, 1)])
+@pytest.mark.parametrize("alpha_doubled", [(0, 0), (1, 1), (2, 1), (-2, -1), (-1, 2)])
 @pytest.mark.parametrize("rho_name", ["lebesgue", "gaussian", "atoms"])
 def test_alpha_horizontal_polydisk_mass_n2_matches_closed_form_chords(rho_name, alpha_doubled):
     integrate = pytest.importorskip("scipy.integrate")
