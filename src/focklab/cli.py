@@ -248,6 +248,9 @@ def _lagrangian(config: ExperimentConfig, k: HalfIndex, out: Path):
     failed = defect > 1e-12
     if config.measure is not None:
         mu = parse_measure(config.measure, config.n)
+        rotated = pushforward(mu, frame.rotation.conj().T)
+        if isinstance(rotated, Horizontal):  # gamma.csv holds the flat q^n samples, as in _symbol
+            check_nodes(config.spectral_order ** config.n)
         basis = enumerate_basis(config.n, config.truncation)
         inv = l_invariance_test(mu, frame, basis, config.moment_order)
         summary += [
@@ -255,7 +258,6 @@ def _lagrangian(config: ExperimentConfig, k: HalfIndex, out: Path):
             ("weyl-commutators", tuple(repr(v) for v in inv.weyl_commutators)),
             ("invariant", inv.invariant),
         ]
-        rotated = pushforward(mu, frame.rotation.conj().T)
         if isinstance(rotated, Horizontal):
             report = diagonalization_residual(rotated, k, basis, config.moment_order, config.spectral_order)
             write_matrix_csv(report.toeplitz, out / "matrix")

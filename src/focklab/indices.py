@@ -189,7 +189,7 @@ class HalfIndex:
     def __post_init__(self):
         d = tuple(int(v) for v in self.doubled)
         if any(v != w for v, w in zip(d, self.doubled)):
-            raise ValueError(f"doubled entries must be integers, got {self.doubled!r}")
+            raise ValueError(f"index entries must be integers, got {self.doubled!r}")
         object.__setattr__(self, "doubled", d)
 
     @classmethod
@@ -209,11 +209,12 @@ class HalfIndex:
 
     @classmethod
     def from_doubled(cls, values) -> "HalfIndex":
-        return cls(tuple(int(v) for v in values))
+        return cls(tuple(values))
 
     @classmethod
     def from_ints(cls, values) -> "HalfIndex":
-        return cls(tuple(2 * int(v) for v in values))
+        # checked as integers before doubling: 2 * 0.5 would pass as the half-integer 1/2
+        return cls(tuple(2 * v for v in cls.from_doubled(values).doubled))
 
     @classmethod
     def from_halves(cls, values) -> "HalfIndex":

@@ -11,9 +11,11 @@ split into rho's part and y-integrals.  ``Product`` (on C^n) and
 ``RealProduct`` (on R^n) hold mu_1 (x) .. (x) mu_n: the kernel, the weight,
 the monomials and the polydisk factor over the axes, so each of their
 pairings, moment tables, polydisk masses and gamma sums is a product of
-one-axis ones, gathered by ``quadrature.gather_axes`` for moment tables (a
-``RealProduct``'s weight grid is rank one).  ``gaussian_density(n)`` and
-``real_gaussian(n)`` build them for n >= 2.
+one-axis ones: ``_per_axis`` builds axis j's once per distinct c_j through
+``quadrature.distinct``, and ``quadrature.gather_axes`` gathers moment tables
+(a ``RealProduct``'s weight grid is rank one).  ``gaussian_density(n)`` and
+``real_gaussian(n)`` build them for n >= 2; the chord tables of a horizontal
+polydisk mass are keyed through ``quadrature.distinct`` too.
 
 Every measure type implements one protocol, and the module functions
 (``dimension``, ``variation``, ``weight``, ``pushforward``, ``real_nodes``,
@@ -44,8 +46,8 @@ Every measure type implements one protocol, and the module functions
 Grid types (Lebesgue, of density 1, and densities) share ``grid_sums(axes,
 weights)``, per-centre sums over tensor grids: Lebesgue multiplies its axis
 sums, densities stream them through ``quadrature.tensor_sums`` in slabs, and
-an n-dimensional density on C^n takes its centres in row blocks that keep each
-sum under ``quadrature.MAX_EVALS`` evaluations.
+an n-dimensional density on C^n takes its centres in ``quadrature.row_blocks``
+that keep each sum under ``quadrature.MAX_EVALS`` evaluations.
 
 A new measure type is one class.  Methods that recurse into a factor call
 the module functions again, so every node set is requested through
@@ -62,8 +64,8 @@ import numpy as np
 
 from .indices import HalfIndex, as_multi_index, graded_lex_indices, monomial_matrix, orthonormal_powers
 from .indices import select_table, substitution_matrix
-from .quadrature import MAX_EVALS, check_nodes, contract_axes, gather_axes, gauss_hermite, gauss_legendre, tensor_grid
-from .quadrature import tensor_sums
+from .quadrature import MAX_EVALS, check_nodes, contract_axes, distinct, gather_axes, gauss_hermite, gauss_legendre
+from .quadrature import row_blocks, tensor_grid, tensor_sums
 
 DEFAULT_ORDER = 40
 _POLAR_ORDER = 40  # Gauss-Legendre radii per axis of a density's polydisk mass, with twice as many angles
@@ -204,12 +206,6 @@ class MeasureSpec(_Measure):
         return keys, table
 
 
-def _row_blocks(rows, step: int, fn):
-    """``fn`` over blocks of at most max(1, step) rows, concatenated; zero rows are one empty block."""
-    step = max(1, step)
-    return np.concatenate([fn(rows[i:i + step]) for i in range(0, max(rows.shape[0], 1), step)])
-
-
 # ---------------------------------------------------------------------------
 # real measures on R^n (the rho factor of horizontal products)
 
@@ -313,8 +309,8 @@ class Density(_DensitySet, MeasureSpec):
         return pts, wts * self.density(pts)
 
     def pairing(self, centers, order: int):
-        return _row_blocks(centers, MAX_EVALS // order ** (2 * self.n),
-                           lambda c: self.grid_sums(*self._axis_rules(c, order)))
+        return row_blocks(centers, MAX_EVALS // order ** (2 * self.n),
+                          lambda c: self.grid_sums(*self._axis_rules(c, order)))
 
     def ball_mass(self, centers, r):
         """Per-axis polar rules, 40 Gauss-Legendre radii by 80 equispaced angles, streamed in slabs."""
@@ -324,7 +320,7 @@ class Density(_DensitySet, MeasureSpec):
         rr = 0.5 * r[:, None] * (gl_nodes + 1.0)  # (axis, radius)
         wr = 0.5 * r[:, None] * gl_weights * rr * (2.0 * math.pi / qth)  # polar Jacobian times the angle weight
         disk, w = (rr[:, :, None] * circle).reshape(self.n, -1), np.repeat(wr, qth, axis=1)
-        return _row_blocks(centers, MAX_EVALS // disk.shape[1] ** self.n, lambda c: self.grid_sums(
+        return row_blocks(centers, MAX_EVALS // disk.shape[1] ** self.n, lambda c: self.grid_sums(
             [x[:, None] + d for x, d in zip(c.T, disk)], [np.broadcast_to(v, (c.shape[0], v.size)) for v in w]))
 
 
@@ -398,25 +394,24 @@ class AlphaHorizontal(MeasureSpec):
     def ball_mass(self, centers, r):
         """rho integrated over the box |t_j - x_j| < r_j against the product of the per-axis
         nu_alpha masses of the chords |v_j - y_j| < sqrt(r_j^2 - u_j^2), u_j = t_j - x_j: over
-        a product rho a product of one-axis masses (``_axis_masses``); else rho's box integral
+        a product rho the mass of the ``Product`` of one-axis factors; else rho's box integral
         hands the chords the offsets u, the same r_j sin(phi) under every row for a grid rho
         (one chord table per distinct Im c_j) and p_j - x_j for atoms (one per distinct c_j),
         in blocks of at most _CHUNK chord nodes, gathered back to the rows."""
         factors = self.rho.axis_factors()
         if factors is not None:
-            return _axis_masses([AlphaHorizontal(f, (a,)) for f, a in zip(factors, self.alpha_doubled)], centers, r)
+            return Product(tuple(map(AlphaHorizontal, factors, zip(self.alpha_doubled)))).ball_mass(centers, r)
         s, sw = _chord_rule()
 
         def chord(j, u):
             key = centers[:, j].imag if u.shape[0] == 1 else centers[:, j]
-            _, first, back = np.unique(key, return_index=True, return_inverse=True)
             u = np.broadcast_to(u, (centers.shape[0], u.shape[1]))
 
             def table(f):
                 c = np.sqrt(np.maximum(r[j] ** 2 - u[f] ** 2, 0.0))[:, :, None]
                 return (c * self._nu(j, centers[f, j].imag[:, None, None] + c * s) * sw).sum(axis=2)
 
-            return _row_blocks(first, _CHUNK // (u.shape[1] * s.size), table)[back]
+            return distinct(key, lambda first: row_blocks(first, _CHUNK // (u.shape[1] * s.size), table))
 
         return self.rho.box_integral(centers.real, r, chord)
 
@@ -506,6 +501,13 @@ class Weighted(MeasureSpec):
         return ball_mass(self.base.times(lambda pts: _weight_values(self.p.doubled, pts)), centers, r)
 
 
+def _per_axis(factors, centers, fn):
+    """prod_j fn(j, factors[j], c_j) for a value whose axis-j factor depends on a row of ``centers``
+    only through c_j: ``fn`` gets each distinct c_j once, as a column, and is gathered back."""
+    return math.prod(distinct(centers[:, j], lambda first: fn(j, f, centers[first, j:j + 1]))
+                     for j, f in enumerate(factors))
+
+
 @dataclass(frozen=True, eq=False)
 class _ProductSet(_Measure):
     """mu_1 (x) .. (x) mu_n of one-axis measures: kernel, weight, monomials and polydisk
@@ -552,12 +554,8 @@ class RealProduct(_ProductSet):
         return self._tensor([real_nodes(f, center[j:j + 1], order, scale) for j, f in enumerate(self.factors)])
 
     def real_sums(self, centers, order: int, scale: float, factor):
-        # axis j's sum depends on a centre only through c_j: one per distinct c_j, gathered back
-        def axis(j, f):
-            values, back = np.unique(centers[:, j], return_inverse=True)
-            return real_sums(f, values[:, None], lambda _, c, t: factor(j, c, t), order, scale)[back]
-
-        return math.prod(axis(j, f) for j, f in enumerate(self.factors))
+        return _per_axis(self.factors, centers, lambda j, f, c: real_sums(
+            f, c, lambda _, x, t: factor(j, x, t), order, scale))
 
     def axis_factors(self):
         return self.factors
@@ -577,13 +575,13 @@ class Product(_ProductSet, MeasureSpec):
         return self._tensor([gaussian_nodes(f, center[j:j + 1], order) for j, f in enumerate(self.factors)])
 
     def pairing(self, centers, order: int):
-        return math.prod(gaussian_pairings(f, centers[:, j:j + 1], order) for j, f in enumerate(self.factors))
+        return _per_axis(self.factors, centers, lambda j, f, c: gaussian_pairings(f, c, order))
 
     def moments(self, maxdeg: int, order: int):
         return gather_axes([moment_table(f, [(d,) for d in range(maxdeg + 1)], order) for f in self.factors], maxdeg)
 
     def ball_mass(self, centers, r):
-        return _axis_masses(self.factors, centers, r)
+        return _per_axis(self.factors, centers, lambda j, f, c: ball_mass(f, c, r[j:j + 1]))
 
 
 RealMeasure = RealAtoms | RealDensity | Lebesgue | RealProduct
@@ -797,16 +795,6 @@ def _chord_rule():
     gl_nodes, gl_weights = gauss_legendre(48)
     theta = 0.5 * math.pi * gl_nodes
     return np.sin(theta), np.cos(theta) * 0.5 * math.pi * gl_weights
-
-
-def _axis_masses(factors, centers, r):
-    """prod_j of the one-axis polydisk masses of ``factors``; axis j's depends on a centre only
-    through c_j, so it is built once per distinct c_j and gathered back to the rows."""
-    masses = []
-    for j, f in enumerate(factors):
-        values, back = np.unique(centers[:, j], return_inverse=True)
-        masses.append(ball_mass(f, values[:, None], r[j:j + 1])[back])
-    return math.prod(masses)
 
 
 def ball_mass(mu, center, r):

@@ -7,6 +7,9 @@ degrees stay meaningful.  Sums of one-axis tables over a tensor grid (moment
 tables, the Hermite-side matrix) are contracted an axis at a time by ``contract_axes``;
 over the rank-one grid of a product measure they are gathered from n one-axis tables
 by ``gather_axes``.
+
+Batches of rows (centres, eigenvalues) have one owner each: ``distinct`` builds a value that
+depends on a row only through a key once per distinct key, and ``row_blocks`` bounds a batch.
 """
 
 from __future__ import annotations
@@ -129,6 +132,19 @@ def tensor_sums(axes, weights, f) -> np.ndarray:
         pts = np.stack(np.broadcast_arrays(*slab(axes, block, first))).reshape(d, -1).T
         out[block] += np.einsum("ij,ij->i", w, np.broadcast_to(f(pts), pts.shape[:1]).reshape(w.shape))
     return out
+
+
+def distinct(keys, fn):
+    """``fn`` on the indices of the first row of each distinct key, its results gathered back to
+    every row: a value that depends on a row only through its key is built once per key."""
+    _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+    return fn(first)[back]
+
+
+def row_blocks(rows, step: int, fn):
+    """``fn`` over blocks of at most max(1, step) rows, concatenated; zero rows are one empty block."""
+    step = max(1, step)
+    return np.concatenate([fn(rows[i:i + step]) for i in range(0, max(rows.shape[0], 1), step)])
 
 
 def contract_axes(tables, grid, maxdeg: int):

@@ -23,7 +23,7 @@ import numpy as np
 from .basis import BasisSet
 from .indices import HalfIndex, hermite, select_table
 from .measures import DEFAULT_ORDER, Horizontal, MeasureSpec, dimension, real_sums
-from .quadrature import MAX_NODES, check_nodes, contract_axes, gauss_hermite, tensor_rule
+from .quadrature import MAX_NODES, check_nodes, contract_axes, gauss_hermite, row_blocks, tensor_rule
 from .toeplitz import (
     OperatorMatrix,
     assemble_real_coderivative,
@@ -107,30 +107,24 @@ def hermite_function_matrix(degree: int, x) -> np.ndarray:
     return vals
 
 
-def multiplication_matrix(gamma, basis: BasisSet, order: int = DEFAULT_SPECTRAL_ORDER) -> OperatorMatrix:
+def multiplication_matrix(gamma: SpectralSamples, basis: BasisSet) -> OperatorMatrix:
     """Matrix of multiplication by gamma in the orthonormal Hermite-function basis:
     ``contract_axes`` of the one-axis table g[i, a, b] = hhat_a(x_i) hhat_b(x_i),
-    shared by every axis, against w gamma on the order-q tensor nodes.  Factored
-    samples of a product rho give the rank-one grid of the vectors w gamma_j, so
-    the matrix is a gather of n one-axis tables and no q^n array is formed.
+    shared by every axis, against w gamma on the samples' order-q tensor nodes.
+    Factored samples of a product rho give the rank-one grid of the vectors w gamma_j,
+    so the matrix is a gather of n one-axis tables and no q^n array is formed.
 
-    ``gamma`` is either SpectralSamples or a callable on point arrays.
-    Quadrature order must cover the basis degree plus the polynomial content
+    The samples' order must cover the basis degree plus the polynomial content
     of gamma; insufficient orders are rejected.
     """
-    degree_hint = 0
-    if isinstance(gamma, SpectralSamples):
-        if gamma.k.n != basis.n:
-            raise ValueError(f"samples on {gamma.k.n} axes do not fit a basis on {basis.n}")
-        order, degree_hint = gamma.quad_order, gamma.k.total_order()
-    needed = basis.degree + degree_hint // 2 + _ORDER_MARGIN
+    if gamma.k.n != basis.n:
+        raise ValueError(f"samples on {gamma.k.n} axes do not fit a basis on {basis.n}")
+    order, needed = gamma.quad_order, basis.degree + gamma.k.total_order() // 2 + _ORDER_MARGIN
     if order < needed:
         raise ValueError(f"quadrature order {order} is insufficient for degree {basis.degree} (need >= {needed})")
-    factors = gamma.factors if isinstance(gamma, SpectralSamples) else (
-        np.asarray(gamma(spectral_grid(basis.n, order))).reshape((order,) * basis.n),)
     rule = gauss_hermite(order)
-    grid = (tuple(rule.weights * f for f in factors) if len(factors) > 1
-            else functools.reduce(np.multiply.outer, [rule.weights] * basis.n) * factors[0])
+    grid = (tuple(rule.weights * f for f in gamma.factors) if len(gamma.factors) > 1
+            else functools.reduce(np.multiply.outer, [rule.weights] * basis.n) * gamma.factors[0])
     h = hermite_function_matrix(basis.degree, rule.nodes).T
     g = h[:, :, None] * h[:, None, :]
     keys, table = contract_axes([g] * basis.n, grid, basis.degree)
@@ -219,7 +213,5 @@ def norm_and_spectrum(op: OperatorMatrix, samples: SpectralSamples) -> SpectrumR
         i = np.searchsorted(s, eigs.real)
         near = np.minimum(np.abs(eigs - s[np.maximum(i - 1, 0)]), np.abs(eigs - s[np.minimum(i, s.size - 1)]))
     else:  # complex samples: eigenvalue blocks of at most MAX_NODES distances, never N x q^n
-        step = max(1, MAX_NODES // gvals.size)
-        near = np.concatenate([np.min(np.abs(eigs[i:i + step, None] - gvals), axis=1)
-                               for i in range(0, eigs.size, step)])
+        near = row_blocks(eigs, MAX_NODES // gvals.size, lambda e: np.min(np.abs(e[:, None] - gvals), axis=1))
     return SpectrumReport(opnorm, radius, gsup, float(np.max(near)), defect)

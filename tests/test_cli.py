@@ -316,6 +316,19 @@ def test_four_axis_gamma_table_is_refused_before_any_work(tmp_path, capsys, comm
     assert not list((tmp_path / "o").glob("*.csv"))
 
 
+def test_four_axis_lagrangian_gamma_table_is_refused_before_any_write(tmp_path, capsys):
+    # the vertical frame e_5..e_8 rotates the horizontal measure onto itself, so the run would write
+    # gamma.csv's 80^4 flat samples: refused before the invariance test and before matrix.csv
+    frame = np.eye(8)[4:].tolist()
+    cfg = write_config(tmp_path, command="lagrangian", n=4, truncation=4, frame=frame,
+                       measure="horizontal(gaussian(1.0))", out=str(tmp_path / "o"))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "discretization needs 40960000 nodes" in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
 def test_verify_diagonalization_samples_gamma_once(tmp_path, monkeypatch):
     calls = []
 

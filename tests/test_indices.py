@@ -128,6 +128,20 @@ def test_half_index_rejects_bad_input():
         HalfIndex.from_doubled((1,)).as_integer_index()
 
 
+def test_half_index_refuses_non_integer_entries_instead_of_truncating():
+    from focklab.measures import lebesgue, weight
+
+    for build in (lambda: HalfIndex.from_doubled([1.5]), lambda: HalfIndex.of(0.7, 2),
+                  lambda: weight(lebesgue(1), 0.5), lambda: HalfIndex.from_ints([0.5])):
+        with pytest.raises(ValueError, match="must be integers"):
+            build()
+    assert HalfIndex.from_doubled(np.array([1, -2])).doubled == (1, -2)
+    assert HalfIndex.from_ints([np.int64(1), 2]).doubled == (2, 4)
+    assert HalfIndex.of(np.int32(3), 2).doubled == (3, 3)
+    assert HalfIndex.of(np.int64(1), 1, doubled=False).doubled == (2,)
+    assert all(type(v) is int for v in HalfIndex.from_ints(np.array([1, 2])).doubled)
+
+
 @pytest.mark.parametrize("n, degree", [(2, 6), (3, 4)])
 def test_substitution_matrix_expands_rotated_monomials(n, degree):
     # (X* u)^alpha at sample points u equals sum_gamma C[gamma, alpha] u^gamma

@@ -165,6 +165,21 @@ def test_one_axis_density_table_is_a_gram_product():
     assert np.max(np.abs(t.entries - np.diag(0.5 ** (np.arange(b.size) + 1.0)))) <= 1e-15
 
 
+def test_flat_two_axis_density_past_d48_is_refused_before_its_axis_table():
+    # order D + 1 = 50 needs 50^4 = 6,250,000 nodes, past MAX_NODES: refused before the
+    # (q^2, D+1, D+1) per-axis table (2,500 x 50 x 50 complex values, 100 MB) is built
+    flat = Density(lambda p: np.exp(-np.sum(np.abs(p) ** 2, axis=1)), 2)
+    b = enumerate_basis(2, 49)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="discretization needs 6250000 nodes"):
+            assemble_toeplitz(flat, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
 def test_product_path_growth_surfaces_with_location():
     bad = Horizontal(RealDensity(lambda t: np.exp(3.0 * t[:, 0] ** 2), 1))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from focklab.basis import enumerate_basis
+from focklab.carleson import condition_m
 from focklab.cli import ExperimentConfig, run
 from focklab.indices import HalfIndex
 from focklab.measures import (
+    Atoms,
     Density,
     Horizontal,
     Product,
@@ -179,3 +181,38 @@ def test_carleson_command_runs_at_three_axes(tmp_path):
     assert float(summary["condition-m-normalized-sup"]) == pytest.approx(2.0**-3, rel=1e-13)
     assert float(summary["carleson-constant"]) == pytest.approx(ball_mass(gaussian_density(1), [0.0], [1.0]).real ** 3,
                                                                 rel=1e-13)
+
+
+def test_product_pairings_see_each_centre_coordinate_once(monkeypatch):
+    # the default n = 2 lattice has 6,561 rows but 81 distinct complex coordinates per axis
+    seen = []
+    pairing = Density.pairing
+
+    def spy(self, rows, order):
+        seen.append(rows.shape[0])
+        return pairing(self, rows, order)
+
+    monkeypatch.setattr(Density, "pairing", spy)
+    condition_m(gaussian_density(2))
+    assert seen == [81, 81]
+
+
+def repeated_rows(n):
+    # repeated coordinates on every axis, a -0.0 / 0.0 pair, and rows that differ on one axis only
+    base = centers(n, 4)
+    rows = np.concatenate([base, base[::-1], base[:2]])
+    rows[1:3, 0] = rows[0, 0]
+    rows[5, -1] = complex(-0.0, 0.4)
+    rows[6, -1] = complex(0.0, 0.4)
+    return rows
+
+
+@pytest.mark.parametrize("make", [lambda: gaussian_density(2), lambda: gaussian_density(3),
+                                  lambda: Product((Atoms([[0.3 + 0.1j], [-0.5j]], [1.0, 0.5 - 0.2j]),
+                                                   Atoms([[0.0], [1.0 - 0.4j], [-0.7]], [2.0, 1.0, 0.3j])))],
+                         ids=["gaussian2", "gaussian3", "atoms2"])
+def test_product_pairings_equal_the_per_row_product(make):
+    mu = make()
+    for rows in (repeated_rows(mu.n), repeated_rows(mu.n)[:1]):
+        expected = math.prod(gaussian_pairings(f, rows[:, j:j + 1]) for j, f in enumerate(mu.factors))
+        np.testing.assert_array_equal(gaussian_pairings(mu, rows), expected)

@@ -214,3 +214,32 @@ def test_every_node_set_is_refused_over_the_cap(build, monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_NODES", 10_000)
     with pytest.raises(ValueError, match=r"nodes \(cap 10000\)"):
         build()
+
+
+def test_row_blocks_of_zero_rows_and_of_step_zero():
+    blocks = []
+
+    def fn(rows):
+        blocks.append(rows.shape[0])
+        return rows.sum(axis=1)
+
+    empty = quadrature.row_blocks(np.empty((0, 3)), 4, fn)
+    assert empty.shape == (0,) and blocks == [0]
+    blocks.clear()
+    rows = np.arange(15.0).reshape(5, 3)
+    np.testing.assert_array_equal(quadrature.row_blocks(rows, 0, fn), rows.sum(axis=1))
+    assert blocks == [1] * 5
+
+
+def test_distinct_builds_once_per_key_from_its_first_row():
+    keys = np.array([2.0, -0.0, 2.0, 0.0, 1.5, -0.0])
+    calls = []
+
+    def fn(first):
+        calls.append(first.tolist())
+        return keys[first] * 10.0
+
+    got = quadrature.distinct(keys, fn)
+    assert calls == [[1, 4, 0]]  # sorted keys, each at its first row; -0.0 and 0.0 are one key
+    np.testing.assert_array_equal(got, keys * 10.0)
+    assert quadrature.distinct(np.empty(0), lambda first: first * 1.0).shape == (0,)

@@ -25,6 +25,7 @@ from focklab.spectral import (
     gamma_samples,
     multiplication_matrix,
     norm_and_spectrum,
+    spectral_grid,
 )
 from focklab.toeplitz import (
     assemble_real_coderivative,
@@ -92,16 +93,22 @@ def test_samples_of_positive_measure_are_nonnegative():
     assert np.max(np.abs(samples.values.imag)) <= 1e-14
 
 
+def sampled(f, n, order):
+    """Order-0 SpectralSamples holding the values of the function f on the order-q spectral grid."""
+    return SpectralSamples((np.asarray(f(spectral_grid(n, order))).reshape((order,) * n),),
+                           HalfIndex((0,) * n), order)
+
+
 def test_multiplication_matrix_identity():
     b = enumerate_basis(1, 8)
-    m = multiplication_matrix(lambda p: np.ones(p.shape[0]), b, order=40)
+    m = multiplication_matrix(sampled(lambda p: np.ones(p.shape[0]), 1, 40), b)
     np.testing.assert_allclose(m.entries, np.eye(b.size), atol=1e-13)
 
 
 def test_multiplication_matrix_coordinate():
     # <x h_a, h_{a+1}> = sqrt((a+1)/2), Hermite recurrence
     b = enumerate_basis(1, 8)
-    m = multiplication_matrix(lambda p: p[:, 0], b, order=40).entries
+    m = multiplication_matrix(sampled(lambda p: p[:, 0], 1, 40), b).entries
     for a in range(8):
         assert m[a + 1, a] == pytest.approx(math.sqrt((a + 1) / 2), rel=1e-12)
     assert np.max(np.abs(np.diag(m))) <= 1e-13
@@ -109,7 +116,7 @@ def test_multiplication_matrix_coordinate():
 
 def test_multiplication_matrix_coordinate_squared():
     b = enumerate_basis(1, 8)
-    m = multiplication_matrix(lambda p: p[:, 0] ** 2, b, order=40).entries
+    m = multiplication_matrix(sampled(lambda p: p[:, 0] ** 2, 1, 40), b).entries
     for a in range(9):
         assert m[a, a] == pytest.approx(a + 0.5, rel=1e-12)
 
@@ -117,7 +124,7 @@ def test_multiplication_matrix_coordinate_squared():
 def test_multiplication_matrix_rejects_low_order():
     b = enumerate_basis(1, 30)
     with pytest.raises(ValueError, match="order"):
-        multiplication_matrix(lambda p: np.ones(p.shape[0]), b, order=20)
+        multiplication_matrix(sampled(lambda p: np.ones(p.shape[0]), 1, 20), b)
 
 
 def test_diagonalization_identity_symbol():
@@ -332,7 +339,7 @@ def phi_reference(gamma, basis, order=80):
     """The Hermite-side matrix as (Phi * w gamma) @ Phi.T, Phi[pos, i] = prod_j hhat_{alpha_j}(x_ij)
     built position by position on the order-q tensor nodes: the algorithm before the contraction."""
     pts, wts = tensor_rule([order] * basis.n).grid()
-    vals = gamma.values if isinstance(gamma, SpectralSamples) else gamma(pts)
+    vals = gamma.values
     axis_vals = []
     for j in range(basis.n):
         x = pts[:, j]
@@ -350,19 +357,19 @@ def phi_reference(gamma, basis, order=80):
     return (phi * (wts * vals)[None, :]) @ phi.T
 
 
-def _callable_gamma(p):
+def _complex_gamma(p):
     return np.exp(-p[:, 0] ** 2) * (1.0 + p[:, 1] - 0.5j * p[:, 0] * p[:, 1])
 
 
 @pytest.mark.parametrize("make, n, degree, order", [
     (lambda: gamma_samples(RealAtoms([[0.3], [-0.8]], [0.6, 0.4 - 0.2j]), K0, 80), 1, 60, 80),
     (lambda: gamma_samples(real_gaussian(2), (0, 0), 80), 2, 16, 80),
-    (lambda: _callable_gamma, 2, 16, 80),
+    (lambda: sampled(_complex_gamma, 2, 80), 2, 16, 80),
     (lambda: gamma_samples(real_gaussian(3), (2, 0, 0), 16), 3, 8, 16),
-], ids=["n1-atoms", "n2-gaussian", "n2-callable", "n3"])
+], ids=["n1-atoms", "n2-gaussian", "n2-sampled-function", "n3"])
 def test_multiplication_matrix_matches_the_per_position_phi_product(make, n, degree, order):
     gamma, b = make(), enumerate_basis(n, degree)
-    got = multiplication_matrix(gamma, b, order=order).entries
+    got = multiplication_matrix(gamma, b).entries
     want = phi_reference(gamma, b, order)
     assert got.shape == want.shape == (b.size, b.size)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
