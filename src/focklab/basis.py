@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .indices import MultiIndex, graded_lex_indices, monomial_matrix
+from .quadrature import gather_axes
 
 MAX_BASIS_SIZE = 20_000
 
@@ -98,13 +99,10 @@ def weyl_matrix(h, basis: BasisSet) -> np.ndarray:
 
     Each entry is the closed form of the untruncated operator, accurate to
     rounding (within 2e-14 of the largest entry at D = 80, |h| = 6); only unitarity is
-    lost to the truncation, which grows with |h| against sqrt(D).
+    lost to the truncation, which grows with |h| against sqrt(D).  ``quadrature.gather_axes``
+    gathers the one-axis tables, refusing a matrix over ``MAX_BYTES`` before allocating it.
     """
     h = np.broadcast_to(np.asarray(h, dtype=complex), (basis.n,))
-    tables = [_weyl_axis_table(h[j], basis.degree) for j in range(basis.n)]
-    cols = [np.array([a[j] for a in basis.indices]) for j in range(basis.n)]
-    out = np.ones((basis.size, basis.size), dtype=complex)
-    for j in range(basis.n):
-        out = out * tables[j][cols[j][:, None], cols[j][None, :]]
+    _, out = gather_axes([_weyl_axis_table(hj, basis.degree) for hj in h], basis.degree)
     return math.exp(-0.5 * float(np.sum(np.abs(h) ** 2))) * out
 

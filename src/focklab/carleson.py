@@ -8,7 +8,6 @@ configured factor).  Inconclusive verdicts are data, not errors.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ import numpy as np
 from .basis import BasisSet, enumerate_basis
 from .indices import HalfIndex
 from .measures import DEFAULT_ORDER, ball_mass, dimension, variation, weight
+from .quadrature import tensor_grid
 from .toeplitz import assemble_coderivative, berezin_measure
 
 GROWTH_FACTOR = 1.5
@@ -46,7 +46,7 @@ def lattice(n: int, window: float, spacing: float):
         raise ValueError(f"need positive window and spacing, got R={window}, delta={spacing}")
     m = int(math.floor(window / spacing + 1e-9))
     axis = spacing * np.arange(-m, m + 1)
-    pts = np.array(list(itertools.product(axis, repeat=2 * n)))
+    pts, _ = tensor_grid([axis] * (2 * n), [np.ones(axis.size)] * (2 * n))  # refused past MAX_NODES points
     z = pts[:, :n] + 1j * pts[:, n:]
     boundary = np.max(np.abs(pts), axis=1) >= axis[-1] - 1e-12
     return z, boundary

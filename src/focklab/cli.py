@@ -23,10 +23,10 @@ from . import carleson as carleson_mod
 from .basis import enumerate_basis
 from .indices import HalfIndex
 from .lagrangian import LagrangianFrame, assemble_l_real_coderivative, l_invariance_test, rotation_defect
-from .measures import DEFAULT_ORDER, Horizontal, parse_measure, pushforward, weight
+from .measures import DEFAULT_ORDER, parse_measure, pushforward, weight
 from .output import write_complex_grid_csv, write_matrix_csv, write_samples_csv, write_summary
 from .quadrature import check_nodes
-from .spectral import DEFAULT_SPECTRAL_ORDER, diagonalization_residual, gamma_samples, norm_and_spectrum
+from .spectral import DEFAULT_SPECTRAL_ORDER, diagonalization_residual, gamma_samples, horizontal_rho, norm_and_spectrum
 from .toeplitz import (
     assemble_real_coderivative,
     assemble_toeplitz,
@@ -120,7 +120,7 @@ def _symbol(config: ExperimentConfig, k: HalfIndex, horizontal: bool = False):
         if not (alpha.is_nonnegative and k.geq(alpha)):
             raise ValueError(f"field 'alpha': reduction needs 0 <= alpha <= k, got alpha={alpha.halves()}, k={k.halves()}")
         mu, k = weight(mu, alpha), k - alpha
-    if horizontal and not isinstance(mu, Horizontal):
+    if horizontal and horizontal_rho(mu) is None:
         raise ValueError(f"field 'measure': {config.command} needs a horizontal(...) measure (after alpha reduction)")
     if horizontal:  # gamma.csv holds the flat q^n samples: refuse past the node cap before any work
         check_nodes(config.spectral_order ** config.n)
@@ -248,8 +248,8 @@ def _lagrangian(config: ExperimentConfig, k: HalfIndex, out: Path):
     failed = defect > 1e-12
     if config.measure is not None:
         mu = parse_measure(config.measure, config.n)
-        rotated = pushforward(mu, frame.rotation.conj().T)
-        if isinstance(rotated, Horizontal):  # gamma.csv holds the flat q^n samples, as in _symbol
+        rho = horizontal_rho(pushforward(mu, frame.rotation.conj().T))
+        if rho is not None:  # gamma.csv holds the flat q^n samples, as in _symbol
             check_nodes(config.spectral_order ** config.n)
         basis = enumerate_basis(config.n, config.truncation)
         inv = l_invariance_test(mu, frame, basis, config.moment_order)
@@ -258,8 +258,8 @@ def _lagrangian(config: ExperimentConfig, k: HalfIndex, out: Path):
             ("weyl-commutators", tuple(repr(v) for v in inv.weyl_commutators)),
             ("invariant", inv.invariant),
         ]
-        if isinstance(rotated, Horizontal):
-            report = diagonalization_residual(rotated, k, basis, config.moment_order, config.spectral_order)
+        if rho is not None:
+            report = diagonalization_residual(rho, k, basis, config.moment_order, config.spectral_order)
             write_matrix_csv(report.toeplitz, out / "matrix")
             write_samples_csv(report.samples.grid, report.samples.values, out / "gamma.csv")
             failed = failed or report.residual > tolerance

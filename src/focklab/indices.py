@@ -158,24 +158,6 @@ def hermite(m: int, x):
     return hermite_values(m, x)[m]
 
 
-def gamma_half_plus_one(doubled: int) -> float:
-    """Gamma(m/2 + 1) for the half-integer m/2, exact down the recursion.
-
-    Even doubled values reduce to an integer factorial; odd ones walk
-    Gamma(x+1) = x Gamma(x) down to Gamma(1/2) = sqrt(pi).
-    """
-    if doubled < 0:
-        raise ValueError("gamma_half_plus_one needs a nonnegative doubled value")
-    if doubled % 2 == 0:
-        return float(math.factorial(doubled // 2))
-    acc = math.sqrt(math.pi)
-    x = doubled / 2.0
-    while x > 0:
-        acc *= x
-        x -= 1.0
-    return acc
-
-
 @dataclass(frozen=True)
 class HalfIndex:
     """A half-integer multi-index k in (Z/2)^n stored as doubled = 2k.
@@ -265,7 +247,8 @@ class HalfIndex:
         """prod_j Gamma(k_j + 1), the half-integer extension of k!."""
         if not self.is_nonnegative:
             raise ValueError("gamma_factor needs k >= 0")
-        return math.prod(gamma_half_plus_one(v) for v in self.doubled)
+        # math.gamma is off the correctly rounded factorial by an ulp at some integers from 23 on
+        return math.prod(math.gamma(v / 2 + 1) if v % 2 else float(math.factorial(v // 2)) for v in self.doubled)
 
     def geq(self, other: "HalfIndex") -> bool:
         return all(a >= b for a, b in zip(self.doubled, other.doubled))

@@ -1,13 +1,13 @@
 """Measure symbols on C^n and the integration primitives behind every formula.
 
-A measure is described structurally: finite atom sets, densities,
-horizontal products rho (x) Lebesgue_y, alpha-weighted horizontal products,
-unitary pushforwards, tensor products of one-axis measures, and the
-(1+x^2)^p (1+y^2)^p weighting calculus.  All pairings against Gaussian
-kernels reduce to node/weight sets: atoms contribute exactly, everything else
-goes through recentered Gauss-Hermite rules.  Only ``AlphaHorizontal`` knows
-how rho (x) nu_alpha integrates: its pairings, moments and polydisk masses
-split into rho's part and y-integrals.  ``Product`` (on C^n) and
+A measure is described structurally: finite atom sets, densities, products
+rho (x) nu_alpha (one type; its alpha = 0 case, the horizontal rho (x) Lebesgue_y,
+is told apart only by ``spectral.horizontal_rho``), unitary pushforwards, tensor
+products of one-axis measures, and the (1+x^2)^p (1+y^2)^p weighting calculus.
+All pairings against Gaussian kernels reduce to node/weight sets: atoms contribute
+exactly, everything else goes through recentered Gauss-Hermite rules.  Only
+``AlphaHorizontal`` knows how rho (x) nu_alpha integrates: its pairings, moments
+and polydisk masses split into rho's part and y-integrals.  ``Product`` (on C^n) and
 ``RealProduct`` (on R^n) hold mu_1 (x) .. (x) mu_n: the kernel, the weight,
 the monomials and the polydisk factor over the axes, so each of their
 pairings, moment tables, polydisk masses and gamma sums is a product of
@@ -329,15 +329,15 @@ class AlphaHorizontal(MeasureSpec):
     """mu = rho (x) nu_{n,alpha} with d nu_{n,alpha} = prod (1+y_j^2)^{-alpha_j} dy_j.
 
     ``alpha_doubled`` stores 2*alpha so half-integer exponents arising from
-    the weighting calculus stay exact; it defaults to alpha = 0.
+    the weighting calculus stay exact (n integers, read by ``HalfIndex.of``); it defaults
+    to alpha = 0, the horizontal rho (x) Lebesgue, which ``Horizontal`` also names.
     """
 
     rho: RealMeasure
     alpha_doubled: tuple[int, ...] = ()
 
     def __post_init__(self):
-        alpha = tuple(int(a) for a in self.alpha_doubled) or (0,) * self.rho.n
-        object.__setattr__(self, "alpha_doubled", alpha)
+        object.__setattr__(self, "alpha_doubled", HalfIndex.of(tuple(self.alpha_doubled) or 0, self.rho.n).doubled)
 
     @property
     def n(self) -> int:
@@ -347,11 +347,13 @@ class AlphaHorizontal(MeasureSpec):
         return type(self)(variation(self.rho), self.alpha_doubled)
 
     def weighted(self, p: HalfIndex):
-        alpha = tuple(a - d for a, d in zip(self.alpha_doubled, p.doubled))
-        rho = weight(self.rho, p)
-        if all(a == 0 for a in alpha):
-            return Horizontal(rho)
-        return AlphaHorizontal(rho, alpha)
+        return AlphaHorizontal(weight(self.rho, p), tuple(a - d for a, d in zip(self.alpha_doubled, p.doubled)))
+
+    def pushed(self, x):
+        # nu_0 is Lebesgue, invariant under any real orthogonal rotation
+        if not any(self.alpha_doubled) and np.max(np.abs(x.imag)) < _UNITARY_TOL:
+            return AlphaHorizontal(self.rho.pushed(x.real))
+        return Pushforward(self, x)
 
     def _nu(self, j: int, v):
         """The nu_alpha density (1+v^2)^{-alpha_j} on axis j; exactly 1 where alpha_j = 0."""
@@ -416,14 +418,7 @@ class AlphaHorizontal(MeasureSpec):
         return self.rho.box_integral(centers.real, r, chord)
 
 
-class Horizontal(AlphaHorizontal):
-    """mu = rho (x) Lebesgue on the imaginary directions (alpha = 0)."""
-
-    def pushed(self, x):
-        # the Lebesgue factor is invariant under any real orthogonal rotation
-        if np.max(np.abs(x.imag)) < _UNITARY_TOL:
-            return Horizontal(self.rho.pushed(x.real))
-        return Pushforward(self, x)
+Horizontal = AlphaHorizontal  # rho (x) Lebesgue on the imaginary directions is the alpha = 0 case
 
 
 @dataclass(frozen=True, eq=False)
@@ -592,9 +587,9 @@ def dirac(point) -> Atoms:
     return Atoms(pts, np.ones(pts.shape[0]))
 
 
-def lebesgue(n: int) -> Horizontal:
+def lebesgue(n: int) -> AlphaHorizontal:
     """Lebesgue measure nu_{2n} on C^n, kept in product form."""
-    return Horizontal(Lebesgue(n))
+    return AlphaHorizontal(Lebesgue(n))
 
 
 def _check_sigma(sigma) -> float:
@@ -943,7 +938,7 @@ def _parse(text: str, n: int, real: bool):
             raise ValueError(f"density spec {text!r}: density takes no options")
         return (RealDensity if real else Density)(compile_density_expression(expr, n, real), n)
     if not real and head == "horizontal":
-        return Horizontal(_parse(body, n, True))
+        return AlphaHorizontal(_parse(body, n, True))
     if not real and head == "alpha_horizontal":
         rho_text, alpha_text = _split_top(body, ";")
         alpha = [float(a) for a in _split_top(alpha_text, ",")]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .indices import graded_lex_indices
 MAX_ORDER = 200
 MAX_NODES = 6_000_000  # largest node set any tensor discretization may materialize
 MAX_EVALS = 2_000_000_000  # most point evaluations one streamed tensor sum may request
-MAX_BYTES = 1 << 30  # largest complex array one moment contraction or gather may allocate
+MAX_BYTES = 1 << 30  # largest complex array one contraction or gather (moment table, Weyl matrix) may allocate
 # points per slab of a streamed tensor sum: 20,000 to 100,000 measured alike, while
 # 200,000-point slabs made gamma_samples at n = 2 three times slower (2-core Xeon)
 _SLAB = 65_536
@@ -99,11 +99,7 @@ def tensor_grid(axes, weights) -> tuple[np.ndarray, np.ndarray]:
     """
     check_nodes(math.prod(len(a) for a in axes))
     grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = weights[0]
-    for aw in weights[1:]:
-        w = np.multiply.outer(w, aw)
-    return pts, w.ravel()
+    return np.stack([g.ravel() for g in grids], axis=-1), reduce(np.multiply.outer, weights).ravel()
 
 
 def tensor_sums(axes, weights, f) -> np.ndarray:
@@ -216,7 +212,7 @@ def gather_axes(mats, maxdeg: int):
 def _check_bytes(entries: int) -> None:
     """Refuse a complex array of ``entries`` values over ``MAX_BYTES`` before it is allocated."""
     if 16 * entries > MAX_BYTES:
-        raise ValueError(f"moment contraction needs a {16 * entries}-byte array (cap {MAX_BYTES})")
+        raise ValueError(f"needs a {16 * entries}-byte array (cap {MAX_BYTES})")
 
 
 def tensor_rule(orders) -> TensorRule:

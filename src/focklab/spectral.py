@@ -10,6 +10,8 @@ w gamma against hhat_a(x_j) hhat_b(x_j) on every axis j, the shape of a moment
 table, so it goes through the moment pass's ``quadrature.contract_axes``.  For a
 product rho, gamma is a product of one-axis gammas: the samples keep one vector
 per axis and the matrix is a gather of n one-axis tables, as the moment table is.
+Whether a measure is horizontal (rho (x) Lebesgue, the alpha = 0 ``AlphaHorizontal``)
+is decided in one place, ``horizontal_rho``, which ``diagonalization_residual`` and the CLI read.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .basis import BasisSet
 from .indices import HalfIndex, hermite, select_table
-from .measures import DEFAULT_ORDER, Horizontal, MeasureSpec, dimension, real_sums
+from .measures import DEFAULT_ORDER, AlphaHorizontal, MeasureSpec, dimension, real_sums
 from .quadrature import MAX_NODES, check_nodes, contract_axes, gauss_hermite, row_blocks, tensor_rule
 from .toeplitz import (
     OperatorMatrix,
@@ -143,14 +145,18 @@ class DiagonalizationReport:
     samples: SpectralSamples = field(repr=False)
 
 
+def horizontal_rho(mu):
+    """rho if mu is the horizontal rho (x) Lebesgue, an ``AlphaHorizontal`` with alpha = 0, else None."""
+    return mu.rho if isinstance(mu, AlphaHorizontal) and not any(mu.alpha_doubled) else None
+
+
 def _extract_rho(mu_or_rho):
-    if isinstance(mu_or_rho, Horizontal):
-        return mu_or_rho.rho
-    if isinstance(mu_or_rho, MeasureSpec):
+    rho = horizontal_rho(mu_or_rho) if isinstance(mu_or_rho, MeasureSpec) else mu_or_rho
+    if rho is None:
         raise ValueError(
             f"diagonalization needs a horizontal symbol (rho or Horizontal(rho)); got {type(mu_or_rho).__name__}"
         )
-    return mu_or_rho
+    return rho
 
 
 def diagonalization_residual(mu_or_rho, k: HalfIndex, basis: BasisSet,
@@ -166,7 +172,7 @@ def diagonalization_residual(mu_or_rho, k: HalfIndex, basis: BasisSet,
     """
     k = HalfIndex.of(k, basis.n)
     rho = _extract_rho(mu_or_rho)
-    mu = Horizontal(rho)
+    mu = AlphaHorizontal(rho)
     top = assemble_real_coderivative(mu, k, basis, moment_order)
     samples = gamma_samples(rho, k, spectral_order, moment_order)
     mult = multiplication_matrix(samples, basis)

@@ -23,7 +23,7 @@ from .basis import BasisSet, kernel_coefficients
 from .indices import HalfIndex, as_multi_index, lowering
 from .measures import (
     DEFAULT_ORDER,
-    Horizontal,
+    AlphaHorizontal,
     dimension,
     gaussian_pairing,
     gaussian_pairings,
@@ -151,7 +151,7 @@ def berezin_coderivative(mu, k: HalfIndex, z, order: int = DEFAULT_ORDER):
 def horizontal_berezin_profile(rho, x, order: int = DEFAULT_ORDER) -> complex:
     """pi^{-n/2} int e^{-(t-x)^2} drho(t), the Berezin value of rho (x) nu_n at Re z = x;
     ``berezin_measure`` of the horizontal product at the real point x."""
-    return berezin_measure(Horizontal(rho), x, order)
+    return berezin_measure(AlphaHorizontal(rho), x, order)
 
 
 def berezin_operator(op: OperatorMatrix, z) -> complex:

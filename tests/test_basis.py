@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from focklab.basis import enumerate_basis, kernel_coefficients, normalized_kernel, weyl_matrix
+from focklab.basis import _weyl_axis_table, enumerate_basis, kernel_coefficients, normalized_kernel, weyl_matrix
 from focklab.indices import factorial, monomial_matrix
+from focklab.quadrature import MAX_BYTES
 
 
 def derivative(coefficients, a, basis):
@@ -146,3 +148,27 @@ def test_weyl_entries_match_laguerre_closed_form():
         ref = np.array([[complex(_laguerre_weyl_entry(mp, mp.mpc(h), g[0], a[0])) for a in b.indices]
                         for g in b.indices])
     assert np.max(np.abs(weyl_matrix([h], b) - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, degree", [(1, 40), (2, 12), (3, 6)])
+def test_weyl_matrix_is_the_product_of_its_axis_tables(n, degree):
+    # the per-axis loop the gather replaced, kept as the exact reference
+    b = enumerate_basis(n, degree)
+    h = np.random.default_rng(n).normal(size=(n, 2)) @ np.array([1.0, 1j])
+    out = np.ones((b.size, b.size), dtype=complex)
+    for j in range(n):
+        cols = np.array([a[j] for a in b.indices])
+        out = out * _weyl_axis_table(h[j], degree)[cols[:, None], cols[None, :]]
+    np.testing.assert_array_equal(weyl_matrix(h, b), math.exp(-0.5 * float(np.sum(np.abs(h) ** 2))) * out)
+
+
+def test_weyl_matrix_over_the_byte_cap_is_refused_before_allocating():
+    b = enumerate_basis(2, 127)  # 8,256 elements: the complex matrix would take 1.09 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"needs a {16 * b.size ** 2}-byte array \(cap {MAX_BYTES}\)"):
+            weyl_matrix([0.3, -0.2j], b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6

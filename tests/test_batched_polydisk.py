@@ -111,7 +111,8 @@ def test_flat_density():
 def test_weighted_lebesgue_is_a_product_matching_the_flat_density(n, m):
     k = HalfIndex.from_doubled((1, 2, 3)[:n])
     mu = weight(lebesgue(n), k)
-    assert type(mu) is AlphaHorizontal and type(mu.rho) is RealProduct
+    assert type(mu) is AlphaHorizontal and mu.alpha_doubled == tuple(-d for d in k.doubled)
+    assert type(mu.rho) is RealProduct
     # the weight prod_j (1 + x_j^2)^{k_j} as one n-dimensional density
     flat = Lebesgue(n).times(lambda t: np.prod((1.0 + t**2) ** (np.array(k.doubled) / 2.0), axis=1))
     assert type(flat) is RealDensity
@@ -121,7 +122,7 @@ def test_weighted_lebesgue_is_a_product_matching_the_flat_density(n, m):
 def test_lebesgue_itself_stays_rotation_invariant():
     rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
     mu = pushforward(lebesgue(2), rotation)
-    assert type(mu) is Horizontal and type(mu.rho) is Lebesgue
+    assert type(mu) is Horizontal and mu.alpha_doubled == (0, 0) and type(mu.rho) is Lebesgue
 
 
 def test_rotated_polydisk_refusal_in_row_form():
@@ -226,3 +227,15 @@ def _flat_gaussian():
 def test_zero_rows_give_an_empty_array(call):
     out = call(np.zeros((0, 2), dtype=complex))
     assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+def test_real_rotation_of_the_alpha_zero_product_keeps_its_polydisk_mass():
+    # alpha = 0 is the horizontal measure, whose Lebesgue factor absorbs a real rotation
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+    alpha0 = pushforward(AlphaHorizontal(real_gaussian(2), (0, 0)), rotation)
+    horizontal = pushforward(Horizontal(real_gaussian(2)), rotation)
+    assert type(alpha0) is AlphaHorizontal and alpha0.alpha_doubled == (0, 0)
+    centres, r = rows(2, 6), (0.9, 1.2)
+    np.testing.assert_array_equal(ball_mass(alpha0, centres, r), ball_mass(horizontal, centres, r))
+    # any other alpha weights the y-directions axis by axis, so the rotation stays a pushforward
+    assert type(pushforward(AlphaHorizontal(real_gaussian(2), (2, 0)), rotation)) is Pushforward

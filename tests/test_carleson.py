@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,3 +249,26 @@ def test_an_index_with_the_wrong_number_of_axes_is_refused(call, k):
     # an index has one entry per axis of the measure; a short one must not broadcast, a long one not be cut
     with pytest.raises(ValueError, match="axes, expected 2"):
         call(k)
+
+
+@pytest.mark.parametrize("n, window, spacing", [(1, 2.0, 0.5), (2, 1.0, 0.3), (3, 0.5, 0.25), (1, 0.4, 0.5)])
+def test_lattice_points_and_boundary_match_the_product_loop(n, window, spacing):
+    # the itertools.product construction the tensor grid replaced, kept as the exact reference
+    z, boundary = lattice(n, window, spacing)
+    m = int(math.floor(window / spacing + 1e-9))
+    axis = spacing * np.arange(-m, m + 1)
+    pts = np.array(list(itertools.product(axis, repeat=2 * n)))
+    np.testing.assert_array_equal(z, pts[:, :n] + 1j * pts[:, n:])
+    np.testing.assert_array_equal(boundary, np.max(np.abs(pts), axis=1) >= axis[-1] - 1e-12)
+
+
+def test_lattice_over_the_node_cap_is_refused_before_allocating():
+    # 33^6 points on [-4, 4]^6 at spacing 1/4
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="discretization needs 1291467969 nodes"):
+            lattice(3, 4.0, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

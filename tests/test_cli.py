@@ -329,6 +329,28 @@ def test_four_axis_lagrangian_gamma_table_is_refused_before_any_write(tmp_path, 
     assert not list((tmp_path / "o").glob("*.csv"))
 
 
+def test_alpha_zero_spectral_run_is_the_horizontal_run(tmp_path):
+    # alpha_horizontal(rho; 0) is the horizontal measure: same exit code and same bytes
+    written = {}
+    for name, measure in [("h", "horizontal(gaussian(1.0))"), ("a", "alpha_horizontal(gaussian(1.0); 0)")]:
+        cfg = write_config(tmp_path, f"{name}.yaml", command="spectral", n=1, measure=measure, k=[2],
+                           spectral_order=40, out=str(tmp_path / name))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg)])
+        assert exc.value.code == 0
+        written[name] = [(tmp_path / name / f).read_bytes() for f in ("gamma.csv", "summary.txt")]
+    assert written["a"] == written["h"]
+
+
+def test_carleson_lattice_over_the_node_cap_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, command="carleson", n=3, measure="lebesgue", window=4.0, spacing=0.25,
+                       out=str(tmp_path / "o"))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "discretization needs 1291467969 nodes" in capsys.readouterr().err
+
+
 def test_verify_diagonalization_samples_gamma_once(tmp_path, monkeypatch):
     calls = []
 

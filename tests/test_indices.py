@@ -9,7 +9,6 @@ from focklab import indices
 from focklab.indices import (
     HalfIndex,
     factorial,
-    gamma_half_plus_one,
     graded_lex_indices,
     hermite,
     hermite_values,
@@ -92,11 +91,24 @@ def test_monomial_matrix_incremental_powers():
 
 
 def test_gamma_half_values():
-    assert gamma_half_plus_one(0) == 1.0
-    assert gamma_half_plus_one(2) == 1.0
-    assert gamma_half_plus_one(4) == 2.0
-    assert abs(gamma_half_plus_one(1) - math.sqrt(math.pi) / 2) <= 1e-15
-    assert abs(gamma_half_plus_one(3) - 3 * math.sqrt(math.pi) / 4) <= 1e-15
+    def gamma(*doubled):
+        return HalfIndex(doubled).gamma_factor()
+
+    assert gamma(0) == 1.0
+    assert gamma(2) == 1.0
+    assert gamma(4) == 2.0
+    assert abs(gamma(1) - math.sqrt(math.pi) / 2) <= 1e-15
+    assert abs(gamma(3) - 3 * math.sqrt(math.pi) / 4) <= 1e-15
+    assert gamma(1, 4) == gamma(1) * 2.0
+    # integer k: the correctly rounded k!, also where math.gamma is an ulp off (k = 23)
+    for k in range(171):
+        assert gamma(2 * k) == float(math.factorial(k))
+    # Gamma(m + 3/2) = (2m+2)! sqrt(pi) / (4^{m+1} (m+1)!), the rational part divided exactly
+    for m in range(60):
+        closed = math.factorial(2 * m + 2) / (4 ** (m + 1) * math.factorial(m + 1)) * math.sqrt(math.pi)
+        assert abs(gamma(2 * m + 1) - closed) <= 1e-15 * closed
+    with pytest.raises(ValueError, match="k >= 0"):
+        gamma(-1)
 
 
 def test_half_index_arithmetic_is_exact():

@@ -152,7 +152,8 @@ def test_weight_keeps_the_normal_form():
     for mu, kind in [(lebesgue(1), AlphaHorizontal), (AlphaHorizontal(Lebesgue(1), (2,)), AlphaHorizontal),
                      (gaussian_density(1), Density), (dirac([0.5j]), Atoms)]:
         assert isinstance(weight(mu, p), kind)
-    assert type(weight(AlphaHorizontal(Lebesgue(1), (1,)), p)) is Horizontal
+    lands = weight(AlphaHorizontal(Lebesgue(1), (1,)), p)
+    assert type(lands) is Horizontal and lands.alpha_doubled == (0,)
     rotated = pushforward(lebesgue(1), np.array([[np.exp(0.4j)]]))
     w = weight(rotated, p)
     assert type(w) is Weighted and type(w.base) is Pushforward
@@ -204,7 +205,8 @@ def test_real_and_complex_grammar_share_their_built_ins():
     assert isinstance(parse_real_measure("gaussian(2)", 1), RealDensity)
     assert isinstance(parse_measure("gaussian(2)", 1), Density)
     assert isinstance(parse_real_measure("lebesgue", 2), Lebesgue)
-    assert isinstance(parse_measure("lebesgue", 2), Horizontal)
+    mu = parse_measure("lebesgue", 2)
+    assert isinstance(mu, Horizontal) and mu.alpha_doubled == (0, 0)
     with pytest.raises(ValueError, match="real measure"):
         parse_real_measure("weighted(lebesgue; 1)", 1)
 
@@ -212,3 +214,14 @@ def test_real_and_complex_grammar_share_their_built_ins():
 def test_dimension_of_a_non_measure_is_a_type_error():
     with pytest.raises(TypeError, match="BasisSet"):
         dimension(enumerate_basis(1, 3))
+
+
+def test_alpha_horizontal_validates_its_alpha():
+    # alpha is read as a HalfIndex: a fractional doubled entry or a wrong axis count is refused
+    with pytest.raises(ValueError, match="must be integers"):
+        AlphaHorizontal(real_gaussian(1), (1.5,))
+    with pytest.raises(ValueError, match="expected 2"):
+        AlphaHorizontal(real_gaussian(2), (1,))
+    assert AlphaHorizontal(real_gaussian(2)).alpha_doubled == (0, 0)
+    assert AlphaHorizontal(real_gaussian(2), (1, -2)).alpha_doubled == (1, -2)
+    assert AlphaHorizontal(real_gaussian(2), np.array([2, 0])).alpha_doubled == (2, 0)

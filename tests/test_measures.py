@@ -120,7 +120,8 @@ def test_alpha_horizontal_weight_shift_structure():
     assert isinstance(shifted, AlphaHorizontal)
     assert shifted.alpha_doubled == (p + alpha - k).doubled
     # weighting by alpha itself lands exactly on the horizontal normal form
-    assert isinstance(weight(mu, alpha), Horizontal)
+    lands = weight(mu, alpha)
+    assert isinstance(lands, Horizontal) and lands.alpha_doubled == (0,)
 
 
 def test_ball_mass_lebesgue_disk_area():
@@ -217,7 +218,7 @@ def test_pushforward_preserves_radial_mass():
 def test_pushforward_real_orthogonal_keeps_horizontal_structure():
     mu = Horizontal(real_dirac([0.4]))
     flipped = pushforward(mu, np.array([[-1.0]]))
-    assert isinstance(flipped, Horizontal)
+    assert isinstance(flipped, Horizontal) and flipped.alpha_doubled == (0,)
     np.testing.assert_allclose(flipped.rho.points, [[-0.4]])
 
 
@@ -285,15 +286,16 @@ def test_density_expression_rejects_unsafe():
 
 
 def test_parse_measure_builtins():
-    assert isinstance(parse_measure("lebesgue", 2), Horizontal)
+    mu0 = parse_measure("lebesgue", 2)
+    assert isinstance(mu0, Horizontal) and mu0.alpha_doubled == (0, 0)
     mu = parse_measure("dirac(1+1j)", 1)
     np.testing.assert_allclose(mu.points, [[1 + 1j]])
     mu2 = parse_measure("atoms(1+0j: 1.0, 0.5j: 2)", 1)
     assert mu2.points.shape == (2, 1)
     mu3 = parse_measure("horizontal(gaussian(1.0))", 1)
-    assert isinstance(mu3, Horizontal)
+    assert isinstance(mu3, Horizontal) and mu3.alpha_doubled == (0,)
     mu4 = parse_measure("weighted(horizontal(lebesgue); 1)", 1)
-    assert isinstance(mu4, AlphaHorizontal)
+    assert isinstance(mu4, AlphaHorizontal) and mu4.alpha_doubled == (-2,)
     mu5 = parse_measure("pushforward(dirac(1+0j); -1j)", 1)
     np.testing.assert_allclose(mu5.points, [[1j]])
     mu6 = parse_measure("density(exp(-r2))", 2)

@@ -23,6 +23,7 @@ from focklab.spectral import (
     gamma_2k,
     gamma_plain,
     gamma_samples,
+    horizontal_rho,
     multiplication_matrix,
     norm_and_spectrum,
     spectral_grid,
@@ -167,6 +168,19 @@ def test_diagonalization_accepts_horizontal_spec():
     assert rep.residual <= 1e-10
 
 
+def test_diagonalization_accepts_the_alpha_zero_product():
+    # AlphaHorizontal(rho) is the horizontal measure itself; alpha != 0 is refused
+    b = enumerate_basis(1, 8)
+    rho = real_gaussian(1)
+    assert horizontal_rho(AlphaHorizontal(rho)) is rho
+    rep = diagonalization_residual(AlphaHorizontal(rho, (0,)), K0, b)
+    np.testing.assert_array_equal(rep.toeplitz.entries, diagonalization_residual(rho, K0, b).toeplitz.entries)
+    assert rep.residual <= 1e-10
+    assert horizontal_rho(AlphaHorizontal(rho, (2,))) is None and horizontal_rho(dirac([0.4j])) is None
+    with pytest.raises(ValueError, match="horizontal"):
+        diagonalization_residual(AlphaHorizontal(rho, (2,)), K0, b)
+
+
 def test_kernel_route_residual_decreases_with_truncation():
     coarse = diagonalization_residual(real_gaussian(1), K0, enumerate_basis(1, 10))
     fine = diagonalization_residual(real_gaussian(1), K0, enumerate_basis(1, 14))
@@ -255,7 +269,7 @@ def test_alpha_horizontal_reduction_diagonalizes():
     rho = real_gaussian(1)
     mu = AlphaHorizontal(rho, alpha.doubled)
     reduced = weight(mu, alpha)
-    assert isinstance(reduced, Horizontal)
+    assert isinstance(reduced, Horizontal) and reduced.alpha_doubled == (0,)
     b = enumerate_basis(1, 10)
     t = assemble_real_coderivative(reduced, k - alpha, b)
     samples = gamma_samples(weight(rho, alpha), k - alpha)
