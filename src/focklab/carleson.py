@@ -122,16 +122,14 @@ class KfcReport:
     degree: int
     coarse_degree: int
     growth_detected: bool
-    random_probe: float
 
 
-def kfc_verdict(mu, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER, seed: int = 0) -> KfcReport:
+def kfc_verdict(mu, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER) -> KfcReport:
     """Top eigenvalue of the derivative pairing form of |mu| as the omega estimate.
 
     Computed at the full truncation and a coarser one; growth of the estimate
     across truncations flags a failing embedding.  Requires integer k (the
-    Gram matrix is the (k, k) coderivative operator); a random-vector probe
-    of the quadratic form cross-checks the eigenvalue from below.
+    Gram matrix is the (k, k) coderivative operator).
     """
     kk = HalfIndex.of(k, basis.n).as_integer_index()
     # graded-lex bases of lower degree are prefixes and each Gram entry depends
@@ -146,20 +144,12 @@ def kfc_verdict(mu, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER, s
 
     omega = top_eig(basis.size)
     omega_coarse = top_eig(coarse.size)
-    full = gram[:basis.size, :basis.size]
-    rng = np.random.default_rng(seed)
-    probe = 0.0
-    for _ in range(8):
-        v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-        v /= np.linalg.norm(v)
-        probe = max(probe, float((v.conj() @ full @ v).real))
     return KfcReport(
         omega=omega,
         omega_coarse=omega_coarse,
         degree=basis.degree,
         coarse_degree=coarse.degree,
         growth_detected=bool(omega > GROWTH_FACTOR * max(omega_coarse, 1e-300)),
-        random_probe=probe,
     )
 
 
@@ -170,8 +160,8 @@ class WeightShiftReport:
     ``stated`` follows the displayed identity C_{k-p}(mu_p, r) = C_k(mu, r);
     ``prose`` follows the surrounding text, C_p(mu_{k-p}, r) = C_k(mu, r).
     The Gamma-normalized suprema agree exactly (the weighted measures
-    coincide); the two constants differ from C_k by the printed ratios unless
-    the Gamma factors happen to match.
+    coincide); the two constants differ from C_k by the ratio of their Gamma
+    factors unless those happen to match.
     """
 
     c_k: float
@@ -181,8 +171,6 @@ class WeightShiftReport:
     normalized_rhs: float
     stated_matches: bool
     prose_matches: bool
-    stated_ratio: float
-    prose_ratio: float
 
 
 def weight_shift_check(mu, k: HalfIndex, p: HalfIndex, r, window: float = 2.0,
@@ -204,6 +192,4 @@ def weight_shift_check(mu, k: HalfIndex, p: HalfIndex, r, window: float = 2.0,
         normalized_rhs=norm_rhs,
         stated_matches=bool(abs(stated.sup_estimate - c_k.sup_estimate) <= 1e-9 * scale),
         prose_matches=bool(abs(prose.sup_estimate - c_k.sup_estimate) <= 1e-9 * scale),
-        stated_ratio=stated.sup_estimate / c_k.sup_estimate if c_k.sup_estimate else math.nan,
-        prose_ratio=prose.sup_estimate / c_k.sup_estimate if c_k.sup_estimate else math.nan,
     )

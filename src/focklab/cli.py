@@ -170,7 +170,7 @@ def _carleson(config: ExperimentConfig, k: HalfIndex, out: Path):
     ]
     if k.is_integer and k.is_nonnegative:
         basis = enumerate_basis(config.n, config.truncation)
-        kfc = carleson_mod.kfc_verdict(mu, k, basis, config.moment_order, seed=config.seed)
+        kfc = carleson_mod.kfc_verdict(mu, k, basis, config.moment_order)
         summary += [
             ("kfc-omega", repr(kfc.omega)),
             ("kfc-omega-coarse", repr(kfc.omega_coarse)),
@@ -301,7 +301,7 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(prog="fock-lab", description=__doc__)
     parser.add_argument("--config", required=True, help="YAML experiment description")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, default=None, help="PRNG seed (overrides config)")
+    parser.add_argument("--seed", type=int, default=None, help="run label printed in summary.txt (overrides config)")
     args = parser.parse_args(argv)
     try:
         config = load_config(Path(args.config))

@@ -7,31 +7,34 @@ products of one-axis measures, and the (1+x^2)^p (1+y^2)^p weighting calculus.
 All pairings against Gaussian kernels reduce to node/weight sets: atoms contribute
 exactly, everything else goes through recentered Gauss-Hermite rules.  Only
 ``AlphaHorizontal`` knows how rho (x) nu_alpha integrates: its pairings, moments
-and polydisk masses split into rho's part and y-integrals.  ``Product`` (on C^n) and
-``RealProduct`` (on R^n) hold mu_1 (x) .. (x) mu_n: the kernel, the weight,
-the monomials and the polydisk factor over the axes, so each of their
-pairings, moment tables, polydisk masses and gamma sums is a product of
-one-axis ones: ``_per_axis`` builds axis j's once per distinct c_j through
-``quadrature.distinct``, and ``quadrature.gather_axes`` gathers moment tables
-(a ``RealProduct``'s weight grid is rank one).  ``gaussian_density(n)`` and
-``real_gaussian(n)`` build them for n >= 2; the chord tables of a horizontal
-polydisk mass are keyed through ``quadrature.distinct`` too.
+and polydisk masses split into rho's part and y-integrals.
 
-Every measure type implements one protocol, and the module functions
-(``dimension``, ``variation``, ``weight``, ``pushforward``, ``real_nodes``,
-``real_sums``, ``gaussian_nodes``, ``gaussian_pairing(s)``, ``ball_mass``,
-``moment_table``) validate their arguments and dispatch to it:
+One rule serves every product: a measure that answers ``axis_factors()`` (the
+one-axis measures whose tensor product it is) is integrated factor by factor by
+the entry points.  ``Product`` (on C^n) and ``RealProduct`` (on R^n) answer their
+factors and are pure data, ``Lebesgue(n)`` answers n copies of ``Lebesgue(1)``,
+and ``AlphaHorizontal`` over a product rho answers the one-axis rho_j (x)
+nu_{alpha_j}.  The kernel, the weight, the monomials and the polydisk factor over
+the axes, so a node set is the tensor product of one-axis sets, a pairing, polydisk
+mass or ``real_sums`` value the product of one-axis values, each built once per
+distinct c_j (``_per_axis`` through ``quadrature.distinct``), and a moment table the
+``quadrature.gather_axes`` of one-axis tables.  ``gaussian_density(n)`` and
+``real_gaussian(n)`` build products for n >= 2.
+
+The module functions (``dimension``, ``variation``, ``weight``, ``pushforward``,
+``real_nodes``, ``real_sums``, ``gaussian_nodes``, ``gaussian_pairing(s)``,
+``ball_mass``, ``moment_table``) validate their arguments and dispatch to the
+one protocol every measure type implements:
 
 - all measures: ``n``, ``variation()``, ``times(g)`` (multiply by a density
-  g, where the type can hold the product), ``weighted(p)`` and ``pushed(x)``;
+  g, where the type can hold the product), ``weighted(p)``, ``pushed(x)`` and
+  ``axis_factors()`` (None for a measure that is not a product);
 - real measures on R^n: ``real_nodes(center, order, scale)``, its batch over
   centres ``real_sums(centers, order, scale, factor)`` of sum_i w_i(c)
-  prod_j factor(j, c_j, t_ij), the moment pass's ``axis_grid(order)`` (a
-  product's grid is the tuple of its factors' weight vectors), the polydisk
-  masses' ``box_integral(x0, r, factor)`` of prod_j factor(j, t_j - x0_j) per row of x0
-  (offsets (1, q) shared by every row on a grid, (m, atoms) for atoms; products have
-  none, their masses factor) and ``axis_factors()``, a product's one-axis factors (None
-  for the rest), from which ``spectral.gamma_samples`` keeps gamma as one vector per axis;
+  prod_j factor(j, c_j, t_ij), the moment pass's ``axis_grid(order)`` (the
+  distinct node values per axis and the weight grid over them) and the polydisk
+  masses' ``box_integral(x0, r, factor)`` of prod_j factor(j, t_j - x0_j) per row
+  of x0 (offsets (1, q) shared by every row on a grid, (m, atoms) for atoms);
 - measures on C^n (``MeasureSpec``): ``nodes(center, order)``
   (refused by ``quadrature.check_nodes`` over ``MAX_NODES``), ``pairing(centers, order)``
   (one value per row of a batch of centres; the default sums the node
@@ -253,6 +256,9 @@ class Lebesgue(_RealGrid):
         # (1 + x_j^2)^{p_j} factors over the axes, so from n = 2 on the weighted measure is a product
         return super().weighted(p) if self.n == 1 else RealProduct((Lebesgue(1),) * self.n).weighted(p)
 
+    def axis_factors(self):
+        return None if self.n == 1 else (Lebesgue(1),) * self.n
+
     def density(self, pts):
         return np.ones(pts.shape[0])
 
@@ -355,6 +361,11 @@ class AlphaHorizontal(MeasureSpec):
             return AlphaHorizontal(self.rho.pushed(x.real))
         return Pushforward(self, x)
 
+    def axis_factors(self):
+        # nu_alpha is a product too, so over a product rho each axis is a one-axis rho_j (x) nu_{alpha_j}
+        factors = self.rho.axis_factors()
+        return None if factors is None else tuple(map(AlphaHorizontal, factors, zip(self.alpha_doubled)))
+
     def _nu(self, j: int, v):
         """The nu_alpha density (1+v^2)^{-alpha_j} on axis j; exactly 1 where alpha_j = 0."""
         return (1.0 + v**2) ** (-self.alpha_doubled[j] / 2.0)
@@ -372,8 +383,8 @@ class AlphaHorizontal(MeasureSpec):
 
     def moments(self, maxdeg: int, order: int):
         # per-axis tables g_j[i, a, b] = sum_v w(v) e_a(t_i+iv) conj(e_b(t_i+iv)) (1+v^2)^{-alpha_j}
-        # on the distinct t-values of each axis, contracted against rho's weight grid (rank one for
-        # a product rho); the powers are built for blocks of t-values of at most _CHUNK entries
+        # on the distinct t-values of each axis, contracted against rho's weight grid; the powers
+        # are built for blocks of t-values of at most _CHUNK entries
         axes, grid = self.rho.axis_grid(order)
         vaxes, vweights = self._v_rule(np.zeros(self.n), order)
         tables = []
@@ -395,14 +406,10 @@ class AlphaHorizontal(MeasureSpec):
 
     def ball_mass(self, centers, r):
         """rho integrated over the box |t_j - x_j| < r_j against the product of the per-axis
-        nu_alpha masses of the chords |v_j - y_j| < sqrt(r_j^2 - u_j^2), u_j = t_j - x_j: over
-        a product rho the mass of the ``Product`` of one-axis factors; else rho's box integral
-        hands the chords the offsets u, the same r_j sin(phi) under every row for a grid rho
-        (one chord table per distinct Im c_j) and p_j - x_j for atoms (one per distinct c_j),
-        in blocks of at most _CHUNK chord nodes, gathered back to the rows."""
-        factors = self.rho.axis_factors()
-        if factors is not None:
-            return Product(tuple(map(AlphaHorizontal, factors, zip(self.alpha_doubled)))).ball_mass(centers, r)
+        nu_alpha masses of the chords |v_j - y_j| < sqrt(r_j^2 - u_j^2), u_j = t_j - x_j: rho's
+        box integral hands the chords the offsets u, the same r_j sin(phi) under every row for a
+        grid rho (one chord table per distinct Im c_j) and p_j - x_j for atoms (one per distinct
+        c_j), in blocks of at most _CHUNK chord nodes, gathered back to the rows."""
         s, sw = _chord_rule()
 
         def chord(j, u):
@@ -496,17 +503,10 @@ class Weighted(MeasureSpec):
         return ball_mass(self.base.times(lambda pts: _weight_values(self.p.doubled, pts)), centers, r)
 
 
-def _per_axis(factors, centers, fn):
-    """prod_j fn(j, factors[j], c_j) for a value whose axis-j factor depends on a row of ``centers``
-    only through c_j: ``fn`` gets each distinct c_j once, as a column, and is gathered back."""
-    return math.prod(distinct(centers[:, j], lambda first: fn(j, f, centers[first, j:j + 1]))
-                     for j, f in enumerate(factors))
-
-
 @dataclass(frozen=True, eq=False)
 class _ProductSet(_Measure):
-    """mu_1 (x) .. (x) mu_n of one-axis measures: kernel, weight, monomials and polydisk
-    factor over the axes, so every integral is a product of one-axis integrals."""
+    """mu_1 (x) .. (x) mu_n of one-axis measures, pure data: kernel, weight, monomials and polydisk
+    factor over the axes, so the entry points integrate it factor by factor."""
 
     factors: tuple
 
@@ -535,9 +535,8 @@ class _ProductSet(_Measure):
     def times(self, g):
         return self._flat(lambda pts: self.density(pts) * g(pts), self.n)
 
-    def _tensor(self, sets):
-        """The tensor product of the factors' (nodes (q_j, 1), weights (q_j,))."""
-        return tensor_grid([p[:, 0] for p, _ in sets], [w for _, w in sets])
+    def axis_factors(self):
+        return self.factors
 
 
 class RealProduct(_ProductSet):
@@ -545,38 +544,11 @@ class RealProduct(_ProductSet):
 
     _flat = RealDensity
 
-    def real_nodes(self, center, order: int, scale: float):
-        return self._tensor([real_nodes(f, center[j:j + 1], order, scale) for j, f in enumerate(self.factors)])
-
-    def real_sums(self, centers, order: int, scale: float, factor):
-        return _per_axis(self.factors, centers, lambda j, f, c: real_sums(
-            f, c, lambda _, x, t: factor(j, x, t), order, scale))
-
-    def axis_factors(self):
-        return self.factors
-
-    def axis_grid(self, order: int):
-        # the weight grid is rank one: the factors' weight vectors, never their outer product
-        axes, grids = zip(*(f.axis_grid(order) for f in self.factors))
-        return tuple(a[0] for a in axes), grids
-
 
 class Product(_ProductSet, MeasureSpec):
     """Tensor product of one-axis measures on C^n."""
 
     _flat = Density
-
-    def nodes(self, center, order: int):
-        return self._tensor([gaussian_nodes(f, center[j:j + 1], order) for j, f in enumerate(self.factors)])
-
-    def pairing(self, centers, order: int):
-        return _per_axis(self.factors, centers, lambda j, f, c: gaussian_pairings(f, c, order))
-
-    def moments(self, maxdeg: int, order: int):
-        return gather_axes([moment_table(f, [(d,) for d in range(maxdeg + 1)], order) for f in self.factors], maxdeg)
-
-    def ball_mass(self, centers, r):
-        return _per_axis(self.factors, centers, lambda j, f, c: ball_mass(f, c, r[j:j + 1]))
 
 
 RealMeasure = RealAtoms | RealDensity | Lebesgue | RealProduct
@@ -678,6 +650,18 @@ def pushforward(mu, x):
 # node/weight discretizations for Gaussian pairings
 
 
+def _tensor(sets):
+    """The tensor product of one-axis node sets, (nodes (q_j, 1), weights (q_j,)) per axis."""
+    return tensor_grid([p[:, 0] for p, _ in sets], [w for _, w in sets])
+
+
+def _per_axis(factors, centers, fn):
+    """prod_j fn(j, factors[j], c_j) for a value whose axis-j factor depends on a row of ``centers``
+    only through c_j: ``fn`` gets each distinct c_j once, as a column, and is gathered back."""
+    return math.prod(distinct(centers[:, j], lambda first: fn(j, f, centers[first, j:j + 1]))
+                     for j, f in enumerate(factors))
+
+
 def real_nodes(rho, center, order: int = DEFAULT_ORDER, scale: float = 1.0):
     """Nodes/weights with int g(t) e^{-|sqrt(scale) t - c|^2} drho(t) ~ sum w_i g(t_i).
 
@@ -685,8 +669,10 @@ def real_nodes(rho, center, order: int = DEFAULT_ORDER, scale: float = 1.0):
     factors are discretized by Gauss-Hermite recentered at c / sqrt(scale).
     Berezin transforms use scale 1, the spectral functions gamma scale 2.
     """
-    n = dimension(rho)
-    center = np.broadcast_to(np.asarray(center, dtype=float), (n,))
+    center = np.broadcast_to(np.asarray(center, dtype=float), (dimension(rho),))
+    factors = rho.axis_factors()
+    if factors is not None:
+        return _tensor([real_nodes(f, center[j:j + 1], order, scale) for j, f in enumerate(factors)])
     return rho.real_nodes(center, order, scale)
 
 
@@ -695,7 +681,12 @@ def real_sums(rho, centers, factor, order: int = DEFAULT_ORDER, scale: float = 1
     row c of ``centers`` in one batch; ``factor`` gets the centres' j-th coordinates as a column
     (m, 1) and axis j's nodes t, (m, q) on a grid or (1, atoms) for atoms."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    return rho.real_sums(np.broadcast_to(centers, (centers.shape[0], dimension(rho))), order, scale, factor)
+    centers = np.broadcast_to(centers, (centers.shape[0], dimension(rho)))
+    factors = rho.axis_factors()
+    if factors is not None:
+        return _per_axis(factors, centers, lambda j, f, c: real_sums(
+            f, c, lambda _, x, t: factor(j, x, t), order, scale))
+    return rho.real_sums(centers, order, scale, factor)
 
 
 def gaussian_nodes(mu, center, order: int = DEFAULT_ORDER):
@@ -706,6 +697,9 @@ def gaussian_nodes(mu, center, order: int = DEFAULT_ORDER):
     in the weights, F alone stays with the caller.
     """
     center = np.broadcast_to(np.asarray(center, dtype=complex), (dimension(mu),))
+    factors = mu.axis_factors()
+    if factors is not None:
+        return _tensor([gaussian_nodes(f, center[j:j + 1], order) for j, f in enumerate(factors)])
     return mu.nodes(center, order)
 
 
@@ -716,11 +710,15 @@ def gaussian_pairing(mu, center, order: int = DEFAULT_ORDER) -> complex:
 
 
 def gaussian_pairings(mu, centers, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """int e^{-|w-c|^2} dmu(w) for every row c of ``centers``: horizontal and tensor products
-    factorize it, densities stream their grids in slabs, a pushforward moves the centres, the
-    rest sum nodes."""
+    """int e^{-|w-c|^2} dmu(w) for every row c of ``centers``: products multiply one-axis
+    pairings, rho (x) nu_alpha splits into rho's pairing and y-integrals, densities stream
+    their grids in slabs, a pushforward moves the centres, the rest sum nodes."""
     centers = np.atleast_2d(np.asarray(centers, dtype=complex))
-    return mu.pairing(np.broadcast_to(centers, (centers.shape[0], dimension(mu))), order)
+    centers = np.broadcast_to(centers, (centers.shape[0], dimension(mu)))
+    factors = mu.axis_factors()
+    if factors is not None:
+        return _per_axis(factors, centers, lambda j, f, c: gaussian_pairings(f, c, order))
+    return mu.pairing(centers, order)
 
 
 # ---------------------------------------------------------------------------
@@ -740,22 +738,24 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     fewest exact for the polynomial part of every entry; past order 200 or
     the node cap the request is refused.
 
-    The measure's ``moments`` gives the table over all degrees <= D, which
-    is gathered into the caller's order.  ``AlphaHorizontal`` (every weighted
-    horizontal product) and an n >= 2 ``Density`` contract per-axis tables on
-    the distinct node values one axis at a time (``quadrature.contract_axes``),
-    about (D+1)^2 operations per grid point instead of N^2 per node; over a
-    product rho the weight grid is rank one and the table is the gather
-    prod_j m_j[alpha_j, beta_j] of n one-axis (D+1)^2 tables, as a ``Product``'s
-    is.  Requests whose contraction would hold more than
-    ``quadrature.MAX_BYTES`` are refused.  A pushforward
+    A measure that answers ``axis_factors()`` gets the gather prod_j m_j[alpha_j, beta_j]
+    of its factors' one-axis (D+1)^2 tables; any other measure's ``moments`` gives the
+    table over all degrees <= D, which is gathered into the caller's order.
+    ``AlphaHorizontal`` and an n >= 2 ``Density`` contract per-axis tables on the
+    distinct node values one axis at a time (``quadrature.contract_axes``), about
+    (D+1)^2 operations per grid point instead of N^2 per node.  Requests whose gather
+    or contraction would hold more than ``quadrature.MAX_BYTES`` are refused.  A pushforward
     mu_X conjugates its base's table by the substitution matrix of X* (V_X).
     Complex atoms, one-axis densities and weighted pushforwards, whose weight
     is not rotation invariant, pay a Gram product over their nodes.
     """
     indices = [tuple(a) for a in indices]
     maxdeg = max(sum(a) for a in indices)
-    keys, table = mu.moments(maxdeg, max(order, maxdeg + 1))
+    factors = mu.axis_factors()
+    if factors is not None:
+        keys, table = gather_axes([moment_table(f, [(d,) for d in range(maxdeg + 1)], order) for f in factors], maxdeg)
+    else:
+        keys, table = mu.moments(maxdeg, max(order, maxdeg + 1))
     return select_table(keys, table, indices)
 
 
@@ -796,14 +796,13 @@ def ball_mass(mu, center, r):
     """Mass of the polydisk prod_j {|w_j - z_j| < r_j} under mu at a point z, or one mass
     per row of z (m, n), all rows in one call.
 
-    Atoms are exact; densities use a fixed polar rule per axis (40
-    Gauss-Legendre radii by 80 equispaced angles), streamed in slabs, so
-    (40 * 80)^n points per centre are evaluated but never held, in row blocks
-    under ``quadrature.MAX_EVALS`` (a single n = 3 centre exceeds it and is
-    refused); a ``Product`` (every Gaussian built-in from n = 2 on) multiplies
-    one-axis disk masses, at any n; horizontal products hand rho one nu_alpha
-    chord mass per axis as a factor of its box integral, built once per
-    distinct centre coordinate on that axis.
+    A measure that answers ``axis_factors()`` (every Gaussian built-in from n = 2 on)
+    multiplies one-axis masses, at any n.  Atoms are exact; densities use a fixed
+    polar rule per axis (40 Gauss-Legendre radii by 80 equispaced angles), streamed in
+    slabs, so (40 * 80)^n points per centre are evaluated but never held, in row
+    blocks under ``quadrature.MAX_EVALS`` (a single n = 3 centre exceeds it and is
+    refused); rho (x) nu_alpha hands rho one nu_alpha chord mass per axis as a factor
+    of its box integral, built once per distinct centre coordinate on that axis.
     The radius is a tuple, one entry per axis (its Euclidean norm plays no
     role).
     """
@@ -812,9 +811,13 @@ def ball_mass(mu, center, r):
     r = np.broadcast_to(np.asarray(r, dtype=float), (n,))
     if np.any(r <= 0):
         raise ValueError(f"polydisk radii must be positive, got {r}")
-    if rows.ndim < 2:
-        return complex(mu.ball_mass(np.broadcast_to(rows, (1, n)), r)[0])
-    return mu.ball_mass(np.broadcast_to(rows, (rows.shape[0], n)), r)
+    centers = np.broadcast_to(rows, (rows.shape[0] if rows.ndim == 2 else 1, n))
+    factors = mu.axis_factors()
+    if factors is not None:
+        masses = _per_axis(factors, centers, lambda j, f, c: ball_mass(f, c, r[j:j + 1]))
+    else:
+        masses = mu.ball_mass(centers, r)
+    return complex(masses[0]) if rows.ndim < 2 else masses
 
 
 # ---------------------------------------------------------------------------

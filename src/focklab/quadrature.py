@@ -5,8 +5,8 @@ Integrands against shifted kernels e^{-(t-c)^2} are recentered onto the
 e^{-t^2} weight before quadrature, so the stated polynomial-exactness
 degrees stay meaningful.  Sums of one-axis tables over a tensor grid (moment
 tables, the Hermite-side matrix) are contracted an axis at a time by ``contract_axes``;
-over the rank-one grid of a product measure they are gathered from n one-axis tables
-by ``gather_axes``.
+the table of a product measure, a product of one-axis tables, is gathered from
+those n tables by ``gather_axes``.
 
 Batches of rows (centres, eigenvalues) have one owner each: ``distinct`` builds a value that
 depends on a row only through a key once per distinct key, and ``row_blocks`` bounds a batch.
@@ -147,20 +147,15 @@ def contract_axes(tables, grid, maxdeg: int):
     """Moments from per-axis tables against a weight grid, over the multi-indices of degree <= maxdeg.
 
     ``tables[j][i, a, b]`` is axis j's factor of order (a, b) at its i-th
-    value.  A rank-one grid, a tuple of per-axis weight vectors w_j, reduces
-    each axis to m_j[a, b] = sum_i w_j[i] tables[j][i, a, b] and hands the
-    n one-axis (maxdeg+1)^2 tables to ``gather_axes``.  A dense grid
-    ``grid[i_1, .., i_n]`` is contracted one axis at a time: the state is a
-    list of pairs of partial multi-indices over the axes contracted so far,
-    each holding its sum over those axes; only pairs of degree <= maxdeg on
-    both sides are extended, so the dense (maxdeg+1)^(2n) tensor is never
-    formed, and a step whose pair array would pass ``MAX_BYTES`` is refused
-    before anything is allocated.  Returns the multi-indices of degree <= maxdeg
-    (graded-lex for a rank-one grid, prefix-lex for a dense one) and the
-    moment table over them.
+    value.  The grid ``grid[i_1, .., i_n]`` is contracted one axis at a time:
+    the state is a list of pairs of partial multi-indices over the axes
+    contracted so far, each holding its sum over those axes; only pairs of
+    degree <= maxdeg on both sides are extended, so the dense (maxdeg+1)^(2n)
+    tensor is never formed, and a step whose pair array would pass
+    ``MAX_BYTES`` is refused before anything is allocated.  Returns the
+    multi-indices of degree <= maxdeg in prefix-lex order and the moment
+    table over them.
     """
-    if isinstance(grid, tuple):
-        return gather_axes([np.tensordot(w, g, axes=1) for g, w in zip(tables, grid)], maxdeg)
     # after j axes the pairs are all (key, key) of degree <= maxdeg: comb(j + maxdeg, j)^2 of them
     _check_bytes(max(math.comb(j + maxdeg, j) ** 2 * math.prod(grid.shape[j:]) for j in range(1, grid.ndim + 1)))
     radix = maxdeg + 1

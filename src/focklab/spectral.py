@@ -8,8 +8,9 @@ transform kernels, which removes one quadrature layer from the headline
 dual-path comparison.  The Hermite-side matrix is a Gauss-Hermite sum of
 w gamma against hhat_a(x_j) hhat_b(x_j) on every axis j, the shape of a moment
 table, so it goes through the moment pass's ``quadrature.contract_axes``.  For a
-product rho, gamma is a product of one-axis gammas: the samples keep one vector
-per axis and the matrix is a gather of n one-axis tables, as the moment table is.
+rho that answers ``axis_factors()``, gamma is a product of one-axis gammas: the samples
+keep one vector per axis and the matrix is a ``quadrature.gather_axes`` of n one-axis
+tables, as the moment table is.
 Whether a measure is horizontal (rho (x) Lebesgue, the alpha = 0 ``AlphaHorizontal``)
 is decided in one place, ``horizontal_rho``, which ``diagonalization_residual`` and the CLI read.
 """
@@ -25,7 +26,7 @@ import numpy as np
 from .basis import BasisSet
 from .indices import HalfIndex, hermite, select_table
 from .measures import DEFAULT_ORDER, AlphaHorizontal, MeasureSpec, dimension, real_sums
-from .quadrature import MAX_NODES, check_nodes, contract_axes, gauss_hermite, row_blocks, tensor_rule
+from .quadrature import MAX_NODES, check_nodes, contract_axes, gather_axes, gauss_hermite, row_blocks, tensor_rule
 from .toeplitz import (
     OperatorMatrix,
     assemble_real_coderivative,
@@ -113,8 +114,8 @@ def multiplication_matrix(gamma: SpectralSamples, basis: BasisSet) -> OperatorMa
     """Matrix of multiplication by gamma in the orthonormal Hermite-function basis:
     ``contract_axes`` of the one-axis table g[i, a, b] = hhat_a(x_i) hhat_b(x_i),
     shared by every axis, against w gamma on the samples' order-q tensor nodes.
-    Factored samples of a product rho give the rank-one grid of the vectors w gamma_j,
-    so the matrix is a gather of n one-axis tables and no q^n array is formed.
+    Factored samples of a product rho reduce g against each w gamma_j and gather the
+    n one-axis tables (``quadrature.gather_axes``), so no q^n array is formed.
 
     The samples' order must cover the basis degree plus the polynomial content
     of gamma; insufficient orders are rejected.
@@ -125,11 +126,13 @@ def multiplication_matrix(gamma: SpectralSamples, basis: BasisSet) -> OperatorMa
     if order < needed:
         raise ValueError(f"quadrature order {order} is insufficient for degree {basis.degree} (need >= {needed})")
     rule = gauss_hermite(order)
-    grid = (tuple(rule.weights * f for f in gamma.factors) if len(gamma.factors) > 1
-            else functools.reduce(np.multiply.outer, [rule.weights] * basis.n) * gamma.factors[0])
     h = hermite_function_matrix(basis.degree, rule.nodes).T
     g = h[:, :, None] * h[:, None, :]
-    keys, table = contract_axes([g] * basis.n, grid, basis.degree)
+    if len(gamma.factors) > 1:
+        keys, table = gather_axes([np.tensordot(rule.weights * f, g, axes=1) for f in gamma.factors], basis.degree)
+    else:
+        grid = functools.reduce(np.multiply.outer, [rule.weights] * basis.n) * gamma.factors[0]
+        keys, table = contract_axes([g] * basis.n, grid, basis.degree)
     return OperatorMatrix(basis, select_table(keys, table, basis.indices))
 
 

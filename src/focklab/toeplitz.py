@@ -5,7 +5,7 @@ columns in the basis' graded-lex order.  Every assembly reads one
 ``measures.moment_table``, so no entry is integrated on its own; a derivative
 of f or g is a lowering step on that table's rows or columns.
 Every Berezin value of a measure is a ``measures.gaussian_pairing``, which
-a horizontal product factorizes into rho's pairing at Re z times one
+rho (x) nu_alpha factorizes into rho's pairing at Re z times one
 nu_alpha integral per axis, so no 2n-dimensional grid is built; rows of
 points (``berezin_measure`` on an (m, n) array, ``berezin_values``) are
 paired in batches.
@@ -120,9 +120,9 @@ def assemble_real_coderivative(mu, k: HalfIndex, basis: BasisSet, order: int = D
 def berezin_measure(mu, z, order: int = DEFAULT_ORDER):
     """mu~(z) = pi^{-n} int e^{-|z-w|^2} dmu(w) at a point z, or one value per row of z (m, n).
 
-    For a horizontal product rho (x) nu_alpha the pairing factorizes, so
-    the value costs rho's nodes plus n one-axis sums; with alpha = 0 the y
-    integrals are pi^{1/2} each and the value depends on Re z alone.  All
+    A measure that answers ``axis_factors()`` multiplies one-axis values; for
+    rho (x) nu_alpha the value costs rho's nodes plus n one-axis sums, and with
+    alpha = 0 the y integrals are pi^{1/2} each, so it depends on Re z alone.  All
     rows go to one ``gaussian_pairings`` call; an n-dimensional density pairs
     them in row blocks under ``quadrature.MAX_EVALS`` evaluations each.
     """

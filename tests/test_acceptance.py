@@ -217,7 +217,8 @@ def test_criterion_09_weight_shift_identity():
         rep = weight_shift_check(mu, k, p, [1.0])
         scale = max(abs(rep.normalized_rhs), 1e-30)
         worst = max(worst, abs(rep.normalized_lhs - rep.normalized_rhs) / scale)
-        lines.append(f"k={k.halves()},p={p.halves()}: stated ratio {rep.stated_ratio:.4g}, prose ratio {rep.prose_ratio:.4g}")
+        lines.append(f"k={k.halves()},p={p.halves()}: stated ratio {rep.stated / rep.c_k:.4g}, "
+                     f"prose ratio {rep.prose / rep.c_k:.4g}")
     ok = worst <= 1e-9
     report(
         "09 weight-shift-identity",

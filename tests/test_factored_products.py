@@ -1,10 +1,12 @@
-"""Factored horizontal products against the dense weight-grid contraction.
+"""Factored products against their flat references.
 
-For rho = rho_1 (x) .. (x) rho_n, the moment table of rho (x) nu_alpha and the
-Hermite-side matrix of gamma_{rho,2k} are gathers of n one-axis tables: a
-rank-one grid in ``quadrature.contract_axes``.  The reference is the dense
-contraction of the same per-axis tables against the outer product of the same
-per-axis weights, built inside each test.
+For rho = rho_1 (x) .. (x) rho_n every integral of rho (x) nu_alpha is a product
+of one-axis integrals: the entry points read ``axis_factors()`` and integrate
+factor by factor, and moment tables and the Hermite-side matrix of
+gamma_{rho,2k} are gathers of n one-axis tables.  The reference is the same
+measure with rho held as one n-dimensional measure, which answers no factors:
+``RealDensity(rho.density, n)``, or for atom factors the ``RealAtoms`` of the
+factors' tensor product.
 """
 
 import functools
@@ -19,14 +21,19 @@ from focklab.indices import HalfIndex, select_table
 from focklab.measures import (
     AlphaHorizontal,
     Horizontal,
+    Product,
     RealAtoms,
+    RealDensity,
     RealProduct,
+    ball_mass,
+    gaussian_nodes,
+    gaussian_pairings,
     lebesgue,
     moment_table,
     real_gaussian,
     weight,
 )
-from focklab.quadrature import contract_axes, gauss_hermite
+from focklab.quadrature import contract_axes, gauss_hermite, tensor_grid
 from focklab.spectral import (
     diagonalization_residual,
     gamma_2k,
@@ -44,45 +51,70 @@ def assert_close(got, expected):
     assert np.max(np.abs(got - expected)) <= RTOL * np.max(np.abs(expected))
 
 
-@pytest.fixture
-def dense(monkeypatch):
-    """``fn()`` with every RealProduct weight grid handed over as the outer product of its factors'."""
-    factored = RealProduct.axis_grid
-
-    def outer(self, order):
-        axes, weights = factored(self, order)
-        assert isinstance(weights, tuple)
-        return axes, functools.reduce(np.multiply.outer, weights)
-
-    def call(fn):
-        with monkeypatch.context() as m:
-            m.setattr(RealProduct, "axis_grid", outer)
-            return fn()
-
-    return call
+def flat(mu):
+    """mu with its rho as one n-dimensional measure, which answers no factors."""
+    factors = mu.rho.axis_factors()
+    if all(isinstance(f, RealAtoms) for f in factors):
+        rho = RealAtoms(*tensor_grid([f.points[:, 0] for f in factors], [f.weights for f in factors]))
+    else:
+        rho = RealDensity(mu.rho.density, mu.n)
+    return AlphaHorizontal(rho, mu.alpha_doubled)
 
 
 ATOMS = RealProduct((RealAtoms([[0.3], [-0.7]], [1.0, 0.5 - 0.2j]),
                      RealAtoms([[1.1], [0.2], [-0.4]], [0.8, 0.3, 1.2])))
 
-
-@pytest.mark.parametrize("mu, degree", [
-    (Horizontal(real_gaussian(2)), 20),
-    (Horizontal(real_gaussian(3)), 8),
-    (weight(lebesgue(2), (1, 1)), 12),
-    (AlphaHorizontal(real_gaussian(2), (1, 3)), 12),
-    (Horizontal(ATOMS), 12),
-], ids=["gaussian-2", "gaussian-3", "weighted-lebesgue-2", "alpha-product", "atom-factors"])
-def test_moment_table_is_the_gather_of_one_axis_tables(mu, degree, dense):
-    assert mu.rho.axis_factors() is not None
-    keys = enumerate_basis(mu.n, degree).indices
-    assert_close(moment_table(mu, keys), dense(lambda: moment_table(mu, keys)))
+PRODUCTS = [
+    pytest.param(Horizontal(real_gaussian(2)), 20, id="gaussian-2"),
+    pytest.param(Horizontal(real_gaussian(3)), 8, id="gaussian-3"),
+    pytest.param(weight(lebesgue(2), (1, 1)), 12, id="weighted-lebesgue-2"),
+    pytest.param(AlphaHorizontal(real_gaussian(2), (1, 3)), 12, id="alpha-product"),
+    pytest.param(Horizontal(ATOMS), 12, id="atom-factors"),
+    pytest.param(lebesgue(2), 20, id="lebesgue-2"),
+    pytest.param(lebesgue(3), 8, id="lebesgue-3"),
+]
 
 
-def test_real_coderivative_of_a_product_is_the_gather(dense):
+def rows(n):
+    rng = np.random.default_rng(n)
+    c = rng.uniform(-1.0, 1.0, (5, n)) + 1j * rng.uniform(-1.0, 1.0, (5, n))
+    c[3, 0] = c[0, 0]  # a repeated coordinate is built once and gathered back
+    return c
+
+
+def node_sum(mu):
+    """sum_i w_i F(w_i) over ``gaussian_nodes`` at one centre, F a polynomial in w and conj(w)."""
+    pts, wts = gaussian_nodes(mu, rows(mu.n)[1], 20 if mu.n == 2 else 8)
+    return np.array([np.sum(wts * np.prod(1.0 + 0.5 * pts + 0.25j * np.conj(pts) ** 2, axis=1))])
+
+
+OPERATIONS = {
+    "moments": lambda mu, degree: moment_table(mu, enumerate_basis(mu.n, degree).indices),
+    "pairings": lambda mu, degree: gaussian_pairings(mu, rows(mu.n)),
+    "polydisk": lambda mu, degree: ball_mass(mu, rows(mu.n), np.linspace(0.6, 1.2, mu.n)),
+    "node-sums": lambda mu, degree: node_sum(mu),
+}
+
+
+@pytest.mark.parametrize("op", OPERATIONS)
+@pytest.mark.parametrize("mu, degree", PRODUCTS)
+def test_product_matches_its_flat_reference(mu, degree, op):
+    reference = flat(mu)
+    assert mu.axis_factors() is not None and reference.axis_factors() is None
+    assert_close(OPERATIONS[op](mu, degree), OPERATIONS[op](reference, degree))
+
+
+def test_real_coderivative_of_a_product_matches_its_flat_reference():
     mu, b = Horizontal(real_gaussian(2)), enumerate_basis(2, 16)
     assert_close(assemble_real_coderivative(mu, (1, 1), b).entries,
-                 dense(lambda: assemble_real_coderivative(mu, (1, 1), b).entries))
+                 assemble_real_coderivative(flat(mu), (1, 1), b).entries)
+
+
+def test_products_are_pure_data():
+    protocol = {"nodes", "pairing", "moments", "ball_mass", "real_nodes", "real_sums", "axis_grid"}
+    for cls in (Product, RealProduct):
+        own = [c for c in cls.__mro__ if "Product" in c.__name__]
+        assert not protocol & set().union(*map(vars, own)), cls.__name__
 
 
 @pytest.mark.parametrize("n, degree", [(2, 16), (3, 8)])
@@ -106,16 +138,19 @@ def test_diagonalization_at_four_axes():
 
 def test_flat_samples_past_the_node_cap_are_refused_by_size():
     samples = gamma_samples(real_gaussian(4), 0)
-    for flat in ("values", "grid"):
+    for flat_view in ("values", "grid"):
         with pytest.raises(ValueError, match=r"needs 40960000 nodes"):
-            getattr(samples, flat)
+            getattr(samples, flat_view)
 
 
-@pytest.mark.parametrize("mu, n, degree", [(lebesgue(4), 4, 20), (Horizontal(real_gaussian(3)), 3, 35)],
-                         ids=["dense-grid", "gather"])
+@pytest.mark.parametrize("mu, n, degree", [
+    (Horizontal(RealDensity(lambda t: np.ones(t.shape[0]), 4)), 4, 20),
+    (lebesgue(4), 4, 20),
+    (Horizontal(real_gaussian(3)), 3, 35),
+], ids=["dense-grid", "gather-lebesgue", "gather"])
 def test_contraction_over_the_byte_cap_is_refused_before_it_allocates(mu, n, degree):
-    # the dense pass's second step would hold 231^2 x 40^2 pairs (1.4 GB), the gather
-    # 8436^2 entries (1.1 GB)
+    # the dense pass's second step would hold 231^2 x 40^2 pairs (1.4 GB), the gathers
+    # 10626^2 entries (1.8 GB) and 8436^2 entries (1.1 GB)
     b = enumerate_basis(n, degree)
     tracemalloc.start()
     try:

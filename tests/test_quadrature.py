@@ -12,6 +12,7 @@ from focklab.measures import (
     Density,
     Horizontal,
     Lebesgue,
+    RealDensity,
     gaussian_density,
     gaussian_nodes,
     lebesgue,
@@ -202,7 +203,8 @@ def test_cached_rule_arrays_are_read_only():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: assemble_toeplitz(lebesgue(3), enumerate_basis(3, 4)),  # 40^3 = 64,000 grid nodes
+    # 40^3 = 64,000 grid nodes of a flat density
+    lambda: assemble_toeplitz(Horizontal(RealDensity(lambda t: np.ones(t.shape[0]), 3)), enumerate_basis(3, 4)),
     lambda: gaussian_nodes(Density(lambda pts: np.ones(pts.shape[0]), 2), np.zeros(2), 12),  # 12^4
     lambda: gaussian_nodes(gaussian_density(2), np.zeros(2), 12),
     lambda: gaussian_nodes(Horizontal(real_gaussian(2)), np.zeros(2), 12),
@@ -214,6 +216,13 @@ def test_every_node_set_is_refused_over_the_cap(build, monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_NODES", 10_000)
     with pytest.raises(ValueError, match=r"nodes \(cap 10000\)"):
         build()
+
+
+def test_lebesgue_moments_stay_under_the_node_cap(monkeypatch):
+    # lebesgue(3) is a product: its table is gathered from three one-axis tables of 40 nodes each
+    monkeypatch.setattr(quadrature, "MAX_NODES", 10_000)
+    b = enumerate_basis(3, 4)
+    assert np.max(np.abs(assemble_toeplitz(lebesgue(3), b).entries - np.eye(b.size))) <= 1e-14
 
 
 def test_row_blocks_of_zero_rows_and_of_step_zero():
