@@ -139,7 +139,10 @@ def lowering(indices: list[MultiIndex], j: int):
 
 
 def select_table(keys: list[MultiIndex], table: np.ndarray, indices: list[MultiIndex]) -> np.ndarray:
-    """The rows and columns of the square ``table`` over ``keys`` at ``indices``, in their order."""
+    """The rows and columns of the square ``table`` over ``keys`` at ``indices``, in their order;
+    ``table`` itself, not a copy, when ``indices`` lists ``keys`` in their order."""
+    if list(indices) == list(keys):
+        return table
     position = {a: i for i, a in enumerate(keys)}
     sel = [position[a] for a in indices]
     return table[np.ix_(sel, sel)]

@@ -382,18 +382,27 @@ class AlphaHorizontal(MeasureSpec):
         return rho_part * math.prod(w.sum(axis=1) for w in self._v_rule(centers, order)[1])
 
     def moments(self, maxdeg: int, order: int):
-        # per-axis tables g_j[i, a, b] = sum_v w(v) e_a(t_i+iv) conj(e_b(t_i+iv)) (1+v^2)^{-alpha_j}
-        # on the distinct t-values of each axis, contracted against rho's weight grid; the powers
-        # are built for blocks of t-values of at most _CHUNK entries
+        """Per-axis tables g_j[i, a, b] = sum_v w(v) e_a(t_i+iv) conj(e_b(t_i+iv)) (1+v^2)^{-alpha_j}
+        on the distinct t-values of each axis, contracted against rho's weight grid.
+
+        Each table is real: the Gauss-Hermite rule and nu_alpha are even in v, and
+        e_a(t-iv) = conj(e_a(t+iv)), so the nodes +-v add up to twice Re(e_a conj(e_b)) =
+        Re e_a Re e_b + Im e_a Im e_b.  One real batched product over the v >= 0 half of the
+        rule, weights doubled off v = 0, builds it, for blocks of t-values of at most _CHUNK
+        entries; a real-weighted rho's table then has an exactly zero imaginary part.
+        """
         axes, grid = self.rho.axis_grid(order)
         vaxes, vweights = self._v_rule(np.zeros(self.n), order)
         tables = []
         for t, v, wv in zip(axes, vaxes, vweights):
-            g = np.empty((t.size, maxdeg + 1, maxdeg + 1), dtype=complex)
-            step = max(1, _CHUNK // (v.size * (maxdeg + 1)))
+            half = v >= 0  # hermgauss' nodes are mirrored exactly, with an exact 0.0 middle node for odd q
+            w2 = np.tile(np.where(v[half] > 0, 2.0, 1.0) * wv[half], 2)[:, None]
+            g = np.empty((t.size, maxdeg + 1, maxdeg + 1))
+            step = max(1, _CHUNK // (w2.size * (maxdeg + 1)))
             for i in range(0, t.size, step):
-                pows = orthonormal_powers(maxdeg, t[i:i + step, None] + 1j * v)
-                np.matmul(np.swapaxes(pows * wv[:, None], 1, 2), np.conj(pows), out=g[i:i + step])
+                pows = orthonormal_powers(maxdeg, t[i:i + step, None] + 1j * v[half])
+                parts = np.concatenate([pows.real, pows.imag], axis=1)  # (t-values, 2 * half nodes, D + 1)
+                np.matmul(np.swapaxes(parts, 1, 2), parts * w2, out=g[i:i + step])
             tables.append(g)
         return contract_axes(tables, grid, maxdeg)
 
@@ -740,10 +749,14 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
 
     A measure that answers ``axis_factors()`` gets the gather prod_j m_j[alpha_j, beta_j]
     of its factors' one-axis (D+1)^2 tables; any other measure's ``moments`` gives the
-    table over all degrees <= D, which is gathered into the caller's order.
+    table over all degrees <= D, which is gathered into the caller's order (no copy when
+    that is the keys' order).
     ``AlphaHorizontal`` and an n >= 2 ``Density`` contract per-axis tables on the
     distinct node values one axis at a time (``quadrature.contract_axes``), about
-    (D+1)^2 operations per grid point instead of N^2 per node.  Requests whose gather
+    (D+1)^2 operations per grid point instead of N^2 per node.  ``AlphaHorizontal``'s
+    tables are real, one real product over the v >= 0 half of its rule (nu_alpha and
+    the rule are even in v, and e_a(t-iv) = conj(e_a(t+iv))), so over a real-weighted
+    rho the table's imaginary part is exactly zero.  Requests whose gather
     or contraction would hold more than ``quadrature.MAX_BYTES`` are refused.  A pushforward
     mu_X conjugates its base's table by the substitution matrix of X* (V_X).
     Complex atoms, one-axis densities and weighted pushforwards, whose weight

@@ -204,12 +204,16 @@ def norm_and_spectrum(op: OperatorMatrix, samples: SpectralSamples) -> SpectrumR
     Hausdorff distance from the truncated spectrum to the sampled range.
 
     A Hermitian operator's 2-norm is its spectral radius, so only a
-    non-Hermitian one (defect >= 1e-10) pays for an SVD.
+    non-Hermitian one (defect >= 1e-10) pays for an SVD.  A Hermitian operator
+    whose imaginary part is exactly zero, as every horizontal symbol over a
+    real-weighted rho assembles, is real symmetric and takes the real solve,
+    a fraction of the cost of the complex one; any other keeps the complex solve.
     """
     entries = op.entries
     defect = op.hermitian_defect()
     if defect < 1e-10:
-        eigs = np.linalg.eigvalsh((entries + entries.conj().T) / 2.0).astype(complex)
+        sym = entries if np.any(entries.imag) else entries.real
+        eigs = np.linalg.eigvalsh((sym + sym.conj().T) / 2.0).astype(complex)
     else:
         eigs = np.linalg.eigvals(entries)
     radius = float(np.max(np.abs(eigs)))

@@ -13,6 +13,7 @@ from focklab.indices import (
     hermite,
     hermite_values,
     monomial_matrix,
+    select_table,
     substitution_matrix,
 )
 
@@ -181,3 +182,15 @@ def test_monomial_rows_are_bit_identical_from_a_cold_or_a_warm_cache():
     indices._steps.cache_clear()
     np.testing.assert_array_equal(monomial_matrix(pts, idx), many)
     assert not any(x.flags.writeable for block in indices._steps(tuple(idx)) for x in block)
+
+
+def test_select_table_in_key_order_is_the_table_itself():
+    keys = graded_lex_indices(2, 3)
+    table = np.arange(len(keys) ** 2, dtype=float).reshape(len(keys), -1)
+    assert select_table(keys, table, keys) is table
+    assert select_table(keys, table, tuple(keys)) is table
+    order = [5, 0, 9, 2]
+    picked = select_table(keys, table, [keys[i] for i in order])
+    np.testing.assert_array_equal(picked, table[np.ix_(order, order)])
+    perm = np.random.default_rng(1).permutation(len(keys))
+    np.testing.assert_array_equal(select_table(keys, table, [keys[i] for i in perm]), table[np.ix_(perm, perm)])

@@ -357,8 +357,8 @@ def test_float_range_refusal_names_both_causes():
 
 
 def test_lebesgue_is_the_identity_at_the_largest_order():
-    # D = 199 needs 200 Gauss-Hermite nodes per axis, MAX_ORDER; the (200, 200, 200) one-axis
-    # table is 128 MB, and the pass holds little else (three such power arrays would be 384 MB more)
+    # D = 199 needs 200 Gauss-Hermite nodes per axis, MAX_ORDER; the (200, 200, 200) real one-axis
+    # table is 64 MB, and the pass holds little else (three such power arrays would be 384 MB more)
     b = enumerate_basis(1, 199)
     tracemalloc.start()
     try:
