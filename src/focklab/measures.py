@@ -48,9 +48,9 @@ one protocol every measure type implements:
 
 Grid types (Lebesgue, of density 1, and densities) share ``grid_sums(axes,
 weights)``, per-centre sums over tensor grids: Lebesgue multiplies its axis
-sums, densities stream them through ``quadrature.tensor_sums`` in slabs, and
-an n-dimensional density on C^n takes its centres in ``quadrature.row_blocks``
-that keep each sum under ``quadrature.MAX_EVALS`` evaluations.
+sums, densities stream them through ``quadrature.tensor_sums``.  Every batched
+kernel here states only the entries one row costs (one centre's evaluations for
+a density's centres), and ``quadrature.blocks`` alone sizes the blocks.
 
 A new measure type is one class.  Methods that recurse into a factor call
 the module functions again, so every node set is requested through
@@ -67,12 +67,11 @@ import numpy as np
 
 from .indices import HalfIndex, as_multi_index, graded_lex_indices, monomial_matrix, orthonormal_powers
 from .indices import select_table, substitution_matrix
-from .quadrature import MAX_EVALS, check_nodes, contract_axes, distinct, gather_axes, gauss_hermite, gauss_legendre
+from .quadrature import blocks, check_nodes, contract_axes, distinct, gather_axes, gauss_hermite, gauss_legendre
 from .quadrature import row_blocks, tensor_grid, tensor_sums
 
 DEFAULT_ORDER = 40
 _POLAR_ORDER = 40  # Gauss-Legendre radii per axis of a density's polydisk mass, with twice as many angles
-_CHUNK = 200_000  # nodes per block of a Gram product or of chord tables
 _UNITARY_TOL = 1e-12
 _ROTATED_POLYDISK = "polydisk mass for a rotated measure is not supported; rotate the polydisk instead"
 
@@ -203,9 +202,9 @@ class MeasureSpec(_Measure):
         keys = graded_lex_indices(self.n, maxdeg)
         pts, wts = gaussian_nodes(self, np.zeros(self.n), order)
         table = np.zeros((len(keys), len(keys)), dtype=complex)
-        for start in range(0, pts.shape[0], _CHUNK):
-            pows = monomial_matrix(pts[start:start + _CHUNK], keys)
-            table += (pows * wts[start:start + _CHUNK, None]).T @ np.conj(pows)
+        for s in blocks(pts.shape[0], len(keys)):
+            pows = monomial_matrix(pts[s], keys)
+            table += (pows * wts[s, None]).T @ np.conj(pows)
         return keys, table
 
 
@@ -315,18 +314,17 @@ class Density(_DensitySet, MeasureSpec):
         return pts, wts * self.density(pts)
 
     def pairing(self, centers, order: int):
-        return row_blocks(centers, MAX_EVALS // order ** (2 * self.n),
-                          lambda c: self.grid_sums(*self._axis_rules(c, order)))
+        return row_blocks(centers, order ** (2 * self.n), lambda c: self.grid_sums(*self._axis_rules(c, order)))
 
     def ball_mass(self, centers, r):
-        """Per-axis polar rules, 40 Gauss-Legendre radii by 80 equispaced angles, streamed in slabs."""
+        """Per-axis polar rules, 40 Gauss-Legendre radii by 80 equispaced angles, streamed in blocks."""
         gl_nodes, gl_weights = gauss_legendre(_POLAR_ORDER)
         qth = 2 * _POLAR_ORDER
         circle = np.exp(2j * math.pi * np.arange(qth) / qth)
         rr = 0.5 * r[:, None] * (gl_nodes + 1.0)  # (axis, radius)
         wr = 0.5 * r[:, None] * gl_weights * rr * (2.0 * math.pi / qth)  # polar Jacobian times the angle weight
         disk, w = (rr[:, :, None] * circle).reshape(self.n, -1), np.repeat(wr, qth, axis=1)
-        return row_blocks(centers, MAX_EVALS // disk.shape[1] ** self.n, lambda c: self.grid_sums(
+        return row_blocks(centers, disk.shape[1] ** self.n, lambda c: self.grid_sums(
             [x[:, None] + d for x, d in zip(c.T, disk)], [np.broadcast_to(v, (c.shape[0], v.size)) for v in w]))
 
 
@@ -388,8 +386,8 @@ class AlphaHorizontal(MeasureSpec):
         Each table is real: the Gauss-Hermite rule and nu_alpha are even in v, and
         e_a(t-iv) = conj(e_a(t+iv)), so the nodes +-v add up to twice Re(e_a conj(e_b)) =
         Re e_a Re e_b + Im e_a Im e_b.  One real batched product over the v >= 0 half of the
-        rule, weights doubled off v = 0, builds it, for blocks of t-values of at most _CHUNK
-        entries; a real-weighted rho's table then has an exactly zero imaginary part.
+        rule, weights doubled off v = 0, builds it over ``quadrature.blocks`` of t-values; a
+        real-weighted rho's table then has an exactly zero imaginary part.
         """
         axes, grid = self.rho.axis_grid(order)
         vaxes, vweights = self._v_rule(np.zeros(self.n), order)
@@ -398,11 +396,10 @@ class AlphaHorizontal(MeasureSpec):
             half = v >= 0  # hermgauss' nodes are mirrored exactly, with an exact 0.0 middle node for odd q
             w2 = np.tile(np.where(v[half] > 0, 2.0, 1.0) * wv[half], 2)[:, None]
             g = np.empty((t.size, maxdeg + 1, maxdeg + 1))
-            step = max(1, _CHUNK // (w2.size * (maxdeg + 1)))
-            for i in range(0, t.size, step):
-                pows = orthonormal_powers(maxdeg, t[i:i + step, None] + 1j * v[half])
+            for s in blocks(t.size, w2.size * (maxdeg + 1)):
+                pows = orthonormal_powers(maxdeg, t[s, None] + 1j * v[half])
                 parts = np.concatenate([pows.real, pows.imag], axis=1)  # (t-values, 2 * half nodes, D + 1)
-                np.matmul(np.swapaxes(parts, 1, 2), parts * w2, out=g[i:i + step])
+                np.matmul(np.swapaxes(parts, 1, 2), parts * w2, out=g[s])
             tables.append(g)
         return contract_axes(tables, grid, maxdeg)
 
@@ -418,7 +415,7 @@ class AlphaHorizontal(MeasureSpec):
         nu_alpha masses of the chords |v_j - y_j| < sqrt(r_j^2 - u_j^2), u_j = t_j - x_j: rho's
         box integral hands the chords the offsets u, the same r_j sin(phi) under every row for a
         grid rho (one chord table per distinct Im c_j) and p_j - x_j for atoms (one per distinct
-        c_j), in blocks of at most _CHUNK chord nodes, gathered back to the rows."""
+        c_j), in ``quadrature.row_blocks`` of chord nodes, gathered back to the rows."""
         s, sw = _chord_rule()
 
         def chord(j, u):
@@ -429,7 +426,7 @@ class AlphaHorizontal(MeasureSpec):
                 c = np.sqrt(np.maximum(r[j] ** 2 - u[f] ** 2, 0.0))[:, :, None]
                 return (c * self._nu(j, centers[f, j].imag[:, None, None] + c * s) * sw).sum(axis=2)
 
-            return distinct(key, lambda first: row_blocks(first, _CHUNK // (u.shape[1] * s.size), table))
+            return distinct(key, lambda first: row_blocks(first, u.shape[1] * s.size, table))
 
         return self.rho.box_integral(centers.real, r, chord)
 
@@ -721,7 +718,7 @@ def gaussian_pairing(mu, center, order: int = DEFAULT_ORDER) -> complex:
 def gaussian_pairings(mu, centers, order: int = DEFAULT_ORDER) -> np.ndarray:
     """int e^{-|w-c|^2} dmu(w) for every row c of ``centers``: products multiply one-axis
     pairings, rho (x) nu_alpha splits into rho's pairing and y-integrals, densities stream
-    their grids in slabs, a pushforward moves the centres, the rest sum nodes."""
+    their grids in blocks, a pushforward moves the centres, the rest sum nodes."""
     centers = np.atleast_2d(np.asarray(centers, dtype=complex))
     centers = np.broadcast_to(centers, (centers.shape[0], dimension(mu)))
     factors = mu.axis_factors()
@@ -812,9 +809,9 @@ def ball_mass(mu, center, r):
     A measure that answers ``axis_factors()`` (every Gaussian built-in from n = 2 on)
     multiplies one-axis masses, at any n.  Atoms are exact; densities use a fixed
     polar rule per axis (40 Gauss-Legendre radii by 80 equispaced angles), streamed in
-    slabs, so (40 * 80)^n points per centre are evaluated but never held, in row
-    blocks under ``quadrature.MAX_EVALS`` (a single n = 3 centre exceeds it and is
-    refused); rho (x) nu_alpha hands rho one nu_alpha chord mass per axis as a factor
+    ``quadrature.blocks``, so (40 * 80)^n points per centre are evaluated but never held;
+    a batch over ``quadrature.MAX_EVALS`` evaluations is refused (a single n = 3 centre
+    exceeds it); rho (x) nu_alpha hands rho one nu_alpha chord mass per axis as a factor
     of its box integral, built once per distinct centre coordinate on that axis.
     The radius is a tuple, one entry per axis (its Euclidean norm plays no
     role).

@@ -8,8 +8,9 @@ tables, the Hermite-side matrix) are contracted an axis at a time by ``contract_
 the table of a product measure, a product of one-axis tables, is gathered from
 those n tables by ``gather_axes``.
 
-Batches of rows (centres, eigenvalues) have one owner each: ``distinct`` builds a value that
-depends on a row only through a key once per distinct key, and ``row_blocks`` bounds a batch.
+Batches of rows have one owner each: ``distinct`` builds a value that depends on a row only through
+a key once per distinct key, and ``blocks`` alone sizes a block, from the entries one row costs
+(``row_blocks`` maps a function over them); ``MAX_NODES`` and ``MAX_EVALS`` only refuse.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ MAX_ORDER = 200
 MAX_NODES = 6_000_000  # largest node set any tensor discretization may materialize
 MAX_EVALS = 2_000_000_000  # most point evaluations one streamed tensor sum may request
 MAX_BYTES = 1 << 30  # largest complex array one contraction or gather (moment table, Weyl matrix) may allocate
-# points per slab of a streamed tensor sum: 20,000 to 100,000 measured alike, while
-# 200,000-point slabs made gamma_samples at n = 2 three times slower (2-core Xeon)
-_SLAB = 65_536
+# entries per block of every batched kernel: 20,000 to 100,000 points per tensor-sum slab measured
+# alike, while 200,000-point slabs made gamma_samples at n = 2 three times slower (2-core Xeon)
+_BLOCK = 65_536
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,21 +108,19 @@ def tensor_sums(axes, weights, f) -> np.ndarray:
 
     ``axes[j]`` and ``weights[j]`` have shape (m, q_j), one tensor grid per
     centre.  ``f`` maps points (P, d) to P values; it sees whole centres in
-    slabs of at most ``_SLAB`` points, a larger grid split along its first
+    ``blocks`` of at most ``_BLOCK`` points, a larger grid split along its first
     axis, and nothing at all if the sum needs over ``MAX_EVALS`` evaluations.
     """
     m, d, sizes = axes[0].shape[0], len(axes), [a.shape[1] for a in axes]
     if m * math.prod(sizes) > MAX_EVALS:
         raise ValueError(f"tensor sum needs {m * math.prod(sizes)} evaluations (cap {MAX_EVALS})")
-    centres, rows = max(1, _SLAB // math.prod(sizes)), max(1, _SLAB // math.prod(sizes[1:]))
 
     def slab(arrays, block, first):  # axis j of the slab's grids as (b, 1, .., q_j, .., 1)
         parts = [arrays[0][block, first]] + [x[block] for x in arrays[1:]]
         return [x.reshape((x.shape[0],) + (1,) * j + (-1,) + (1,) * (d - 1 - j)) for j, x in enumerate(parts)]
 
     out = np.zeros(m, dtype=complex)
-    for i, a in itertools.product(range(0, m, centres), range(0, sizes[0], rows)):
-        block, first = slice(i, i + centres), slice(a, a + rows)
+    for block, first in itertools.product(blocks(m, math.prod(sizes)), blocks(sizes[0], math.prod(sizes[1:]))):
         w = math.prod(slab(weights, block, first))
         w = w.reshape(w.shape[0], -1)
         # coordinate-major, so each column pts[:, j] that f reads is contiguous
@@ -137,10 +136,16 @@ def distinct(keys, fn):
     return fn(first)[back]
 
 
-def row_blocks(rows, step: int, fn):
-    """``fn`` over blocks of at most max(1, step) rows, concatenated; zero rows are one empty block."""
-    step = max(1, step)
-    return np.concatenate([fn(rows[i:i + step]) for i in range(0, max(rows.shape[0], 1), step)])
+def blocks(count: int, cost: int) -> list[slice]:
+    """Slices over ``count`` rows of ``cost`` entries each: at most ``_BLOCK`` entries per slice,
+    or one row per slice where a single row costs more; no slice for zero rows."""
+    step = max(1, _BLOCK // max(1, cost))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def row_blocks(rows, cost: int, fn):
+    """``fn`` over the ``blocks`` of rows of ``cost`` entries each, concatenated; zero rows are one empty block."""
+    return np.concatenate([fn(rows[s]) for s in blocks(max(rows.shape[0], 1), cost)])
 
 
 def contract_axes(tables, grid, maxdeg: int):
@@ -199,8 +204,10 @@ def gather_axes(mats, maxdeg: int):
     keys = graded_lex_indices(len(mats), maxdeg)
     _check_bytes(len(keys) ** 2)
     table = np.ones((len(keys), len(keys)), dtype=complex)
-    for a, m in zip(np.array(keys).T, mats):
-        table *= np.take(m[a], a, axis=1)  # m[a][:, a]: 1.7x faster than m[np.ix_(a, a)] at n = 4, D = 12
+    axes = np.array(keys).T
+    for s in blocks(len(keys), len(keys)):  # in row blocks, so no second N x N array is formed
+        for a, m in zip(axes, mats):
+            table[s] *= np.take(m[a[s]], a, axis=1)  # m[a][:, a]: 1.7x faster than m[np.ix_(a, a)]
     return keys, table
 
 

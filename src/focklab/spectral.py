@@ -26,7 +26,7 @@ import numpy as np
 from .basis import BasisSet
 from .indices import HalfIndex, hermite, select_table
 from .measures import DEFAULT_ORDER, AlphaHorizontal, MeasureSpec, dimension, real_sums
-from .quadrature import MAX_NODES, check_nodes, contract_axes, gather_axes, gauss_hermite, row_blocks, tensor_rule
+from .quadrature import check_nodes, contract_axes, gather_axes, gauss_hermite, row_blocks, tensor_rule
 from .toeplitz import (
     OperatorMatrix,
     assemble_real_coderivative,
@@ -225,6 +225,6 @@ def norm_and_spectrum(op: OperatorMatrix, samples: SpectralSamples) -> SpectrumR
         s = np.sort(np.real(gvals))
         i = np.searchsorted(s, eigs.real)
         near = np.minimum(np.abs(eigs - s[np.maximum(i - 1, 0)]), np.abs(eigs - s[np.minimum(i, s.size - 1)]))
-    else:  # complex samples: eigenvalue blocks of at most MAX_NODES distances, never N x q^n
-        near = row_blocks(eigs, MAX_NODES // gvals.size, lambda e: np.min(np.abs(e[:, None] - gvals), axis=1))
+    else:  # complex samples: eigenvalue row blocks, an eigenvalue costing q^n distances, never N x q^n
+        near = row_blocks(eigs, gvals.size, lambda e: np.min(np.abs(e[:, None] - gvals), axis=1))
     return SpectrumReport(opnorm, radius, gsup, float(np.max(near)), defect)

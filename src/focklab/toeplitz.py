@@ -4,7 +4,7 @@ Matrix convention: entry (beta, alpha) = <T e_alpha, e_beta>, rows and
 columns in the basis' graded-lex order.  Every assembly reads one
 ``measures.moment_table``, so no entry is integrated on its own; a derivative
 of f or g is a lowering step on that table's rows or columns.
-Every Berezin value of a measure is a ``measures.gaussian_pairing``, which
+Every Berezin value of a measure is a ``measures.gaussian_pairings`` row, which
 rho (x) nu_alpha factorizes into rho's pairing at Re z times one
 nu_alpha integral per axis, so no 2n-dimensional grid is built; rows of
 points (``berezin_measure`` on an (m, n) array, ``berezin_values``) are
@@ -25,7 +25,6 @@ from .measures import (
     DEFAULT_ORDER,
     AlphaHorizontal,
     dimension,
-    gaussian_pairing,
     gaussian_pairings,
     moment_table,
 )
@@ -45,7 +44,9 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def hermitian_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
+        # an exactly real matrix is measured in real arithmetic: the same float, at a fraction of the cost
+        entries = self.entries if np.any(self.entries.imag) else self.entries.real
+        return float(np.max(np.abs(entries - entries.conj().T)))
 
 
 def interior_max_norm(matrix, basis: BasisSet) -> float:
@@ -85,7 +86,9 @@ def _assemble(mu, basis: BasisSet, order: int, steps=()) -> OperatorMatrix:
             term *= np.expand_dims(factor, 1 - axis)
             lowered += term
         table = lowered
-    return OperatorMatrix(basis, math.pi ** (-basis.n) * table.T)
+    # every moment route builds a fresh table, so it is scaled in place and its transpose is a view
+    table *= math.pi ** (-basis.n)
+    return OperatorMatrix(basis, table.T)
 
 
 def assemble_toeplitz(mu, basis: BasisSet, order: int = DEFAULT_ORDER) -> OperatorMatrix:
@@ -122,15 +125,13 @@ def berezin_measure(mu, z, order: int = DEFAULT_ORDER):
 
     A measure that answers ``axis_factors()`` multiplies one-axis values; for
     rho (x) nu_alpha the value costs rho's nodes plus n one-axis sums, and with
-    alpha = 0 the y integrals are pi^{1/2} each, so it depends on Re z alone.  All
-    rows go to one ``gaussian_pairings`` call; an n-dimensional density pairs
-    them in row blocks under ``quadrature.MAX_EVALS`` evaluations each.
+    alpha = 0 the y integrals are pi^{1/2} each, so it depends on Re z alone.  A
+    point and all rows go to one ``gaussian_pairings`` call; an n-dimensional
+    density pairs them in ``quadrature.row_blocks``, a row costing its centre's evaluations.
     """
-    n = dimension(mu)
     rows = np.asarray(z, dtype=complex)
-    if rows.ndim < 2:
-        return math.pi ** (-n) * gaussian_pairing(mu, z, order)
-    return math.pi ** (-n) * gaussian_pairings(mu, rows, order)
+    values = math.pi ** (-dimension(mu)) * gaussian_pairings(mu, rows, order)
+    return complex(values[0]) if rows.ndim < 2 else values
 
 
 def berezin_coderivative(mu, k: HalfIndex, z, order: int = DEFAULT_ORDER):

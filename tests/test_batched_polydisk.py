@@ -133,23 +133,25 @@ def test_rotated_polydisk_refusal_in_row_form():
             ball_mass(nu, rows(2, 5), (1.0, 1.0))
 
 
-def test_flat_density_lattice_is_refused_as_one_batch_yet_scans_in_blocks(monkeypatch):
+def test_flat_density_lattice_scans_in_blocks_under_the_cap_and_a_centre_over_it_is_refused(monkeypatch):
     # the polar rule drops to 4 radii by 8 angles per axis, 1,024 points per centre, so the
-    # 625-point lattice (640,000 evaluations) runs fast; under a cap of 100,000 one batch is
-    # refused, and the density sizes its blocks from measures.MAX_EVALS once that is lowered too
+    # 625-point lattice (640,000 evaluations) runs fast; a cap of 100,000 lies above one centre's
+    # evaluations and below the lattice's, so the scan goes through in blocks of centres
     monkeypatch.setattr(measures, "_POLAR_ORDER", 4)
     monkeypatch.setattr(quadrature, "MAX_EVALS", 100_000)
     mu = Density(lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1)) * (1.5 + np.sin(pts[:, 1].real)), 2)
     z, _ = lattice(2, 1.0, 0.5)
     r = (0.8, 1.1)
-    with pytest.raises(ValueError, match="evaluations"):
-        ball_mass(mu, z, r)
-    monkeypatch.setattr(measures, "MAX_EVALS", 100_000)
+    assert 32 ** 2 < quadrature.MAX_EVALS < z.shape[0] * 32 ** 2
     blocked = ball_mass(mu, z, r)
     expected = per_point(mu, z, r)
     assert np.max(np.abs(blocked - expected)) <= 1e-14 * np.max(np.abs(expected))
     report = carleson_constant(mu, (0, 0), r, window=1.0, spacing=0.5)
     assert report.sup_estimate == pytest.approx(np.max(np.abs(expected)), rel=1e-14)
+    # below one centre's evaluations the scan is refused
+    monkeypatch.setattr(quadrature, "MAX_EVALS", 1_000)
+    with pytest.raises(ValueError, match="evaluations"):
+        ball_mass(mu, z, r)
 
 
 class Spy:

@@ -120,7 +120,7 @@ def test_a_density_pairing_split_into_slabs_matches_the_node_sums():
     # at order 20 one centre's grid has 400^2 points, more than a slab: it is split along its first axis
     mu = Density(lambda w: np.exp(-np.sum(np.abs(w - 0.3) ** 2, axis=1)) * (1 + w[:, 0].real ** 2), 2)
     c = centers(2, 2, complex_=True)
-    assert 20 ** 4 > quadrature._SLAB
+    assert 20 ** 4 > quadrature._BLOCK
     expected = [np.sum(gaussian_nodes(mu, cc, 20)[1]) for cc in c]
     assert_close(gaussian_pairings(mu, c, 20), np.array(expected))
 
@@ -129,7 +129,7 @@ def test_small_slabs_split_centres_and_first_axes(monkeypatch):
     rho = real_gaussian(2)
     grid = centers(2, 9)
     reference = gamma_2k(rho, (1, 1), grid, 12)
-    monkeypatch.setattr(quadrature, "_SLAB", 50)  # below one centre's 144 points
+    monkeypatch.setattr(quadrature, "_BLOCK", 50)  # below one centre's 144 points
     assert_close(gamma_2k(rho, (1, 1), grid, 12), reference)
     assert_close(gamma_2k(rho, (1, 1), grid, 12), per_centre_gamma(rho, (1, 1), grid, 12))
 
@@ -147,7 +147,7 @@ def test_tensor_sums_is_the_weighted_grid_sum_per_centre(monkeypatch):
         pts, w = tensor_grid([a[i] for a in axes], [w[i] for w in weights])
         expected.append(np.sum(w * f(pts)))
     for slab in (1000, 7, 1):
-        monkeypatch.setattr(quadrature, "_SLAB", slab)
+        monkeypatch.setattr(quadrature, "_BLOCK", slab)
         assert_close(tensor_sums(axes, weights, f), np.array(expected))
 
 
@@ -177,16 +177,16 @@ def test_no_density_sees_more_than_one_slab():
     # MAX_NODES bounds every materialized node set; streamed sums stay far below it
     rec = Recorder(real_gaussian(2).density)
     samples = gamma_samples(RealDensity(rec, 2), (1, 1))
-    assert samples.values.shape == (80**2,) and 0 < rec.largest <= quadrature._SLAB
+    assert samples.values.shape == (80**2,) and 0 < rec.largest <= quadrature._BLOCK
 
     rec = Recorder(gaussian_density(2).density)
     mass = ball_mass(Density(rec, 2), [0.3, -0.2j], [0.9, 1.1])
-    assert mass.real > 0 and 0 < rec.largest <= quadrature._SLAB
+    assert mass.real > 0 and 0 < rec.largest <= quadrature._BLOCK
 
     rec = Recorder(gaussian_density(2).density)
     report = condition_m(Density(rec, 2), 1.0, 1.0, order=20)
-    assert report.normalized.sup_estimate > 0 and 0 < rec.largest <= quadrature._SLAB
-    assert quadrature._SLAB <= MAX_NODES
+    assert report.normalized.sup_estimate > 0 and 0 < rec.largest <= quadrature._BLOCK
+    assert quadrature._BLOCK <= MAX_NODES
 
 
 def test_oversize_polydisk_mass_is_refused_before_any_evaluation():

@@ -197,22 +197,23 @@ def test_fc_equivalence_gallery_agreement():
         assert form.growth_detected == grows
 
 
-def test_condition_m_pairs_a_density_lattice_in_blocks_under_the_cap(monkeypatch):
-    # with the cap lowered to 100,000, the 625-point lattice of an n = 2 density at order 8
-    # (2.56M evaluations) is refused as one batch but runs in blocks of rows; the density
-    # sizes its blocks from measures.MAX_EVALS, so until that is lowered too it sends one batch
-    from focklab import measures, quadrature
+def test_condition_m_pairs_a_density_lattice_in_blocks_and_refuses_a_centre_over_the_cap(monkeypatch):
+    # with the cap lowered to 100,000, above one centre's 8^4 evaluations and below the 2.56M of
+    # the 625-point lattice of an n = 2 density at order 8, the lattice is paired in blocks of rows
+    from focklab import quadrature
     from focklab.measures import gaussian_pairings
 
     monkeypatch.setattr(quadrature, "MAX_EVALS", 100_000)
     mu = Density(lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1)), 2)
     z, _ = lattice(2, 1.0, 0.5)
-    with pytest.raises(ValueError, match="evaluations"):
-        gaussian_pairings(mu, z, 8)
-    monkeypatch.setattr(measures, "MAX_EVALS", 100_000)
+    assert 8 ** 4 < quadrature.MAX_EVALS < z.shape[0] * 8 ** 4
     report = condition_m(mu, 1.0, 0.5, order=8)
     per_point = [abs(gaussian_pairings(mu, c, 8)[0]) / math.pi**2 for c in z]
     assert report.normalized.sup_estimate == pytest.approx(max(per_point), rel=1e-14)
+    # below one centre's evaluations the pairing is refused
+    monkeypatch.setattr(quadrature, "MAX_EVALS", 1_000)
+    with pytest.raises(ValueError, match="evaluations"):
+        gaussian_pairings(mu, z, 8)
 
 
 def test_a_scalar_index_is_repeated_over_the_axes():

@@ -398,21 +398,17 @@ def test_berezin_command_batches_a_two_axis_density(tmp_path):
         assert abs(coderivative[i] - berezin_coderivative(mu, k, z[i])) <= 1e-14 * max(1.0, abs(coderivative[i]))
 
 
-def test_berezin_command_pairs_a_density_lattice_in_blocks_under_the_cap(tmp_path, monkeypatch):
-    # a non-product density pays q^{2n} evaluations per point; with the cap lowered to 100,000 the
-    # 625-point lattice at order 8 (2.56M evaluations) is refused as one batch but runs in blocks;
-    # the density sizes its blocks from measures.MAX_EVALS, so until that is lowered it sends one batch
-    from focklab import measures, quadrature
-    from focklab.measures import gaussian_pairings
+def test_berezin_command_pairs_a_density_lattice_in_blocks_and_refuses_a_centre_over_the_cap(tmp_path, monkeypatch):
+    # a non-product density pays q^{2n} evaluations per point; with the cap lowered to 100,000,
+    # above one point's 8^4 and below the 2.56M of the 625-point lattice at order 8, it runs in blocks
+    from focklab import quadrature
 
     monkeypatch.setattr(quadrature, "MAX_EVALS", 100_000)
     cfg = ExperimentConfig(command="berezin", n=2, measure="density(exp(-r2))", k=[2, 1], window=1.0,
                            spacing=0.5, moment_order=8, out=str(tmp_path / "run"))
     mu, k = parse_measure(cfg.measure, 2), HalfIndex.from_doubled(cfg.k)
     z, _ = lattice(2, cfg.window, cfg.spacing)
-    with pytest.raises(ValueError, match="evaluations"):
-        gaussian_pairings(mu, z, 8)
-    monkeypatch.setattr(measures, "MAX_EVALS", 100_000)
+    assert 8 ** 4 < quadrature.MAX_EVALS < z.shape[0] * 8 ** 4
     assert run(cfg) == 0
     values = read_grid(tmp_path / "run" / "berezin.csv")
     coderivative = read_grid(tmp_path / "run" / "berezin_coderivative.csv")
@@ -420,3 +416,8 @@ def test_berezin_command_pairs_a_density_lattice_in_blocks_under_the_cap(tmp_pat
     for i in range(0, z.shape[0], 31):
         assert abs(values[i] - berezin_measure(mu, z[i], 8)) <= 1e-14
         assert abs(coderivative[i] - berezin_coderivative(mu, k, z[i], 8)) <= 1e-14 * max(1.0, abs(coderivative[i]))
+    # below one point's evaluations the command is refused
+    monkeypatch.setattr(quadrature, "MAX_EVALS", 1_000)
+    cfg.out = str(tmp_path / "refused")
+    with pytest.raises(ValueError, match="evaluations"):
+        run(cfg)

@@ -225,7 +225,7 @@ def test_lebesgue_moments_stay_under_the_node_cap(monkeypatch):
     assert np.max(np.abs(assemble_toeplitz(lebesgue(3), b).entries - np.eye(b.size))) <= 1e-14
 
 
-def test_row_blocks_of_zero_rows_and_of_step_zero():
+def test_row_blocks_of_zero_rows_and_of_rows_over_a_block():
     blocks = []
 
     def fn(rows):
@@ -236,7 +236,8 @@ def test_row_blocks_of_zero_rows_and_of_step_zero():
     assert empty.shape == (0,) and blocks == [0]
     blocks.clear()
     rows = np.arange(15.0).reshape(5, 3)
-    np.testing.assert_array_equal(quadrature.row_blocks(rows, 0, fn), rows.sum(axis=1))
+    # a row costing more than one block's entries goes alone
+    np.testing.assert_array_equal(quadrature.row_blocks(rows, quadrature._BLOCK + 1, fn), rows.sum(axis=1))
     assert blocks == [1] * 5
 
 

@@ -317,10 +317,10 @@ def brute_force_distance(eigs, gvals):
 @pytest.mark.parametrize("rho", [real_gaussian, lambda n: RealAtoms([[0.3] * n, [-0.8] * n], [0.6, 0.4 - 0.2j])],
                          ids=["real-samples", "complex-samples"])
 def test_eig_to_range_is_the_brute_force_distance(rho, n, degree, monkeypatch):
-    from focklab import spectral
+    from focklab import quadrature
     from focklab.toeplitz import OperatorMatrix, assemble_toeplitz
 
-    monkeypatch.setattr(spectral, "MAX_NODES", 1_000)  # blocks of a few eigenvalues for complex samples
+    monkeypatch.setattr(quadrature, "_BLOCK", 1_000)  # blocks of a few eigenvalues for complex samples
     b = enumerate_basis(n, degree)
     samples = gamma_samples(rho(n), (0,) * n, 24)
     hermitian = assemble_toeplitz(Horizontal(rho(n)), b)

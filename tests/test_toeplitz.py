@@ -15,6 +15,7 @@ from focklab.measures import (
     RealAtoms,
     dirac,
     gaussian_density,
+    gaussian_pairing,
     lebesgue,
     moment,
     moment_table,
@@ -259,6 +260,25 @@ def test_berezin_factored_path_matches_full_2d_quadrature():
         assert berezin_measure(mu_factored, [z]) == pytest.approx(
             berezin_measure(mu_full, [z]), rel=1e-9
         )
+
+
+def test_berezin_measure_at_a_point_is_its_row_value():
+    # a point and rows take the one gaussian_pairings route
+    for mu, z in ((gaussian_density(2), [0.3 - 0.2j, 0.5j]), (lebesgue(2), [0.1, -0.4 + 0.2j])):
+        value = berezin_measure(mu, z)
+        assert type(value) is complex and value == berezin_measure(mu, np.array([z]))[0]
+        assert value == math.pi ** -2 * gaussian_pairing(mu, z)
+
+
+def test_hermitian_defect_is_the_complex_formula_bit_for_bit():
+    # an exactly real operator is measured in real arithmetic, a complex one in complex
+    b = enumerate_basis(2, 10)
+    real = assemble_toeplitz(Horizontal(real_gaussian(2)), b)
+    x = np.diag([1 + 1j, 1 + 1j]) / math.sqrt(2)
+    rotated = assemble_toeplitz(pushforward(Horizontal(real_gaussian(2)), x), b)
+    assert not np.any(real.entries.imag) and np.any(rotated.entries.imag)
+    for op in (real, rotated):
+        assert op.hermitian_defect() == float(np.max(np.abs(op.entries - op.entries.conj().T)))
 
 
 def test_berezin_y_variation_detects_off_axis_atom():

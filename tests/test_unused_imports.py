@@ -108,6 +108,26 @@ def unreferenced_public_names(modules: dict[str, str], exported: set[str], elsew
                   and not any(node.name in names for _, other, names in definitions if other is not node))
 
 
+def block_size_readers(modules: dict[str, str], owned=("_BLOCK", "MAX_EVALS", "MAX_NODES")) -> list[str]:
+    """The modules of ``modules`` (name -> source) other than ``quadrature`` that import or read one of
+    the ``owned`` names (the block size and the two refusal caps), as ``module: name``."""
+    return sorted(f"{module}: {name}" for module, source in modules.items() if module != "quadrature"
+                  for name in sorted(referenced_names(ast.parse(source)) & set(owned)))
+
+
+def test_only_quadrature_sizes_a_block_or_reads_a_cap():
+    # a second block size, or a refusal cap borrowed as one, would split the one block owner
+    assert block_size_readers({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def test_detector_flags_a_borrowed_block_size():
+    modules = {"quadrature": "_BLOCK = 8\nMAX_EVALS = 9\ndef blocks(n):\n    return n // _BLOCK\n",
+               "measures": "from .quadrature import MAX_EVALS, blocks\nSTEP = MAX_EVALS // 4\n",
+               "spectral": "from . import quadrature\ndef f():\n    return quadrature._BLOCK\n",
+               "cli": "def g():\n    '''refused past MAX_NODES points'''\n"}
+    assert block_size_readers(modules) == ["measures: MAX_EVALS", "spectral: _BLOCK"]
+
+
 def test_every_unexported_public_name_is_referenced():
     # a public name that neither the package exports nor any code reads is dead code
     exported = {alias.asname or alias.name for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
