@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import HalfIndex, as_multi_index, graded_lex_indices, monomial_matrix, orthonormal_powers
+from .indices import HalfIndex, as_multi_index, graded_lex_indices, lowering, monomial_matrix, orthonormal_powers
 from .indices import select_table, substitution_matrix
 from .quadrature import blocks, check_nodes, contract_axes, distinct, gather_axes, gauss_hermite, gauss_legendre
 from .quadrature import row_blocks, tensor_grid, tensor_sums
@@ -328,13 +328,15 @@ class Density(_DensitySet, MeasureSpec):
             [x[:, None] + d for x, d in zip(c.T, disk)], [np.broadcast_to(v, (c.shape[0], v.size)) for v in w]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AlphaHorizontal(MeasureSpec):
     """mu = rho (x) nu_{n,alpha} with d nu_{n,alpha} = prod (1+y_j^2)^{-alpha_j} dy_j.
 
     ``alpha_doubled`` stores 2*alpha so half-integer exponents arising from
     the weighting calculus stay exact (n integers, read by ``HalfIndex.of``); it defaults
     to alpha = 0, the horizontal rho (x) Lebesgue, which ``Horizontal`` also names.
+    A value: equal when rho is equal (rho's own equality: the same object for atoms and
+    densities, the same n for Lebesgue) and alpha is, so equal product factors share one table.
     """
 
     rho: RealMeasure
@@ -731,23 +733,44 @@ def gaussian_pairings(mu, centers, order: int = DEFAULT_ORDER) -> np.ndarray:
 # moments m_{alpha,beta}(mu) = int w^alpha conj(w)^beta e^{-|w|^2} dmu(w)
 
 
-def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
+def _lowered(table: np.ndarray, keys, steps) -> np.ndarray:
+    """``table`` over the downward-closed ``keys`` after each step (j, axes), a new array per step:
+    the sum over the table axes in ``axes`` of its lowering on axis j, on the rows
+    m'[alpha, beta] = sqrt(alpha_j) m[alpha - e_j, beta], 0 where alpha_j = 0."""
+    for j, axes in steps:
+        src, factor = lowering(keys, j)
+        lowered = np.zeros_like(table)
+        for axis in axes:
+            term = np.take(table, src, axis=axis)
+            term *= np.expand_dims(factor, 1 - axis)
+            lowered += term
+        table = lowered
+    return table
+
+
+def moment_table(mu, indices, order: int = DEFAULT_ORDER, steps=()) -> np.ndarray:
     """All moments for alpha, beta in ``indices`` as one pass, in the orthonormal basis:
-    entry m_{alpha,beta} / sqrt(alpha! beta!) = int e_alpha conj(e_beta) e^{-|w|^2} dmu.
+    entry m_{alpha,beta} / sqrt(alpha! beta!) = int e_alpha conj(e_beta) e^{-|w|^2} dmu,
+    after each lowering step (j, axes) in ``steps``.
 
     ``indices`` may be any set of multi-indices, in any order.  The table is
     the shared input for every operator assembly, pi^n times its transpose
     for the Toeplitz matrix; entry growth or a violated decay contract
-    surfaces as a non-finite value located by the caller.
+    surfaces as a non-finite value located by the caller.  A derivative d/dw_j
+    of f lowers the table's rows, one of g its columns, and a step (j, axes)
+    adds up the lowerings of the table axes in ``axes``: (j, (0, 1)) is d/dx_j
+    of f conj(g).
 
     ``order`` is a floor: the rule has max(order, D + 1) nodes per axis, the
     fewest exact for the polynomial part of every entry; past order 200 or
     the node cap the request is refused.
 
     A measure that answers ``axis_factors()`` gets the gather prod_j m_j[alpha_j, beta_j]
-    of its factors' one-axis (D+1)^2 tables; any other measure's ``moments`` gives the
-    table over all degrees <= D, which is gathered into the caller's order (no copy when
-    that is the keys' order).
+    of its factors' one-axis (D+1)^2 tables: each distinct factor (equal by value) is
+    built once, and axis j's steps lower a new copy of factor j's table before the
+    gather, since d/dx_j acts on that factor alone.  Any other measure's ``moments``
+    gives the table over all degrees <= D, which is lowered and then gathered into the
+    caller's order (no copy when that is the keys' order).
     ``AlphaHorizontal`` and an n >= 2 ``Density`` contract per-axis tables on the
     distinct node values one axis at a time (``quadrature.contract_axes``), about
     (D+1)^2 operations per grid point instead of N^2 per node.  ``AlphaHorizontal``'s
@@ -763,9 +786,13 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER) -> np.ndarray:
     maxdeg = max(sum(a) for a in indices)
     factors = mu.axis_factors()
     if factors is not None:
-        keys, table = gather_axes([moment_table(f, [(d,) for d in range(maxdeg + 1)], order) for f in factors], maxdeg)
+        axis = [(d,) for d in range(maxdeg + 1)]
+        shared = {f: moment_table(f, axis, order) for f in dict.fromkeys(factors)}
+        keys, table = gather_axes([_lowered(shared[f], axis, [(0, axes) for i, axes in steps if i == j])
+                                   for j, f in enumerate(factors)], maxdeg)
     else:
         keys, table = mu.moments(maxdeg, max(order, maxdeg + 1))
+        table = _lowered(table, keys, steps)
     return select_table(keys, table, indices)
 
 

@@ -3,7 +3,8 @@
 Matrix convention: entry (beta, alpha) = <T e_alpha, e_beta>, rows and
 columns in the basis' graded-lex order.  Every assembly reads one
 ``measures.moment_table``, so no entry is integrated on its own; a derivative
-of f or g is a lowering step on that table's rows or columns.
+of f or g is a lowering step on that table's rows or columns, which for a
+product symbol acts on one factor's one-axis (D+1)^2 table before the gather.
 Every Berezin value of a measure is a ``measures.gaussian_pairings`` row, which
 rho (x) nu_alpha factorizes into rho's pairing at Re z times one
 nu_alpha integral per axis, so no 2n-dimensional grid is built; rows of
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet, kernel_coefficients
-from .indices import HalfIndex, as_multi_index, lowering
+from .indices import HalfIndex, as_multi_index
 from .measures import (
     DEFAULT_ORDER,
     AlphaHorizontal,
@@ -28,6 +29,7 @@ from .measures import (
     gaussian_pairings,
     moment_table,
 )
+from .quadrature import blocks
 
 KERNEL_NORM_FLOOR = 0.99  # truncated kernel mass below which a Berezin value is flagged
 
@@ -44,9 +46,10 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def hermitian_defect(self) -> float:
-        # an exactly real matrix is measured in real arithmetic: the same float, at a fraction of the cost
+        # an exactly real matrix is measured in real arithmetic: the same float, at a fraction of the cost;
+        # row blocks against column blocks, so no second N x N array is formed
         entries = self.entries if np.any(self.entries.imag) else self.entries.real
-        return float(np.max(np.abs(entries - entries.conj().T)))
+        return max(float(np.max(np.abs(entries[s] - entries[:, s].conj().T))) for s in blocks(*entries.shape))
 
 
 def interior_max_norm(matrix, basis: BasisSet) -> float:
@@ -66,26 +69,14 @@ def _locate_bad_entry(table: np.ndarray, basis: BasisSet):
         )
 
 
-def _assemble(mu, basis: BasisSet, order: int, steps=()) -> OperatorMatrix:
-    """The operator of the moment table m[alpha, beta] (in e_alpha) after each lowering step in ``steps``.
-
-    A derivative d/dw_j of f lowers the rows of m, one of g its columns:
-    m'[alpha, beta] = sqrt(alpha_j) m[alpha - e_j, beta], and 0 where alpha_j = 0.  A step
-    (j, axes) adds up the lowerings of the table axes in ``axes``, so (j, (0, 1)) is
-    d/dx_j of f conj(g).  Entry (beta, alpha) is then pi^{-n} m[alpha, beta].
-    """
-    # past the float range the moment pass overflows; the located refusal is the only signal
+def _assemble(mu, basis: BasisSet, order: int, steps) -> OperatorMatrix:
+    """The operator of the moment table m[alpha, beta] (in e_alpha) after the lowering steps (j, axes),
+    which ``measures.moment_table`` applies (on a product, to the one-axis tables before the gather):
+    entry (beta, alpha) = pi^{-n} m[alpha, beta]."""
+    # past the float range the moment pass and its lowering overflow; the located refusal is the only signal
     with np.errstate(over="ignore", invalid="ignore"):
-        table = moment_table(mu, list(basis.indices), order)
+        table = moment_table(mu, list(basis.indices), order, steps)
     _locate_bad_entry(table, basis)
-    for j, axes in steps:
-        src, factor = lowering(list(basis.indices), j)
-        lowered = np.zeros_like(table)
-        for axis in axes:
-            term = np.take(table, src, axis=axis)
-            term *= np.expand_dims(factor, 1 - axis)
-            lowered += term
-        table = lowered
     # every moment route builds a fresh table, so it is scaled in place and its transpose is a view
     table *= math.pi ** (-basis.n)
     return OperatorMatrix(basis, table.T)
@@ -96,7 +87,7 @@ def assemble_toeplitz(mu, basis: BasisSet, order: int = DEFAULT_ORDER) -> Operat
 
     Entry (beta, alpha) = pi^{-n} m_{alpha,beta}(mu) / sqrt(alpha! beta!), the moment table in e_alpha.
     """
-    return _assemble(mu, basis, order)
+    return _assemble(mu, basis, order, ())
 
 
 def assemble_coderivative(mu, a, b, basis: BasisSet, order: int = DEFAULT_ORDER) -> OperatorMatrix:

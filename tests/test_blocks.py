@@ -11,7 +11,7 @@ from focklab.basis import enumerate_basis
 from focklab.indices import factorial, graded_lex_indices
 from focklab.measures import Atoms, Horizontal, moment, moment_table, real_gaussian
 from focklab.quadrature import blocks, gather_axes
-from focklab.toeplitz import assemble_toeplitz
+from focklab.toeplitz import assemble_real_coderivative, assemble_toeplitz
 
 
 def traced_peak(fn):
@@ -67,3 +67,18 @@ def test_a_gathered_assembly_holds_one_table():
     op, peak = traced_peak(lambda: assemble_toeplitz(Horizontal(real_gaussian(3)), b))
     assert peak <= 1.2 * 16 * b.size ** 2
     assert op.entries.shape == (b.size, b.size) and op.entries.flags.f_contiguous
+
+
+def test_a_product_coderivative_lowers_its_axis_tables_and_holds_one_table():
+    # each step lowers a one-axis (D+1)^2 table before the gather, so no N x N temporary is formed
+    b = enumerate_basis(3, 16)
+    op, peak = traced_peak(lambda: assemble_real_coderivative(Horizontal(real_gaussian(3)), (1, 1, 1), b))
+    assert peak <= 1.2 * 16 * b.size ** 2
+    assert op.entries.shape == (b.size, b.size)
+
+
+def test_hermitian_defect_holds_row_blocks():
+    # a real N x N operator: its defect compares row blocks with column blocks, no second N x N array
+    op = assemble_toeplitz(Horizontal(real_gaussian(3)), enumerate_basis(3, 16))
+    _, peak = traced_peak(op.hermitian_defect)
+    assert peak <= 0.5 * 8 * op.basis.size ** 2

@@ -20,12 +20,14 @@ from focklab.basis import enumerate_basis
 from focklab.indices import HalfIndex, select_table
 from focklab.measures import (
     AlphaHorizontal,
+    Density,
     Horizontal,
     Product,
     RealAtoms,
     RealDensity,
     RealProduct,
     ball_mass,
+    gaussian_density,
     gaussian_nodes,
     gaussian_pairings,
     lebesgue,
@@ -108,6 +110,25 @@ def test_real_coderivative_of_a_product_matches_its_flat_reference():
     mu, b = Horizontal(real_gaussian(2)), enumerate_basis(2, 16)
     assert_close(assemble_real_coderivative(mu, (1, 1), b).entries,
                  assemble_real_coderivative(flat(mu), (1, 1), b).entries)
+
+
+@pytest.mark.parametrize("mu, tables", [
+    pytest.param(Horizontal(real_gaussian(3)), 1, id="gaussian-3"),
+    pytest.param(lebesgue(3), 1, id="lebesgue-3"),
+    pytest.param(gaussian_density(2), 1, id="gaussian-density-2"),
+    pytest.param(Horizontal(RealProduct((real_gaussian(1), real_gaussian(1, 2.0)))), 2, id="two-widths"),
+    pytest.param(AlphaHorizontal(real_gaussian(2), (1, 2)), 2, id="two-alphas"),
+])
+def test_each_distinct_factor_table_is_built_once(monkeypatch, mu, tables):
+    # factors equal by value share one one-axis table, also when the coderivative lowers each axis
+    built = []
+    for cls in (AlphaHorizontal, Density):
+        def spy(self, maxdeg, order, moments=cls.moments):
+            built.append(self.n)
+            return moments(self, maxdeg, order)
+        monkeypatch.setattr(cls, "moments", spy)
+    assemble_real_coderivative(mu, (1,) * mu.n, enumerate_basis(mu.n, 8))
+    assert built == [1] * tables
 
 
 def test_products_are_pure_data():

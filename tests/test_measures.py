@@ -124,6 +124,18 @@ def test_alpha_horizontal_weight_shift_structure():
     assert isinstance(lands, Horizontal) and lands.alpha_doubled == (0,)
 
 
+def test_alpha_horizontal_is_equal_by_rho_and_alpha():
+    # rho compares by its own equality: the same object for densities, the same n for Lebesgue
+    rho = real_gaussian(2)
+    mu = AlphaHorizontal(rho, (1, 2))
+    same = AlphaHorizontal(rho, (1, 2))
+    assert mu == same and hash(mu) == hash(same)
+    assert mu != AlphaHorizontal(rho, (1, 3))
+    assert mu != AlphaHorizontal(real_gaussian(2), (1, 2))
+    assert lebesgue(2) == lebesgue(2) and hash(lebesgue(2)) == hash(lebesgue(2))
+    assert len(set(lebesgue(3).axis_factors())) == 1
+
+
 def test_ball_mass_lebesgue_disk_area():
     assert ball_mass(lebesgue(1), [0.0], [1.0]) == pytest.approx(math.pi, rel=1e-12)
     assert ball_mass(lebesgue(1), [2.0 + 1.0j], [0.5]) == pytest.approx(math.pi * 0.25, rel=1e-12)

@@ -115,6 +115,27 @@ def block_size_readers(modules: dict[str, str], owned=("_BLOCK", "MAX_EVALS", "M
                   for name in sorted(referenced_names(ast.parse(source)) & set(owned)))
 
 
+def axis_factor_readers(modules: dict[str, str], allowed=("measures", "spectral")) -> list[str]:
+    """The calls of ``.axis_factors()`` in the modules of ``modules`` (name -> source) outside
+    ``allowed``, as ``module (line n)``."""
+    return sorted(f"{module} (line {node.lineno})" for module, source in modules.items() if module not in allowed
+                  for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr == "axis_factors")
+
+
+def test_only_measures_and_spectral_read_product_structure():
+    # the entry points of measures and gamma_samples read the one statement of product
+    # structure; every other module reaches it through them
+    assert axis_factor_readers({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def test_detector_flags_an_axis_factors_reader():
+    modules = {"measures": "def f(mu):\n    return mu.axis_factors()\n",
+               "spectral": "def g(rho):\n    return rho.axis_factors()\n",
+               "toeplitz": "def h(mu):\n    '''reads axis_factors()'''\n    return mu.axis_factors() is None\n"}
+    assert axis_factor_readers(modules) == ["toeplitz (line 3)"]
+
+
 def test_only_quadrature_sizes_a_block_or_reads_a_cap():
     # a second block size, or a refusal cap borrowed as one, would split the one block owner
     assert block_size_readers({p.stem: p.read_text() for p in MODULES}) == []
