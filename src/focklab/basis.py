@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .indices import MultiIndex, graded_lex_indices, monomial_matrix
+from .indices import MultiIndex, graded_lex_keys, monomial_matrix
 from .quadrature import gather_axes
 
 MAX_BASIS_SIZE = 20_000
@@ -56,7 +56,7 @@ def enumerate_basis(n: int, degree: int) -> BasisSet:
         raise ValueError(
             f"basis would have {size} elements; a dense matrix needs ~{mem:.0f} MB (cap {MAX_BASIS_SIZE} elements)"
         )
-    return BasisSet(n, degree, tuple(graded_lex_indices(n, degree)))
+    return BasisSet(n, degree, graded_lex_keys(n, degree)[0])
 
 
 def kernel_coefficients(z, basis: BasisSet) -> np.ndarray:
@@ -104,5 +104,5 @@ def weyl_matrix(h, basis: BasisSet) -> np.ndarray:
     """
     h = np.broadcast_to(np.asarray(h, dtype=complex), (basis.n,))
     _, out = gather_axes([_weyl_axis_table(hj, basis.degree) for hj in h], basis.degree)
-    return math.exp(-0.5 * float(np.sum(np.abs(h) ** 2))) * out
+    return np.multiply(out, math.exp(-0.5 * float(np.sum(np.abs(h) ** 2))), out=out)  # the gather is fresh
 

@@ -39,10 +39,6 @@ def as_multi_index(alpha, n: int | None = None) -> MultiIndex:
     return tuple(out)
 
 
-def index_add(alpha, beta) -> MultiIndex:
-    return tuple(a + b for a, b in zip(alpha, beta))
-
-
 def factorial(alpha) -> int:
     """alpha! = prod_j alpha_j!, exact (Python big integers never overflow)."""
     alpha = as_multi_index(alpha)
@@ -107,28 +103,56 @@ def orthonormal_powers(degree: int, z) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
+@lru_cache(maxsize=16)
+def graded_lex_keys(n: int, max_degree: int) -> tuple[tuple[MultiIndex, ...], np.ndarray]:
+    """``graded_lex_indices`` as a tuple with its per-axis index array (n, N), cached per (n, D) and
+    shared by every basis, gather and V_X of that size, so the array is read-only."""
+    keys = tuple(graded_lex_indices(n, max_degree))
+    axes = np.array(keys).reshape(len(keys), n).T
+    axes.flags.writeable = False
+    return keys, axes
+
+
+@lru_cache(maxsize=8)
+def _raising(n: int, top: int):
+    """Per degree d >= 1 of the graded-lex basis, its slice, its columns' ``_steps`` (first nonzero axes j,
+    parents alpha - e_j, sqrt(alpha_j)) and per axis m its rows' ``lowering`` (gamma - e_m and sqrt(gamma_m),
+    0 where gamma_m = 0), positions in the whole basis.  Cached per (n, D), so the arrays are read-only."""
+    keys = graded_lex_keys(n, top)[0]
+    src, raise_ = (np.array(x) for x in zip(*(lowering(keys, m) for m in range(n))))
+    src.flags.writeable = raise_.flags.writeable = False
+    slices = [(slice(cols[0], cols[-1] + 1), js, parents, roots) for cols, js, parents, roots in _steps(keys)]
+    return tuple((s, js, parents, roots, src[:, s], raise_[:, s, None]) for s, js, parents, roots in slices)
+
+
+def substitution_blocks(xstar: np.ndarray, n: int, top: int) -> list[tuple[slice, np.ndarray]]:
+    """V_X f(u) = f(X* u) on the graded-lex basis of degree <= top as its degree blocks: per degree,
+    its slice of the basis and the block C_d with e_alpha(X* u) = sum_gamma C_d[gamma, alpha] e_gamma(u).
+    V_X preserves degree, so no N x N array is formed.  Each block is built from the one below it
+    (``_raising``): e_alpha = e_(alpha - e_j) (X* u)_j / sqrt(alpha_j), u_m e_(gamma - e_m) = sqrt(gamma_m) e_gamma."""
+    xstar = np.asarray(xstar, dtype=complex)
+    blocks = [(slice(0, 1), np.ones((1, 1), dtype=complex))]
+    for rows, js, parents, roots, src, raise_ in _raising(n, top):
+        start = blocks[-1][0].start  # the degree below starts there in the basis
+        below = blocks[-1][1][:, parents - start]
+        block = np.zeros((len(js), len(js)), dtype=complex)
+        for m in range(n):  # rows with gamma_m = 0 have a zero factor: any row of ``below`` serves them
+            block += raise_[m] * (xstar[js, m] / roots) * below.take(src[m] - start, axis=0, mode="clip")
+        blocks.append((rows, block))
+    return blocks
+
+
 def substitution_matrix(xstar: np.ndarray, indices: list[MultiIndex]) -> np.ndarray:
     """Coefficients C with e_alpha(X* u) = sum_gamma C[gamma, alpha] e_gamma(u): the matrix of
     V_X f(u) = f(X* u) in the basis e_alpha = u^alpha / sqrt(alpha!), unitary for unitary X.
-
-    The substitution preserves total degree, so C is block diagonal.  Every
-    multi-index up to the top degree must be in ``indices``; the columns of
-    one degree are their parents' columns times the linear forms (X* u)_j / sqrt(alpha_j).
-    """
-    xstar = np.asarray(xstar, dtype=complex)
-    position = {a: i for i, a in enumerate(indices)}
-    top = max(sum(a) for a in indices)
-    # u_m e_gamma = sqrt(gamma_m + 1) e_(gamma + e_m): the coefficient of e_gamma (rows ``low``)
-    # moves to rows up[m] with that factor
-    low = [i for i, a in enumerate(indices) if sum(a) < top]
-    up = [(np.array([position[index_add(indices[i], e)] for i in low], dtype=int),
-           np.sqrt([indices[i][m] + 1.0 for i in low])[:, None])
-          for m, e in enumerate(np.eye(len(xstar), dtype=int).tolist())]
-    c = np.diag([complex(not any(a)) for a in indices])
-    for cols, js, parents, roots in _steps(tuple(indices)):
-        for m, (rows, raise_) in enumerate(up):
-            c[np.ix_(rows, cols)] += raise_ * (xstar[js, m] / roots) * c[np.ix_(low, parents)]
-    return c
+    It is ``substitution_blocks`` laid out densely over ``indices``, in their order; every
+    multi-index up to the top degree must be among them."""
+    n, top = len(xstar), max(sum(a) for a in indices)
+    keys = graded_lex_keys(n, top)[0]
+    c = np.zeros((len(keys), len(keys)), dtype=complex)
+    for s, block in substitution_blocks(xstar, n, top):
+        c[s, s] = block
+    return select_table(keys, c, indices)
 
 
 def lowering(indices: list[MultiIndex], j: int):

@@ -23,7 +23,7 @@ from .toeplitz import (
     assemble_real_coderivative,
     assemble_toeplitz,
     berezin_values,
-    interior_max_norm,
+    interior_commutator_norm,
 )
 
 LAGRANGIAN_TOL = 1e-12
@@ -112,12 +112,13 @@ def rotation_defect(frame, x: np.ndarray) -> float:
 
 
 def vx_matrix(x: np.ndarray, basis: BasisSet) -> np.ndarray:
-    """Matrix of V_X f(z) = f(X* z) on the truncated basis: ``substitution_matrix(X*)``.
+    """Matrix of V_X f(z) = f(X* z) on the truncated basis: ``substitution_matrix(X*)``, the dense
+    form of the degree blocks ``indices.substitution_blocks`` that conjugate a pushforward's table.
 
     V_X preserves total degree, so it is block diagonal and stays exactly
     unitary in truncation.
     """
-    return substitution_matrix(np.conj(np.asarray(x, dtype=complex)).T, list(basis.indices))
+    return substitution_matrix(np.conj(np.asarray(x, dtype=complex)).T, basis.indices)
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,8 @@ def l_invariance_test(mu, frame: LagrangianFrame, basis: BasisSet,
     independent of the imaginary part (to 1e-8 relative).  Route 2: the
     assembled Toeplitz matrix must commute with the Weyl translations W_h,
     h = 0.4 times each unit frame vector, on the interior block (to 1e-4).
+    Each commutator is formed on the interior rows and columns it reports alone
+    (``toeplitz.interior_commutator_norm``), never as two N x N products.
     """
     x = frame.rotation
     rotated = pushforward(mu, x.conj().T)
@@ -145,13 +148,9 @@ def l_invariance_test(mu, frame: LagrangianFrame, basis: BasisSet,
     variation_y = float(np.max(np.abs(vals - vals[:, :1])))
     scale = float(np.max(np.abs(vals)))
     t = assemble_toeplitz(mu, basis, order).entries
-    commutators = []
     c = complex_identification(frame.vectors)
     c = c / np.linalg.norm(c, axis=0, keepdims=True)
-    for j in range(frame.n):
-        h = 0.4 * c[:, j]
-        w = weyl_matrix(h, basis)
-        commutators.append(interior_max_norm(t @ w - w @ t, basis))
+    commutators = [interior_commutator_norm(t, weyl_matrix(0.4 * h, basis), basis) for h in c.T]
     invariant = variation_y <= 1e-8 * max(scale, 1e-12) and all(v <= 1e-4 for v in commutators)
     return InvarianceReport(variation_y, tuple(commutators), bool(invariant))
 

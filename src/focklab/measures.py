@@ -65,8 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import HalfIndex, as_multi_index, graded_lex_indices, lowering, monomial_matrix, orthonormal_powers
-from .indices import select_table, substitution_matrix
+from .indices import HalfIndex, as_multi_index, graded_lex_keys, lowering, monomial_matrix, orthonormal_powers
+from .indices import select_table, substitution_blocks
 from .quadrature import blocks, check_nodes, contract_axes, distinct, gather_axes, gauss_hermite, gauss_legendre
 from .quadrature import row_blocks, tensor_grid, tensor_sums
 
@@ -199,7 +199,7 @@ class MeasureSpec(_Measure):
 
     def moments(self, maxdeg: int, order: int):
         """(keys, table): the moments in e_alpha over all degrees <= maxdeg, by a Gram product over the nodes."""
-        keys = graded_lex_indices(self.n, maxdeg)
+        keys = graded_lex_keys(self.n, maxdeg)[0]
         pts, wts = gaussian_nodes(self, np.zeros(self.n), order)
         table = np.zeros((len(keys), len(keys)), dtype=complex)
         for s in blocks(pts.shape[0], len(keys)):
@@ -471,10 +471,18 @@ class Pushforward(MeasureSpec):
         return gaussian_pairings(self.base, centers @ self.matrix.T, order)
 
     def moments(self, maxdeg: int, order: int):
-        # T_{mu_X} = V_X* T_mu V_X, exact on every degree block since V_X preserves degree
-        keys = graded_lex_indices(self.n, maxdeg)
-        c = substitution_matrix(np.conj(self.matrix).T, keys)
-        return keys, c.T @ moment_table(self.base, keys, order) @ np.conj(c)
+        """T_{mu_X} = V_X* T_mu V_X: the base's table m becomes C^T m conj(C), C = V_X, in place, the rows
+        of each (contiguous, graded-lex) degree d by C_d^T and its columns by conj(C_d), each product
+        written into one buffer of the top degree's N x |d| entries."""
+        keys = graded_lex_keys(self.n, maxdeg)[0]
+        vx = substitution_blocks(np.conj(self.matrix).T, self.n, maxdeg)
+        table = moment_table(self.base, keys, order)  # fresh from every moment route
+        size = len(keys)
+        buffer = np.empty(size * len(vx[-1][1]), dtype=complex)
+        for s, c in vx:  # rows and columns commute: C_e^T (m[e, d] conj(C_d)) = (C_e^T m[e, d]) conj(C_d)
+            table[s] = np.matmul(c.T, table[s], out=buffer[:len(c) * size].reshape(len(c), size))
+            table[:, s] = np.matmul(table[:, s], np.conj(c), out=buffer[:size * len(c)].reshape(size, len(c)))
+        return keys, table
 
     def ball_mass(self, centers, r):
         raise TypeError(_ROTATED_POLYDISK)
@@ -778,7 +786,8 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER, steps=()) -> np.ndarra
     the rule are even in v, and e_a(t-iv) = conj(e_a(t+iv))), so over a real-weighted
     rho the table's imaginary part is exactly zero.  Requests whose gather
     or contraction would hold more than ``quadrature.MAX_BYTES`` are refused.  A pushforward
-    mu_X conjugates its base's table by the substitution matrix of X* (V_X).
+    mu_X conjugates its base's table in place by the degree blocks of V_X
+    (``indices.substitution_blocks``), never by an N x N matrix.
     Complex atoms, one-axis densities and weighted pushforwards, whose weight
     is not rotation invariant, pay a Gram product over their nodes.
     """

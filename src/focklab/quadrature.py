@@ -22,7 +22,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .indices import graded_lex_indices
+from .indices import graded_lex_keys
 
 MAX_ORDER = 200
 MAX_NODES = 6_000_000  # largest node set any tensor discretization may materialize
@@ -200,11 +200,10 @@ def contract_axes(tables, grid, maxdeg: int):
 
 def gather_axes(mats, maxdeg: int):
     """The table prod_j mats[j][alpha_j, beta_j] of a product measure over the multi-indices of
-    degree <= maxdeg (graded-lex), gathered from its n one-axis (maxdeg+1)^2 tables."""
-    keys = graded_lex_indices(len(mats), maxdeg)
+    degree <= maxdeg (the cached ``indices.graded_lex_keys``), gathered from its n one-axis tables."""
+    keys, axes = graded_lex_keys(len(mats), maxdeg)
     _check_bytes(len(keys) ** 2)
     table = np.ones((len(keys), len(keys)), dtype=complex)
-    axes = np.array(keys).T
     for s in blocks(len(keys), len(keys)):  # in row blocks, so no second N x N array is formed
         for a, m in zip(axes, mats):
             table[s] *= np.take(m[a[s]], a, axis=1)  # m[a][:, a]: 1.7x faster than m[np.ix_(a, a)]

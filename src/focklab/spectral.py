@@ -93,8 +93,9 @@ def gamma_samples(rho, k: HalfIndex, order: int = DEFAULT_SPECTRAL_ORDER,
         values = gamma_2k(rho, k, spectral_grid(k.n, order), rho_order)
         return SpectralSamples((values.reshape((order,) * k.n),), k, order)
     nodes = gauss_hermite(order).nodes[:, None]
-    return SpectralSamples(tuple(gamma_2k(f, HalfIndex(k.doubled[j:j + 1]), nodes, rho_order)
-                                 for j, f in enumerate(factors)), k, order)
+    axes = list(zip(factors, k.doubled))  # one vector per distinct (factor, 2k_j), shared by its axes
+    shared = {(f, t): gamma_2k(f, HalfIndex((t,)), nodes, rho_order) for f, t in dict.fromkeys(axes)}
+    return SpectralSamples(tuple(shared[a] for a in axes), k, order)
 
 
 def hermite_function_matrix(degree: int, x) -> np.ndarray:
@@ -128,8 +129,9 @@ def multiplication_matrix(gamma: SpectralSamples, basis: BasisSet) -> OperatorMa
     rule = gauss_hermite(order)
     h = hermite_function_matrix(basis.degree, rule.nodes).T
     g = h[:, :, None] * h[:, None, :]
-    if len(gamma.factors) > 1:
-        keys, table = gather_axes([np.tensordot(rule.weights * f, g, axes=1) for f in gamma.factors], basis.degree)
+    if len(gamma.factors) > 1:  # one one-axis table per distinct factor vector
+        tables = {id(f): np.tensordot(rule.weights * f, g, axes=1) for f in {id(f): f for f in gamma.factors}.values()}
+        keys, table = gather_axes([tables[id(f)] for f in gamma.factors], basis.degree)
     else:
         grid = functools.reduce(np.multiply.outer, [rule.weights] * basis.n) * gamma.factors[0]
         keys, table = contract_axes([g] * basis.n, grid, basis.degree)
@@ -169,9 +171,9 @@ def diagonalization_residual(mu_or_rho, k: HalfIndex, basis: BasisSet,
     the Hermite-side multiplication matrix for the same horizontal symbol.
 
     Also reports the Berezin-route gap against ``berezin_coderivative``, the
-    independent kernel-based path: it carries the truncation error of the
-    kernel expansion and shrinks as D grows, unlike the entrywise residual
-    which is quadrature-limited.
+    independent kernel-based path, at five points taken as rows by both routes: it
+    carries the truncation error of the kernel expansion and shrinks as D grows,
+    unlike the entrywise residual which is quadrature-limited.
     """
     k = HalfIndex.of(k, basis.n)
     rho = _extract_rho(mu_or_rho)
@@ -181,10 +183,8 @@ def diagonalization_residual(mu_or_rho, k: HalfIndex, basis: BasisSet,
     mult = multiplication_matrix(samples, basis)
     residual = interior_max_norm(top.entries - mult.entries, basis)
 
-    gap = 0.0
-    for z0 in (0.0, 0.4, 0.4 + 0.3j, -0.6 + 0.2j, 0.8j):
-        z = np.full(basis.n, z0, dtype=complex)
-        gap = max(gap, abs(berezin_operator(top, z) - berezin_coderivative(mu, k, z, moment_order)))
+    z = np.outer([0.0, 0.4, 0.4 + 0.3j, -0.6 + 0.2j, 0.8j], np.ones(basis.n))
+    gap = float(np.max(np.abs(berezin_operator(top, z) - berezin_coderivative(mu, k, z, moment_order))))
     return DiagonalizationReport(residual, basis.degree // 2, gap, top, mult, samples)
 
 

@@ -5,11 +5,11 @@ columns in the basis' graded-lex order.  Every assembly reads one
 ``measures.moment_table``, so no entry is integrated on its own; a derivative
 of f or g is a lowering step on that table's rows or columns, which for a
 product symbol acts on one factor's one-axis (D+1)^2 table before the gather.
-Every Berezin value of a measure is a ``measures.gaussian_pairings`` row, which
-rho (x) nu_alpha factorizes into rho's pairing at Re z times one
-nu_alpha integral per axis, so no 2n-dimensional grid is built; rows of
-points (``berezin_measure`` on an (m, n) array, ``berezin_values``) are
-paired in batches.
+Every Berezin value of a measure is a ``measures.gaussian_pairings`` row, which rho (x) nu_alpha
+factorizes into rho's pairing at Re z times one nu_alpha integral per axis, so no 2n-dimensional grid
+is built.  Rows of points (an (m, n) array) are taken in one batch: ``berezin_measure`` pairs them,
+``berezin_operator`` forms all their kernels as one matrix.  A commutator read on the interior block
+is formed on its rows and columns alone (``interior_commutator_norm``).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, kernel_coefficients
-from .indices import HalfIndex, as_multi_index
+from .basis import BasisSet
+from .indices import HalfIndex, as_multi_index, monomial_matrix
 from .measures import (
     DEFAULT_ORDER,
     AlphaHorizontal,
@@ -57,6 +57,13 @@ def interior_max_norm(matrix, basis: BasisSet) -> float:
     entries = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix)
     pos = basis.interior_positions()
     return float(np.max(np.abs(entries[np.ix_(pos, pos)])))
+
+
+def interior_commutator_norm(a: np.ndarray, b: np.ndarray, basis: BasisSet) -> float:
+    """``interior_max_norm`` of the commutator a b - b a of two N x N arrays, formed on the interior
+    rows and columns P alone: (a b - b a)[P, P] = a[P, :] b[:, P] - b[P, :] a[:, P]."""
+    pos = basis.interior_positions()
+    return float(np.max(np.abs(a[pos] @ b[:, pos] - b[pos] @ a[:, pos])))
 
 
 def _locate_bad_entry(table: np.ndarray, basis: BasisSet):
@@ -146,24 +153,25 @@ def horizontal_berezin_profile(rho, x, order: int = DEFAULT_ORDER) -> complex:
     return berezin_measure(AlphaHorizontal(rho), x, order)
 
 
-def berezin_operator(op: OperatorMatrix, z) -> complex:
-    """S~(z) = <S K_z, K_z> / <K_z, K_z> on the truncated kernel.
+def berezin_operator(op: OperatorMatrix, z):
+    """S~(z) = <S K_z, K_z> / <K_z, K_z> on the truncated kernel, at a point z or one value per row of
+    z (m, n), as ``berezin_measure`` takes them: one ``monomial_matrix`` of kernels, one product with S.
 
     Outside the accuracy domain (truncated kernel mass below the floor) the
-    value is still returned but an AccuracyDomainWarning is emitted.
+    value is still returned but an AccuracyDomainWarning names the first such row.
     """
-    z = np.broadcast_to(np.asarray(z, dtype=complex), (op.basis.n,))
-    kz = kernel_coefficients(z, op.basis)
-    norm2 = float(np.sum(np.abs(kz) ** 2))
-    captured = norm2 * math.exp(-float(np.sum(np.abs(z) ** 2)))
-    if captured < KERNEL_NORM_FLOOR:
-        warnings.warn(
-            f"truncated kernel at z={z} captures {captured:.3f} of its mass "
-            f"(floor {KERNEL_NORM_FLOOR}); Berezin value is degraded",
-            AccuracyDomainWarning,
-            stacklevel=2,
-        )
-    return complex(kz.conj() @ (op.entries @ kz) / norm2)
+    rows = np.asarray(z, dtype=complex)
+    point = rows.ndim < 2
+    rows = np.broadcast_to(rows, (1, op.basis.n)) if point else rows
+    kz = monomial_matrix(np.conj(rows), op.basis.indices)
+    norm2 = np.sum(np.abs(kz) ** 2, axis=1)
+    captured = norm2 * np.exp(-np.sum(np.abs(rows) ** 2, axis=1))
+    for i in np.flatnonzero(captured < KERNEL_NORM_FLOOR)[:1]:
+        warnings.warn(f"truncated kernel at {'' if point else f'row {i}, '}z={rows[i]} captures {captured[i]:.3f} "
+                      f"of its mass (floor {KERNEL_NORM_FLOOR}); Berezin value is degraded",
+                      AccuracyDomainWarning, stacklevel=2)
+    values = np.sum(kz.conj() * (kz @ op.entries.T), axis=1) / norm2
+    return complex(values[0]) if point else values
 
 
 def berezin_values(mu, x_values, y_values, order: int = DEFAULT_ORDER) -> np.ndarray:

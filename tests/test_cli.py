@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from pathlib import Path
 
@@ -421,3 +422,23 @@ def test_berezin_command_pairs_a_density_lattice_in_blocks_and_refuses_a_centre_
     cfg.out = str(tmp_path / "refused")
     with pytest.raises(ValueError, match="evaluations"):
         run(cfg)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("name", ["carleson", "diagonalization", "lagrangian", "long"])
+def test_resolved_config_is_the_same_bytes_from_either_emitter(tmp_path, name):
+    if name == "long":  # a measure string past the 80-column fold, a frame, null fields and list fields
+        measure = ("pushforward(horizontal(gaussian(1.0)); "
+                   "[[0.7071067811865476+0.7071067811865476j, 0], [0, 0.7071067811865476+0.7071067811865476j]])")
+        config = ExperimentConfig(command="assemble", n=2, truncation=3, k=[2, 0], measure=measure,
+                                  frame=[[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+        assert len(measure) > 80 and config.r is None and config.measure2 is None
+    else:
+        config = load_config(CONFIGS / f"{name}.yaml")
+    config.out = str(tmp_path / name)
+    assert run(config) == 0
+    written = (tmp_path / name / "resolved_config.yaml").read_text()
+    fields = dataclasses.asdict(config)
+    assert written == yaml.safe_dump(fields, sort_keys=True)
+    assert written == yaml.dump(fields, Dumper=yaml.CSafeDumper, sort_keys=True)
+    assert load_config(tmp_path / name / "resolved_config.yaml") == config

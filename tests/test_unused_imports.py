@@ -123,6 +123,32 @@ def axis_factor_readers(modules: dict[str, str], allowed=("measures", "spectral"
                   and isinstance(node.func, ast.Attribute) and node.func.attr == "axis_factors")
 
 
+def dense_substitution_uses(source: str, dense=("substitution_matrix", "vx_matrix")) -> list[str]:
+    """Imports, names and attributes in ``source`` that reach a function forming the dense N x N V_X,
+    as ``name (line n)``; a pushforward's table is conjugated by ``substitution_blocks`` alone."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node), ""), None)
+        if name in dense:
+            found.append(f"{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_measures_never_build_the_dense_substitution_matrix():
+    # block conjugation stays the only pushforward route: no N x N V_X, no dense C^T m conj(C)
+    assert dense_substitution_uses((PACKAGE / "measures.py").read_text()) == []
+
+
+def test_detector_flags_a_dense_substitution_matrix():
+    source = ("from .indices import select_table, substitution_blocks, substitution_matrix\n"
+              "from . import lagrangian\n"
+              "def moments(x, keys):\n    '''not substitution_matrix'''\n"
+              "    blocks = substitution_blocks(x, 2, 4)\n"
+              "    return lagrangian.vx_matrix(x, keys), substitution_matrix(x, keys)\n")
+    assert dense_substitution_uses(source) == ["substitution_matrix (line 1)", "substitution_matrix (line 6)",
+                                               "vx_matrix (line 6)"]
+
+
 def test_only_measures_and_spectral_read_product_structure():
     # the entry points of measures and gamma_samples read the one statement of product
     # structure; every other module reaches it through them
