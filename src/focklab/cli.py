@@ -256,6 +256,7 @@ def _lagrangian(config: ExperimentConfig, k: HalfIndex, out: Path):
             ("weyl-commutators", tuple(repr(v) for v in inv.weyl_commutators)),
             ("invariant", inv.invariant),
         ]
+        failed = failed or not inv.invariant
         if rho is not None:
             report = diagonalization_residual(rho, k, basis, config.moment_order, config.spectral_order)
             write_matrix_csv(report.toeplitz, out / "matrix")

@@ -31,8 +31,8 @@ one protocol every measure type implements:
   ``axis_factors()`` (None for a measure that is not a product);
 - real measures on R^n: ``real_nodes(center, order, scale)``, its batch over
   centres ``real_sums(centers, order, scale, factor)`` of sum_i w_i(c)
-  prod_j factor(j, c_j, t_ij), the moment pass's ``axis_grid(order)`` (the
-  distinct node values per axis and the weight grid over them) and the polydisk
+  prod_j factor(j, c_j, t_ij), the moment pass's ``axis_grid(order)`` (per axis the
+  distinct node values, None on the rule's own nodes, and the weight grid) and the polydisk
   masses' ``box_integral(x0, r, factor)`` of prod_j factor(j, t_j - x0_j) per row
   of x0 (offsets (1, q) shared by every row on a grid, (m, atoms) for atoms);
 - measures on C^n (``MeasureSpec``): ``nodes(center, order)``
@@ -112,10 +112,9 @@ class _RealGrid(_Measure):
                                      for j, (c, t) in enumerate(zip(centers.T, axes))])
 
     def axis_grid(self, order: int):
-        rule = gauss_hermite(order)
         _, wts = real_nodes(self, np.zeros(self.n), order)
-        # real_nodes lays the Gauss-Hermite tensor grid out in C order
-        return (rule.nodes,) * self.n, wts.reshape((rule.order,) * self.n)
+        # every axis is the rule's own nodes (None), and real_nodes lays their tensor grid out in C order
+        return (None,) * self.n, wts.reshape((order,) * self.n)
 
     def box_integral(self, x0, r, factor):
         # t = x0 + r sin(phi) per axis; axis j's factor gets the offsets r_j sin(phi) as one row shared
@@ -201,11 +200,12 @@ class MeasureSpec(_Measure):
         """(keys, table): the moments in e_alpha over all degrees <= maxdeg, by a Gram product over the nodes."""
         keys = graded_lex_keys(self.n, maxdeg)[0]
         pts, wts = gaussian_nodes(self, np.zeros(self.n), order)
-        table = np.zeros((len(keys), len(keys)), dtype=complex)
+        table = None  # the first block's product becomes the table, and later blocks add into it
         for s in blocks(pts.shape[0], len(keys)):
             pows = monomial_matrix(pts[s], keys)
-            table += (pows * wts[s, None]).T @ np.conj(pows)
-        return keys, table
+            term = (pows * wts[s, None]).T @ np.conj(pows)
+            table = term if table is None else np.add(table, term, out=table)
+        return keys, np.zeros((len(keys), len(keys)), dtype=complex) if table is None else table
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +328,50 @@ class Density(_DensitySet, MeasureSpec):
             [x[:, None] + d for x, d in zip(c.T, disk)], [np.broadcast_to(v, (c.shape[0], v.size)) for v in w]))
 
 
+# rule-node kernels, least recently used first, 16 MiB in all: a kernel is q (D+1)^2 doubles, so every one
+# up to D = 127 at the D + 1 order floor fits, and a D = 199 one (64 MB) is built per call, never kept
+_KERNEL_BYTES = 16 << 20
+_kernels = {}
+
+
+def _nu_density(doubled: int, v):
+    """The nu_alpha density (1+v^2)^{-alpha} with 2 alpha = ``doubled``; exactly 1 where alpha = 0."""
+    return (1.0 + v**2) ** (-doubled / 2.0)
+
+
+def _axis_kernel(t, maxdeg: int, order: int, doubled: int, out=None) -> np.ndarray:
+    """g[i, a, b] = sum_v w(v) nu_alpha(v) Re(e_a conj(e_b))(t_i + iv), (t-values, D+1, D+1), into ``out`` if
+    given: the rule and nu_alpha are even in v and e_a(t-iv) = conj(e_a(t+iv)), so one real batched product
+    over the v >= 0 half of the rule, weights doubled off v = 0, per ``quadrature.blocks`` block of t-values."""
+    rule = gauss_hermite(order)
+    half = rule.nodes >= 0  # hermgauss' nodes are mirrored exactly, with an exact 0.0 middle node for odd q
+    v, wv = rule.nodes[half], (rule.weights * _nu_density(doubled, rule.nodes))[half]
+    w2 = np.tile(np.where(v > 0, 2.0, 1.0) * wv, 2)[:, None]
+    g = np.empty((t.size, maxdeg + 1, maxdeg + 1)) if out is None else out
+    for s in blocks(t.size, w2.size * (maxdeg + 1)):
+        pows = orthonormal_powers(maxdeg, t[s, None] + 1j * v)
+        parts = np.concatenate([pows.real, pows.imag], axis=1)  # (t-values, 2 * half nodes, D + 1)
+        np.matmul(np.swapaxes(parts, 1, 2), parts * w2, out=g[s])
+    return g
+
+
+def _rule_kernel(order: int, maxdeg: int, doubled: int) -> np.ndarray:
+    """``_axis_kernel`` on the rule's own nodes, read-only, kept if it fits.  They are mirrored exactly and
+    g(-t) = (-1)^(a+b) g(t), so only the t >= 0 rows are built; the rest flip in place, no table-sized temporary."""
+    key = (order, maxdeg, doubled)
+    g = _kernels.pop(key, None)
+    if g is None:
+        g, low = np.empty((order, maxdeg + 1, maxdeg + 1)), order // 2
+        _axis_kernel(gauss_hermite(order).nodes[low:], maxdeg, order, doubled, g[low:])
+        np.multiply(g[::-1][:low], (-1.0) ** np.indices(g.shape[1:]).sum(axis=0), out=g[:low])
+        g.flags.writeable = False
+    if g.nbytes <= _KERNEL_BYTES:
+        _kernels[key] = g  # (re)inserted last, as the most recently used
+        while sum(k.nbytes for k in _kernels.values()) > _KERNEL_BYTES:
+            del _kernels[next(iter(_kernels))]
+    return g
+
+
 @dataclass(frozen=True)
 class AlphaHorizontal(MeasureSpec):
     """mu = rho (x) nu_{n,alpha} with d nu_{n,alpha} = prod (1+y_j^2)^{-alpha_j} dy_j.
@@ -367,8 +411,7 @@ class AlphaHorizontal(MeasureSpec):
         return None if factors is None else tuple(map(AlphaHorizontal, factors, zip(self.alpha_doubled)))
 
     def _nu(self, j: int, v):
-        """The nu_alpha density (1+v^2)^{-alpha_j} on axis j; exactly 1 where alpha_j = 0."""
-        return (1.0 + v**2) ** (-self.alpha_doubled[j] / 2.0)
+        return _nu_density(self.alpha_doubled[j], v)
 
     def _v_rule(self, center, order: int):
         """Per-axis Gauss-Hermite nodes recentred at Im c, (q,) or (m, q), and their nu_alpha-weighted weights."""
@@ -382,28 +425,12 @@ class AlphaHorizontal(MeasureSpec):
         return rho_part * math.prod(w.sum(axis=1) for w in self._v_rule(centers, order)[1])
 
     def moments(self, maxdeg: int, order: int):
-        """Per-axis tables g_j[i, a, b] = sum_v w(v) e_a(t_i+iv) conj(e_b(t_i+iv)) (1+v^2)^{-alpha_j}
-        on the distinct t-values of each axis, contracted against rho's weight grid.
-
-        Each table is real: the Gauss-Hermite rule and nu_alpha are even in v, and
-        e_a(t-iv) = conj(e_a(t+iv)), so the nodes +-v add up to twice Re(e_a conj(e_b)) =
-        Re e_a Re e_b + Im e_a Im e_b.  One real batched product over the v >= 0 half of the
-        rule, weights doubled off v = 0, builds it over ``quadrature.blocks`` of t-values; a
-        real-weighted rho's table then has an exactly zero imaginary part.
-        """
+        """Real per-axis tables ``_axis_kernel`` on the distinct t-values of each axis, contracted against rho's
+        weight grid: the cached ``_rule_kernel`` on an axis of the rule's own nodes (None from ``axis_grid``:
+        Lebesgue and every density), a per-call build on an atoms axis."""
         axes, grid = self.rho.axis_grid(order)
-        vaxes, vweights = self._v_rule(np.zeros(self.n), order)
-        tables = []
-        for t, v, wv in zip(axes, vaxes, vweights):
-            half = v >= 0  # hermgauss' nodes are mirrored exactly, with an exact 0.0 middle node for odd q
-            w2 = np.tile(np.where(v[half] > 0, 2.0, 1.0) * wv[half], 2)[:, None]
-            g = np.empty((t.size, maxdeg + 1, maxdeg + 1))
-            for s in blocks(t.size, w2.size * (maxdeg + 1)):
-                pows = orthonormal_powers(maxdeg, t[s, None] + 1j * v[half])
-                parts = np.concatenate([pows.real, pows.imag], axis=1)  # (t-values, 2 * half nodes, D + 1)
-                np.matmul(np.swapaxes(parts, 1, 2), parts * w2, out=g[s])
-            tables.append(g)
-        return contract_axes(tables, grid, maxdeg)
+        return contract_axes([_rule_kernel(order, maxdeg, a) if t is None else _axis_kernel(t, maxdeg, order, a)
+                              for t, a in zip(axes, self.alpha_doubled)], grid, maxdeg)
 
     def nodes(self, center, order: int):
         tpts, twts = real_nodes(self.rho, center.real, order)
@@ -782,9 +809,9 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER, steps=()) -> np.ndarra
     ``AlphaHorizontal`` and an n >= 2 ``Density`` contract per-axis tables on the
     distinct node values one axis at a time (``quadrature.contract_axes``), about
     (D+1)^2 operations per grid point instead of N^2 per node.  ``AlphaHorizontal``'s
-    tables are real, one real product over the v >= 0 half of its rule (nu_alpha and
-    the rule are even in v, and e_a(t-iv) = conj(e_a(t+iv))), so over a real-weighted
-    rho the table's imaginary part is exactly zero.  Requests whose gather
+    tables are real (exactly, over a real-weighted rho), and on the rule's own nodes they
+    contract one nu_alpha kernel per (order, D, alpha_j), kept under 16 MiB: a repeated
+    size pays only the contraction, a first one also the build.  Requests whose gather
     or contraction would hold more than ``quadrature.MAX_BYTES`` are refused.  A pushforward
     mu_X conjugates its base's table in place by the degree blocks of V_X
     (``indices.substitution_blocks``), never by an N x N matrix.

@@ -259,6 +259,16 @@ def test_lagrangian_command(tmp_path):
     assert float(summary["residual"]) <= 1e-5
 
 
+def test_lagrangian_fails_a_measure_that_is_not_invariant(tmp_path):
+    # a horizontal Gaussian is not invariant along this tilted plane: the run fails on that alone
+    cfg = ExperimentConfig(command="lagrangian", n=2, truncation=8, frame=[[1.0, 0.0, 0.5, 0.3], [0.0, 1.0, 0.3, -0.2]],
+                           measure="horizontal(gaussian(1.0))", out=str(tmp_path / "run"))
+    assert run(cfg) == 1
+    summary = read_summary(tmp_path / "run")
+    assert float(summary["rotation-defect"]) <= 1e-12
+    assert (summary["invariant"], summary["result"]) == ("False", "fail")
+
+
 def test_main_exit_codes(tmp_path, capsys):
     bad = write_config(tmp_path, command="nope")
     with pytest.raises(SystemExit) as exc:

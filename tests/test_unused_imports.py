@@ -134,6 +134,32 @@ def dense_substitution_uses(source: str, dense=("substitution_matrix", "vx_matri
     return sorted(found)
 
 
+def power_table_calls(source: str, builders=("orthonormal_powers", "monomial_matrix")) -> list[str]:
+    """Calls of a power-table builder inside ``AlphaHorizontal.moments`` in ``source``, as ``name (line n)``:
+    the horizontal one-axis tables come from the one kernel builder, and ``moments`` only contracts them."""
+    found = []
+    for cls in (node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)):
+        for fn in (node for node in cls.body if cls.name == "AlphaHorizontal" and isinstance(node, ast.FunctionDef)):
+            for call in (node for node in ast.walk(fn) if fn.name == "moments" and isinstance(node, ast.Call)):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if name in builders:
+                    found.append(f"{name} (line {call.lineno})")
+    return sorted(found)
+
+
+def test_horizontal_moments_build_no_power_table():
+    # the kernel builder stays the only route to a horizontal one-axis table
+    assert power_table_calls((PACKAGE / "measures.py").read_text()) == []
+
+
+def test_detector_flags_a_power_table_in_horizontal_moments():
+    source = ("class AlphaHorizontal:\n    def moments(self, d, q):\n        '''not orthonormal_powers'''\n"
+              "        g = _rule_kernel(q, d, 0)\n        return orthonormal_powers(d, g), indices.monomial_matrix(g, d)\n"
+              "    def nodes(self, d):\n        return orthonormal_powers(d, 0)\n"
+              "class Density:\n    def moments(self, d, q):\n        return orthonormal_powers(d, q)\n")
+    assert power_table_calls(source) == ["monomial_matrix (line 5)", "orthonormal_powers (line 5)"]
+
+
 def test_measures_never_build_the_dense_substitution_matrix():
     # block conjugation stays the only pushforward route: no N x N V_X, no dense C^T m conj(C)
     assert dense_substitution_uses((PACKAGE / "measures.py").read_text()) == []
