@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Convergence study: horizontal symbols against their spectral functions.
 
-For each gallery symbol and derivative order, prints the interior-block
-entrywise residual (quadrature-limited), the kernel-route Berezin residual
-(truncation-limited, decays with D), and the gap between the truncated
-operator norm and sup |gamma|.
+For each gallery symbol and derivative order, prints the full-block
+entrywise residual (rounding: both sides integrate rho on the same nodes),
+the kernel-route Berezin residual (truncation-limited, decays with D), and
+the gap between the truncated operator norm and sup |gamma| over the
+sampled gamma.
 """
 
 import argparse
@@ -13,7 +14,7 @@ from pathlib import Path
 from focklab.basis import enumerate_basis
 from focklab.indices import HalfIndex
 from focklab.measures import RealAtoms, real_dirac, real_gaussian
-from focklab.spectral import diagonalization_residual, norm_and_spectrum
+from focklab.spectral import diagonalization_residual, gamma_samples, norm_and_spectrum
 
 GALLERY = {
     "dirac(0)": real_dirac([0.0]),
@@ -34,10 +35,11 @@ def main():
     for name, rho in GALLERY.items():
         for two_k in args.orders:
             k = HalfIndex.from_doubled((two_k,))
+            samples = gamma_samples(rho, k)
             for d in args.degrees:
                 basis = enumerate_basis(1, d)
                 rep = diagonalization_residual(rho, k, basis)
-                spectrum = norm_and_spectrum(rep.toeplitz, rep.samples)
+                spectrum = norm_and_spectrum(rep.toeplitz, samples)
                 gap = abs(spectrum.operator_norm - spectrum.gamma_sup)
                 rows.append((name, two_k, d, f"{rep.residual:.3e}", f"{rep.berezin_gap:.3e}", f"{gap:.4f}"))
                 print(

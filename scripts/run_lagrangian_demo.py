@@ -12,7 +12,7 @@ from focklab.basis import enumerate_basis
 from focklab.indices import HalfIndex
 from focklab.lagrangian import LagrangianFrame, assemble_l_real_coderivative, l_invariance_test, rotation_defect
 from focklab.measures import Horizontal, pushforward, real_gaussian
-from focklab.spectral import gamma_samples, multiplication_matrix
+from focklab.spectral import multiplication_matrix
 from focklab.toeplitz import interior_max_norm
 
 
@@ -32,7 +32,7 @@ def main():
         mu = pushforward(Horizontal(rho), x)
         inv = l_invariance_test(mu, frame, basis)
         op = assemble_l_real_coderivative(mu, k, frame, basis)
-        mult = multiplication_matrix(gamma_samples(rho, k), basis)
+        mult = multiplication_matrix(rho, k, basis)
         residual = interior_max_norm(op.entries - mult.entries, basis)
         print(
             f"{name}: rotation={np.round(x, 6).tolist()} defect={rotation_defect(frame, x):.1e}  "

@@ -52,7 +52,6 @@ class ExperimentConfig:
     alpha: list[int] | None = None
     frame: list[list[float]] | None = None
     moment_order: int = DEFAULT_ORDER
-    spectral_order: int = DEFAULT_SPECTRAL_ORDER
     window: float = 2.0
     spacing: float = 0.5
     r: list[float] | None = None
@@ -78,8 +77,8 @@ class ExperimentConfig:
                 setattr(self, name, [int(v) for v in value])
         if self.r is not None and (len(self.r) != self.n or any(v <= 0 for v in self.r)):
             raise ValueError(f"field 'r': expected {self.n} positive radii, got {self.r!r}")
-        if self.moment_order < 1 or self.spectral_order < 1:
-            raise ValueError("fields 'moment_order'/'spectral_order' must be >= 1")
+        if self.moment_order < 1:
+            raise ValueError("field 'moment_order' must be >= 1")
         return self
 
 
@@ -122,7 +121,7 @@ def _symbol(config: ExperimentConfig, k: HalfIndex, horizontal: bool = False):
     if horizontal and horizontal_rho(mu) is None:
         raise ValueError(f"field 'measure': {config.command} needs a horizontal(...) measure (after alpha reduction)")
     if horizontal:  # gamma.csv holds the flat q^n samples: refuse past the node cap before any work
-        check_nodes(config.spectral_order ** config.n)
+        check_nodes(DEFAULT_SPECTRAL_ORDER ** config.n)
     return mu, k
 
 
@@ -192,7 +191,7 @@ def _carleson(config: ExperimentConfig, k: HalfIndex, out: Path):
 
 def _spectral(config: ExperimentConfig, k: HalfIndex, out: Path):
     mu, k = _symbol(config, k, horizontal=True)
-    samples = gamma_samples(mu.rho, k, config.spectral_order, config.moment_order)
+    samples = gamma_samples(mu.rho, k, rho_order=config.moment_order)
     write_samples_csv(samples.grid, samples.values, out / "gamma.csv")
     return [("sup-gamma", repr(float(np.max(np.abs(samples.values)))))] + _OK, False
 
@@ -201,16 +200,16 @@ def _verify_diagonalization(config: ExperimentConfig, k: HalfIndex, out: Path):
     mu, k = _symbol(config, k, horizontal=True)
     basis = enumerate_basis(config.n, config.truncation)
     tolerance = config.tolerance if config.tolerance is not None else 1e-5
-    report = diagonalization_residual(mu, k, basis, config.moment_order, config.spectral_order)
+    report = diagonalization_residual(mu, k, basis, config.moment_order)
+    samples = gamma_samples(mu.rho, k, rho_order=config.moment_order)
     write_matrix_csv(report.toeplitz, out / "toeplitz")
     write_matrix_csv(report.multiplication, out / "multiplication")
-    write_samples_csv(report.samples.grid, report.samples.values, out / "gamma.csv")
-    spectrum = norm_and_spectrum(report.toeplitz, report.samples)
+    write_samples_csv(samples.grid, samples.values, out / "gamma.csv")
+    spectrum = norm_and_spectrum(report.toeplitz, samples)
     failed = report.residual > tolerance
     return [
         ("tolerance", repr(float(tolerance))),
         ("residual", repr(report.residual)),
-        ("interior-degree", report.interior_degree),
         ("kernel-route-residual", repr(report.berezin_gap)),
         ("operator-norm", repr(spectrum.operator_norm)),
         ("spectral-radius", repr(spectrum.spectral_radius)),
@@ -248,7 +247,7 @@ def _lagrangian(config: ExperimentConfig, k: HalfIndex, out: Path):
         mu = parse_measure(config.measure, config.n)
         rho = horizontal_rho(pushforward(mu, frame.rotation.conj().T))
         if rho is not None:  # gamma.csv holds the flat q^n samples, as in _symbol
-            check_nodes(config.spectral_order ** config.n)
+            check_nodes(DEFAULT_SPECTRAL_ORDER ** config.n)
         basis = enumerate_basis(config.n, config.truncation)
         inv = l_invariance_test(mu, frame, basis, config.moment_order)
         summary += [
@@ -258,9 +257,10 @@ def _lagrangian(config: ExperimentConfig, k: HalfIndex, out: Path):
         ]
         failed = failed or not inv.invariant
         if rho is not None:
-            report = diagonalization_residual(rho, k, basis, config.moment_order, config.spectral_order)
+            report = diagonalization_residual(rho, k, basis, config.moment_order)
+            samples = gamma_samples(rho, k, rho_order=config.moment_order)
             write_matrix_csv(report.toeplitz, out / "matrix")
-            write_samples_csv(report.samples.grid, report.samples.values, out / "gamma.csv")
+            write_samples_csv(samples.grid, samples.values, out / "gamma.csv")
             failed = failed or report.residual > tolerance
             summary += [("tolerance", repr(float(tolerance))), ("residual", repr(report.residual))]
         else:

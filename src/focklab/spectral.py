@@ -1,18 +1,15 @@
 """Spectral functions of horizontal symbols and their Hermite-side matrices.
 
-A horizontal Toeplitz operator is unitarily equivalent, through the basis
-correspondence e_alpha <-> h_alpha (normalized Hermite functions), to
-multiplication by a spectral function gamma on L2(R^n).  The correspondence
-is realized exactly through the bases rather than by discretizing the
-transform kernels, which removes one quadrature layer from the headline
-dual-path comparison.  The Hermite-side matrix is a Gauss-Hermite sum of
-w gamma against hhat_a(x_j) hhat_b(x_j) on every axis j, the shape of a moment
-table, so it goes through the moment pass's ``quadrature.contract_axes``.  For a
-rho that answers ``axis_factors()``, gamma is a product of one-axis gammas: the samples
-keep one vector per axis and the matrix is a ``quadrature.gather_axes`` of n one-axis
-tables, as the moment table is.
-Whether a measure is horizontal (rho (x) Lebesgue, the alpha = 0 ``AlphaHorizontal``)
-is decided in one place, ``horizontal_rho``, which ``diagonalization_residual`` and the CLI read.
+A horizontal Toeplitz operator is unitarily equivalent, through the basis correspondence
+e_alpha <-> h_alpha (normalized Hermite functions), to multiplication by a spectral function
+gamma on L2(R^n).  The Hermite-side matrix of that multiplication is built from rho, not from
+samples of gamma: with h_a = hhat_a e^{-x^2/2} and x = (y + s)/sqrt2, the x-integral against a
+rho-node y is a Gauss-Hermite sum in s, exact at order D + floor(2k_j/2) + 1, and the y-integral
+runs over rho's ``axis_grid``, which the Fock side's moment pass contracts too.  So both sides of
+``diagonalization_residual`` share one discretization of rho.  A product rho gathers one-axis
+tables (``quadrature.gather_axes``), as the moment table does.  gamma samples on the order-q
+tensor Gauss-Hermite grid serve the spectral report and gamma.csv.  Whether a measure is
+horizontal is decided in one place, ``horizontal_rho``, which the residual and the CLI read.
 """
 
 from __future__ import annotations
@@ -26,17 +23,10 @@ import numpy as np
 from .basis import BasisSet
 from .indices import HalfIndex, hermite, select_table
 from .measures import DEFAULT_ORDER, AlphaHorizontal, MeasureSpec, dimension, real_sums
-from .quadrature import check_nodes, contract_axes, gather_axes, gauss_hermite, row_blocks, tensor_rule
-from .toeplitz import (
-    OperatorMatrix,
-    assemble_real_coderivative,
-    berezin_coderivative,
-    berezin_operator,
-    interior_max_norm,
-)
+from .quadrature import blocks, check_nodes, contract_axes, gather_axes, gauss_hermite, row_blocks, tensor_grid
+from .toeplitz import OperatorMatrix, assemble_real_coderivative, berezin_coderivative, berezin_operator
 
 DEFAULT_SPECTRAL_ORDER = 80
-_ORDER_MARGIN = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +69,9 @@ def gamma_2k(rho, k: HalfIndex, grid, order: int = DEFAULT_ORDER) -> np.ndarray:
 
 
 def spectral_grid(n: int, order: int = DEFAULT_SPECTRAL_ORDER) -> np.ndarray:
-    """Default SpectralSamples grid: tensor Gauss-Hermite nodes, so the
-    multiplication matrix needs no resampling."""
-    return tensor_rule([order] * n).points()
+    """SpectralSamples grid: the order-q Gauss-Hermite nodes on every axis, laid out in C order."""
+    rule = gauss_hermite(order)
+    return tensor_grid([rule.nodes] * n, [rule.weights] * n)[0]
 
 
 def gamma_samples(rho, k: HalfIndex, order: int = DEFAULT_SPECTRAL_ORDER,
@@ -111,30 +101,40 @@ def hermite_function_matrix(degree: int, x) -> np.ndarray:
     return vals
 
 
-def multiplication_matrix(gamma: SpectralSamples, basis: BasisSet) -> OperatorMatrix:
-    """Matrix of multiplication by gamma in the orthonormal Hermite-function basis:
-    ``contract_axes`` of the one-axis table g[i, a, b] = hhat_a(x_i) hhat_b(x_i),
-    shared by every axis, against w gamma on the samples' order-q tensor nodes.
-    Factored samples of a product rho reduce g against each w gamma_j and gather the
-    n one-axis tables (``quadrature.gather_axes``), so no q^n array is formed.
+def _hermite_kernel(y, degree: int, doubled: int) -> np.ndarray:
+    """K[i, a, b] = pi^{-1/2} sum_s w_s H_{2k}(s) hhat_a(x) hhat_b(x) at x = (y_i + s) / sqrt2, (y-values, D+1, D+1):
+    the integrand is a polynomial of degree 2D + 2k in s, so the order-(D + floor(2k/2) + 1) rule is exact."""
+    rule = gauss_hermite(degree + doubled // 2 + 1)
+    x = (y[:, None] + rule.nodes) / math.sqrt(2.0)
+    h = hermite_function_matrix(degree, x.ravel()).reshape((degree + 1,) + x.shape).transpose(1, 2, 0)
+    w = rule.weights * hermite(doubled, rule.nodes) / math.sqrt(math.pi)
+    return np.matmul(np.swapaxes(h, 1, 2), h * w[:, None])
 
-    The samples' order must cover the basis degree plus the polynomial content
-    of gamma; insufficient orders are rejected.
-    """
-    if gamma.k.n != basis.n:
-        raise ValueError(f"samples on {gamma.k.n} axes do not fit a basis on {basis.n}")
-    order, needed = gamma.quad_order, basis.degree + gamma.k.total_order() // 2 + _ORDER_MARGIN
-    if order < needed:
-        raise ValueError(f"quadrature order {order} is insufficient for degree {basis.degree} (need >= {needed})")
-    rule = gauss_hermite(order)
-    h = hermite_function_matrix(basis.degree, rule.nodes).T
-    g = h[:, :, None] * h[:, None, :]
-    if len(gamma.factors) > 1:  # one one-axis table per distinct factor vector
-        tables = {id(f): np.tensordot(rule.weights * f, g, axes=1) for f in {id(f): f for f in gamma.factors}.values()}
-        keys, table = gather_axes([tables[id(f)] for f in gamma.factors], basis.degree)
-    else:
-        grid = functools.reduce(np.multiply.outer, [rule.weights] * basis.n) * gamma.factors[0]
-        keys, table = contract_axes([g] * basis.n, grid, basis.degree)
+
+def _hermite_table(rho, two_k, degree: int, order: int):
+    """``contract_axes`` of one ``_hermite_kernel`` per axis against rho's weight grid at order max(order, D + 1):
+    on the rule's own nodes where ``axis_grid`` gives None, else on an atoms axis' distinct coordinates."""
+    order = max(order, degree + 1)
+    axes, grid = rho.axis_grid(order)
+    return contract_axes([_hermite_kernel(gauss_hermite(order).nodes if y is None else y, degree, t)
+                          for y, t in zip(axes, two_k)], grid, degree)
+
+
+def multiplication_matrix(rho, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER) -> OperatorMatrix:
+    """Matrix of multiplication by gamma_{rho,2k} in the orthonormal Hermite-function basis,
+    M[a, b] = pi^{-n/2} int e^{-|y|^2} drho(y) prod_j sum_s w_s H_{2k_j}(s) hhat_{a_j} hhat_{b_j}((y_j + s) / sqrt2),
+    on rho's nodes at the moment pass's order max(``order``, D + 1), the Fock side's discretization of rho,
+    and exact in s.  A product rho gathers one one-axis table per distinct (factor, 2k_j)."""
+    two_k = HalfIndex.of(k, basis.n).order_index()
+    if dimension(rho) != basis.n:
+        raise ValueError(f"rho on {dimension(rho)} axes does not fit a basis on {basis.n}")
+    factors = rho.axis_factors()
+    if factors is None:
+        keys, table = _hermite_table(rho, two_k, basis.degree, order)
+    else:  # one table per distinct (factor, 2k_j), shared by its axes
+        axes = list(zip(factors, two_k))
+        shared = {(f, t): _hermite_table(f, (t,), basis.degree, order)[1] for f, t in dict.fromkeys(axes)}
+        keys, table = gather_axes([shared[a] for a in axes], basis.degree)
     return OperatorMatrix(basis, select_table(keys, table, basis.indices))
 
 
@@ -143,11 +143,9 @@ class DiagonalizationReport:
     """Dual-path comparison of a horizontal operator with its spectral function."""
 
     residual: float
-    interior_degree: int
     berezin_gap: float
     toeplitz: OperatorMatrix = field(repr=False)
     multiplication: OperatorMatrix = field(repr=False)
-    samples: SpectralSamples = field(repr=False)
 
 
 def horizontal_rho(mu):
@@ -165,27 +163,27 @@ def _extract_rho(mu_or_rho):
 
 
 def diagonalization_residual(mu_or_rho, k: HalfIndex, basis: BasisSet,
-                             moment_order: int = DEFAULT_ORDER,
-                             spectral_order: int = DEFAULT_SPECTRAL_ORDER) -> DiagonalizationReport:
-    """Interior-block max difference between the Fock-side operator matrix and
-    the Hermite-side multiplication matrix for the same horizontal symbol.
+                             moment_order: int = DEFAULT_ORDER) -> DiagonalizationReport:
+    """Full-block max difference between the Fock-side operator matrix and the Hermite-side
+    multiplication matrix for the same horizontal symbol.  Both integrate rho on the same nodes,
+    so the residual checks the diagonalization identity on that discretization of rho, to
+    rounding at every D; rho's own quadrature error is not in it.
 
     Also reports the Berezin-route gap against ``berezin_coderivative``, the
     independent kernel-based path, at five points taken as rows by both routes: it
-    carries the truncation error of the kernel expansion and shrinks as D grows,
-    unlike the entrywise residual which is quadrature-limited.
+    carries the truncation error of the kernel expansion and shrinks as D grows.
     """
     k = HalfIndex.of(k, basis.n)
     rho = _extract_rho(mu_or_rho)
     mu = AlphaHorizontal(rho)
     top = assemble_real_coderivative(mu, k, basis, moment_order)
-    samples = gamma_samples(rho, k, spectral_order, moment_order)
-    mult = multiplication_matrix(samples, basis)
-    residual = interior_max_norm(top.entries - mult.entries, basis)
+    mult = multiplication_matrix(rho, k, basis, moment_order)
+    # in row blocks, so no N x N difference is formed
+    residual = max(float(np.max(np.abs(top.entries[s] - mult.entries[s]))) for s in blocks(basis.size, basis.size))
 
     z = np.outer([0.0, 0.4, 0.4 + 0.3j, -0.6 + 0.2j, 0.8j], np.ones(basis.n))
     gap = float(np.max(np.abs(berezin_operator(top, z) - berezin_coderivative(mu, k, z, moment_order))))
-    return DiagonalizationReport(residual, basis.degree // 2, gap, top, mult, samples)
+    return DiagonalizationReport(residual, gap, top, mult)
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,15 @@ def test_load_config_validates_field_types(tmp_path):
         load_config(path)
 
 
-def test_load_config_orders_section(tmp_path):
-    path = write_config(tmp_path, command="assemble", moment_order=24, spectral_order=60)
-    cfg = load_config(path)
-    assert cfg.moment_order == 24 and cfg.spectral_order == 60
+def test_load_config_orders_section(tmp_path, capsys):
+    path = write_config(tmp_path, command="assemble", moment_order=24)
+    assert load_config(path).moment_order == 24
+    # the Hermite side's orders follow from moment_order, D and k: a ``spectral_order`` key is unknown
+    path = write_config(tmp_path, command="assemble", spectral_order=60)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path)])
+    assert exc.value.code == 2
+    assert "unknown config fields: ['spectral_order']" in capsys.readouterr().err
     # the orders are set by their own fields only; an ``orders:`` mapping is an unknown field
     path = write_config(tmp_path, command="assemble", orders={"moment": 24, "spectral": 60})
     with pytest.raises(ValueError, match="unknown config fields.*orders"):
@@ -204,7 +209,6 @@ def test_spectral_command_writes_gamma_table(tmp_path):
         truncation=8,
         measure="horizontal(gaussian(1.0))",
         k=[2],
-        spectral_order=40,
         out=str(tmp_path / "run"),
     )
     assert run(cfg) == 0
@@ -345,7 +349,7 @@ def test_alpha_zero_spectral_run_is_the_horizontal_run(tmp_path):
     written = {}
     for name, measure in [("h", "horizontal(gaussian(1.0))"), ("a", "alpha_horizontal(gaussian(1.0); 0)")]:
         cfg = write_config(tmp_path, f"{name}.yaml", command="spectral", n=1, measure=measure, k=[2],
-                           spectral_order=40, out=str(tmp_path / name))
+                           out=str(tmp_path / name))
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg)])
         assert exc.value.code == 0

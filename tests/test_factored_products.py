@@ -9,7 +9,6 @@ measure with rho held as one n-dimensional measure, which answers no factors:
 factors' tensor product.
 """
 
-import functools
 import tracemalloc
 
 import numpy as np
@@ -17,7 +16,7 @@ import pytest
 
 from focklab import quadrature
 from focklab.basis import enumerate_basis
-from focklab.indices import HalfIndex, select_table
+from focklab.indices import HalfIndex
 from focklab.measures import (
     AlphaHorizontal,
     Density,
@@ -35,12 +34,11 @@ from focklab.measures import (
     real_gaussian,
     weight,
 )
-from focklab.quadrature import contract_axes, gauss_hermite, tensor_grid
+from focklab.quadrature import tensor_grid
 from focklab.spectral import (
     diagonalization_residual,
     gamma_2k,
     gamma_samples,
-    hermite_function_matrix,
     multiplication_matrix,
 )
 from focklab.toeplitz import assemble_real_coderivative, assemble_toeplitz
@@ -139,16 +137,17 @@ def test_products_are_pure_data():
 
 
 @pytest.mark.parametrize("n, degree", [(2, 16), (3, 8)])
-def test_multiplication_matrix_of_factored_samples_is_the_gather(n, degree):
+def test_multiplication_matrix_of_a_product_rho_is_the_gather(n, degree):
+    # one-axis tables gathered against the n-axis contraction of the same rho held flat
+    b = enumerate_basis(n, degree)
+    mu = Horizontal(real_gaussian(n))
+    assert_close(multiplication_matrix(mu.rho, (1,) * n, b).entries,
+                 multiplication_matrix(flat(mu).rho, (1,) * n, b).entries)
+    assert_close(multiplication_matrix(ATOMS, (2, 1), enumerate_basis(2, degree)).entries,
+                 multiplication_matrix(flat(Horizontal(ATOMS)).rho, (2, 1), enumerate_basis(2, degree)).entries)
+    # gamma samples of a product keep one vector per axis, and the flat values are the n-dimensional gamma
     samples = gamma_samples(real_gaussian(n), (1,) * n)
     assert [f.shape for f in samples.factors] == [(80,)] * n
-    b = enumerate_basis(n, degree)
-    rule = gauss_hermite(samples.quad_order)
-    h = hermite_function_matrix(degree, rule.nodes).T
-    grid = functools.reduce(np.multiply.outer, [rule.weights * f for f in samples.factors])
-    keys, table = contract_axes([h[:, :, None] * h[:, None, :]] * n, grid, degree)
-    assert_close(multiplication_matrix(samples, b).entries, select_table(keys, table, b.indices))
-    # the flat values are the n-dimensional gamma on the grid
     assert_close(samples.values, gamma_2k(real_gaussian(n), HalfIndex.of((1,) * n, n), samples.grid))
 
 

@@ -23,7 +23,7 @@ from focklab.measures import (
     real_dirac,
     real_gaussian,
 )
-from focklab.spectral import gamma_samples, multiplication_matrix
+from focklab.spectral import multiplication_matrix
 from focklab.toeplitz import assemble_real_coderivative, assemble_toeplitz, interior_max_norm
 
 K0 = HalfIndex.from_doubled((0,))
@@ -210,7 +210,7 @@ def test_l_coderivative_diagonalizes_for_horizontal_frame():
     mu = pushforward(Horizontal(rho), frame.rotation)
     k = HalfIndex.from_doubled((2,))
     op = assemble_l_real_coderivative(mu, k, frame, b)
-    mult = multiplication_matrix(gamma_samples(rho, k), b)
+    mult = multiplication_matrix(rho, k, b)
     assert interior_max_norm(op.entries - mult.entries, b) <= 1e-5
 
 

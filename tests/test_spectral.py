@@ -16,17 +16,19 @@ from focklab.measures import (
     real_gaussian,
     weight,
 )
-from focklab.quadrature import tensor_rule
+from focklab import spectral
+from focklab.indices import hermite
+from focklab.measures import real_nodes
+from focklab.quadrature import gauss_hermite, tensor_rule
 from focklab.spectral import (
-    SpectralSamples,
     diagonalization_residual,
     gamma_2k,
     gamma_plain,
     gamma_samples,
+    hermite_function_matrix,
     horizontal_rho,
     multiplication_matrix,
     norm_and_spectrum,
-    spectral_grid,
 )
 from focklab.toeplitz import (
     assemble_real_coderivative,
@@ -94,38 +96,29 @@ def test_samples_of_positive_measure_are_nonnegative():
     assert np.max(np.abs(samples.values.imag)) <= 1e-14
 
 
-def sampled(f, n, order):
-    """Order-0 SpectralSamples holding the values of the function f on the order-q spectral grid."""
-    return SpectralSamples((np.asarray(f(spectral_grid(n, order))).reshape((order,) * n),),
-                           HalfIndex((0,) * n), order)
-
-
-def test_multiplication_matrix_identity():
-    b = enumerate_basis(1, 8)
-    m = multiplication_matrix(sampled(lambda p: np.ones(p.shape[0]), 1, 40), b)
+@pytest.mark.parametrize("degree", [10, 30, 60])
+def test_multiplication_matrix_of_lebesgue_is_the_identity(degree):
+    # gamma_{Lebesgue,0} = 1, and the Hermite side is exact in both y and s
+    b = enumerate_basis(1, degree)
+    m = multiplication_matrix(Lebesgue(1), 0, b)
     np.testing.assert_allclose(m.entries, np.eye(b.size), atol=1e-13)
 
 
-def test_multiplication_matrix_coordinate():
-    # <x h_a, h_{a+1}> = sqrt((a+1)/2), Hermite recurrence
-    b = enumerate_basis(1, 8)
-    m = multiplication_matrix(sampled(lambda p: p[:, 0], 1, 40), b).entries
-    for a in range(8):
-        assert m[a + 1, a] == pytest.approx(math.sqrt((a + 1) / 2), rel=1e-12)
-    assert np.max(np.abs(np.diag(m))) <= 1e-13
+def test_hermite_functions_are_orthonormal_under_gauss_hermite():
+    # hhat_a hhat_b is a polynomial of degree <= 120, which the order-61 rule integrates exactly
+    rule = gauss_hermite(61)
+    h = hermite_function_matrix(60, rule.nodes)
+    np.testing.assert_allclose((h * rule.weights) @ h.T, np.eye(61), atol=1e-13)
 
 
-def test_multiplication_matrix_coordinate_squared():
-    b = enumerate_basis(1, 8)
-    m = multiplication_matrix(sampled(lambda p: p[:, 0] ** 2, 1, 40), b).entries
-    for a in range(9):
-        assert m[a, a] == pytest.approx(a + 0.5, rel=1e-12)
-
-
-def test_multiplication_matrix_rejects_low_order():
-    b = enumerate_basis(1, 30)
-    with pytest.raises(ValueError, match="order"):
-        multiplication_matrix(sampled(lambda p: np.ones(p.shape[0]), 1, 20), b)
+def test_hermite_functions_satisfy_the_three_term_recurrence():
+    # x hhat_m = sqrt((m+1)/2) hhat_{m+1} + sqrt(m/2) hhat_{m-1}: the matrix of x in the Hermite basis
+    x = np.linspace(-3.0, 3.0, 13)
+    h = hermite_function_matrix(30, x)
+    m = np.arange(1, 30)[:, None]
+    np.testing.assert_allclose(x * h[1:30], np.sqrt((m + 1) / 2) * h[2:] + np.sqrt(m / 2) * h[:29],
+                               rtol=1e-12, atol=1e-12 * np.max(np.abs(h)))
+    np.testing.assert_allclose(x * h[0], np.sqrt(0.5) * h[1], rtol=1e-14)
 
 
 def test_diagonalization_identity_symbol():
@@ -191,7 +184,7 @@ def test_berezin_of_multiplication_matrix_matches_profile():
     # the kernel route through the Hermite side lands on the same profile
     b = enumerate_basis(1, 16)
     rho = real_gaussian(1)
-    m = multiplication_matrix(gamma_samples(rho, K0), b)
+    m = multiplication_matrix(rho, K0, b)
     for z in (0.0, 0.5, 0.5 + 0.5j, -0.8 + 0.2j):
         lhs = berezin_operator(m, [z])
         rhs = horizontal_berezin_profile(rho, [complex(z).real])
@@ -257,7 +250,7 @@ def test_diagonalization_in_two_dimensions():
     b = enumerate_basis(2, 6)
     rho = real_gaussian(2)
     for k in (HalfIndex.from_doubled((0, 0)), HalfIndex.from_doubled((2, 0))):
-        rep = diagonalization_residual(rho, k, b, spectral_order=40)
+        rep = diagonalization_residual(rho, k, b)
         assert rep.residual <= 1e-8
 
 
@@ -272,28 +265,14 @@ def test_alpha_horizontal_reduction_diagonalizes():
     assert isinstance(reduced, Horizontal) and reduced.alpha_doubled == (0,)
     b = enumerate_basis(1, 10)
     t = assemble_real_coderivative(reduced, k - alpha, b)
-    samples = gamma_samples(weight(rho, alpha), k - alpha)
-    m = multiplication_matrix(samples, b)
+    m = multiplication_matrix(weight(rho, alpha), k - alpha, b)
     assert interior_max_norm(t.entries - m.entries, b) <= 1e-8
 
 
-def test_diagonalization_report_carries_its_gamma_samples():
-    b = enumerate_basis(1, 8)
-    rep = diagonalization_residual(real_gaussian(1), K1, b, 40, 60)
-    again = gamma_samples(real_gaussian(1), K1, 60, 40)
-    assert rep.samples.k == K1 and rep.samples.quad_order == 60
-    np.testing.assert_array_equal(rep.samples.grid, again.grid)
-    np.testing.assert_array_equal(rep.samples.values, again.values)
-
-
-def test_samples_with_a_tuple_k_feed_the_multiplication_matrix():
-    # gamma_samples reads k as doubled entries and stores it as a HalfIndex
-    samples = gamma_samples(real_gaussian(2), (1, 1), order=24)
-    assert samples.k == HalfIndex.from_doubled((1, 1))
+def test_multiplication_matrix_reads_a_tuple_k_as_doubled_entries():
     b = enumerate_basis(2, 6)
-    np.testing.assert_array_equal(multiplication_matrix(samples, b).entries,
-                                  multiplication_matrix(gamma_samples(real_gaussian(2), HalfIndex.from_doubled((1, 1)),
-                                                                      order=24), b).entries)
+    np.testing.assert_array_equal(multiplication_matrix(real_gaussian(2), (1, 1), b).entries,
+                                  multiplication_matrix(real_gaussian(2), HalfIndex.from_doubled((1, 1)), b).entries)
 
 
 def test_operator_norm_of_both_branches_is_the_svd_norm():
@@ -350,54 +329,83 @@ def test_norm_and_spectrum_stays_under_memory_bound():
     assert rep.eig_to_range < 0.05
 
 
-def phi_reference(gamma, basis, order=80):
-    """The Hermite-side matrix as (Phi * w gamma) @ Phi.T, Phi[pos, i] = prod_j hhat_{alpha_j}(x_ij)
-    built position by position on the order-q tensor nodes: the algorithm before the contraction."""
-    pts, wts = tensor_rule([order] * basis.n).grid()
-    vals = gamma.values
-    axis_vals = []
-    for j in range(basis.n):
-        x = pts[:, j]
-        h = np.empty((basis.degree + 1, x.size))
-        h[0] = math.pi ** (-0.25)
-        if basis.degree >= 1:
-            h[1] = math.sqrt(2.0) * x * h[0]
-        for m in range(1, basis.degree):
-            h[m + 1] = x * math.sqrt(2.0 / (m + 1)) * h[m] - math.sqrt(m / (m + 1)) * h[m - 1]
-        axis_vals.append(h)
-    phi = np.ones((basis.size, pts.shape[0]))
+def phi_reference(rho, two_k, basis, order):
+    """The Hermite-side matrix as (Phi * W) @ Phi.T over the joint nodes (y, s_1, .., s_n), built position
+    by position: y runs over ``real_nodes(rho, 0, max(order, D + 1))``, s_j over the order-(D + floor(2k_j/2) + 1)
+    rule, Phi[pos, (i, s)] = prod_j hhat_{alpha_j}((y_ij + s_j) / sqrt2) and W = pi^{-n/2} w_i prod_j w_s H_{2k_j}(s_j)."""
+    y, wy = real_nodes(rho, np.zeros(basis.n), max(order, basis.degree + 1))
+    rules = [gauss_hermite(basis.degree + t // 2 + 1) for t in two_k]
+    s_pts, s_wts = tensor_rule([r.order for r in rules]).grid()
+    s_wts = s_wts * np.prod([hermite(t, s_pts[:, j]) for j, t in enumerate(two_k)], axis=0)
+    x = (y[:, None, :] + s_pts[None, :, :]).reshape(-1, basis.n) / math.sqrt(2.0)
+    w = math.pi ** (-basis.n / 2) * (wy[:, None] * s_wts[None, :]).ravel()
+    axis_vals = [hermite_function_matrix(basis.degree, x[:, j]) for j in range(basis.n)]
+    phi = np.ones((basis.size, x.shape[0]))
     for pos, alpha in enumerate(basis.indices):
         for j in range(basis.n):
             phi[pos] = phi[pos] * axis_vals[j][alpha[j]]
-    return (phi * (wts * vals)[None, :]) @ phi.T
+    return (phi * w[None, :]) @ phi.T
 
 
-def _complex_gamma(p):
-    return np.exp(-p[:, 0] ** 2) * (1.0 + p[:, 1] - 0.5j * p[:, 0] * p[:, 1])
-
-
-@pytest.mark.parametrize("make, n, degree, order", [
-    (lambda: gamma_samples(RealAtoms([[0.3], [-0.8]], [0.6, 0.4 - 0.2j]), K0, 80), 1, 60, 80),
-    (lambda: gamma_samples(real_gaussian(2), (0, 0), 80), 2, 16, 80),
-    (lambda: sampled(_complex_gamma, 2, 80), 2, 16, 80),
-    (lambda: gamma_samples(real_gaussian(3), (2, 0, 0), 16), 3, 8, 16),
-], ids=["n1-atoms", "n2-gaussian", "n2-sampled-function", "n3"])
-def test_multiplication_matrix_matches_the_per_position_phi_product(make, n, degree, order):
-    gamma, b = make(), enumerate_basis(n, degree)
-    got = multiplication_matrix(gamma, b).entries
-    want = phi_reference(gamma, b, order)
+@pytest.mark.parametrize("rho, two_k, degree, order", [
+    (RealAtoms([[0.3], [-0.8]], [0.6, 0.4 - 0.2j]), (0,), 60, 40),
+    (real_gaussian(2), (0, 0), 10, 11),
+    (RealAtoms([[0.3, 0.5], [-0.8, 0.1]], [0.6, 0.4 - 0.2j]), (2, 1), 10, 11),
+    (real_gaussian(3), (2, 0, 0), 5, 6),
+], ids=["n1-atoms", "n2-gaussian", "n2-flat-atoms", "n3"])
+def test_multiplication_matrix_matches_the_per_position_phi_product(rho, two_k, degree, order):
+    b = enumerate_basis(len(two_k), degree)
+    got = multiplication_matrix(rho, two_k, b, order).entries
+    want = phi_reference(rho, two_k, b, order)
     assert got.shape == want.shape == (b.size, b.size)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_multiplication_matrix_at_n3_degree16_stays_under_memory_bound():
-    # the per-position Phi table alone is N x q^n = 969 x 13,824 floats (107 MB); the traced peak was 551 MB
-    samples = gamma_samples(real_gaussian(3), 0, 24)
+    # the per-position Phi table alone would be N x q^n = 969 x 13,824 floats (107 MB) on a 24^3 grid
     b = enumerate_basis(3, 16)
     tracemalloc.start()
     try:
-        multiplication_matrix(samples, b)
+        multiplication_matrix(real_gaussian(3), 0, b, 24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+def relative_residual(report):
+    return report.residual / np.max(np.abs(report.multiplication.entries))
+
+
+def test_dirac_at_degree_60_order_two_is_exact_over_the_full_block():
+    # the sampled Hermite side left the two matrices 4.3e-2 apart here
+    rep = diagonalization_residual(Horizontal(real_dirac([0.0])), K1, enumerate_basis(1, 60))
+    assert relative_residual(rep) <= 1e-13
+    assert np.max(np.abs(rep.toeplitz.entries - rep.multiplication.entries)) == rep.residual
+
+
+@pytest.mark.parametrize("two_k", [0, 2, 4])
+@pytest.mark.parametrize("name", ["dirac0", "two-atom", "gauss"])
+def test_full_block_residual_at_degree_120(name, two_k):
+    rep = diagonalization_residual(GALLERY[name], (two_k,), enumerate_basis(1, 120))
+    assert relative_residual(rep) <= 1e-12
+
+
+@pytest.mark.parametrize("rho, k", [
+    (RealAtoms([[-0.4, 0.9], [0.9, -0.4]], [0.6, 0.4]), (2, 0)),
+    (real_gaussian(2), (0, 0)),
+    (real_gaussian(2), (2, 2)),
+    (real_gaussian(3), (0, 0, 0)),
+], ids=["n2-two-atoms", "n2-gaussian", "n2-gaussian-2k22", "n3-gaussian"])
+def test_full_block_residual_at_degree_16_in_several_dimensions(rho, k):
+    rep = diagonalization_residual(rho, k, enumerate_basis(len(k), 16))
+    assert relative_residual(rep) <= 1e-13
+
+
+def test_the_residual_samples_no_gamma(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gamma_samples called")
+
+    monkeypatch.setattr(spectral, "gamma_samples", refuse)
+    rep = diagonalization_residual(real_gaussian(2), (2, 0), enumerate_basis(2, 8))
+    assert rep.residual <= 1e-13
