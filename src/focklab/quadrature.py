@@ -157,19 +157,23 @@ def contract_axes(tables, grid, maxdeg: int):
     contracted so far, each holding its sum over those axes; only pairs of
     degree <= maxdeg on both sides are extended, so the dense (maxdeg+1)^(2n)
     tensor is never formed, and a step whose pair array would pass
-    ``MAX_BYTES`` is refused before anything is allocated.  Returns the
-    multi-indices of degree <= maxdeg in prefix-lex order and the moment
-    table over them.
+    ``MAX_BYTES`` is refused before anything is allocated.  The first axis is
+    one product of its whole table against the grid, each later one a batched
+    product per class of pairs of equal degrees.  Returns the multi-indices of
+    degree <= maxdeg in prefix-lex order and the moment table over them.
     """
     # after j axes the pairs are all (key, key) of degree <= maxdeg: comb(j + maxdeg, j)^2 of them
     _check_bytes(max(math.comb(j + maxdeg, j) ** 2 * math.prod(grid.shape[j:]) for j in range(1, grid.ndim + 1)))
     radix = maxdeg + 1
     a_of, b_of = (e.ravel() for e in np.indices((radix, radix)))
-    keys = [()]
-    key_deg = np.zeros(1, dtype=int)
-    row = col = np.zeros(1, dtype=int)  # key ids of each pair
-    vals = grid[None]  # (pairs, remaining grid axes...)
-    for g in tables:
+    # numpy's matmul, not a BLAS tensordot, which turns inf * 0 into 0 and hides a float-range failure
+    vals = np.empty((radix * radix,) + grid.shape[1:], dtype=complex)  # (pairs, remaining grid axes...)
+    np.matmul(np.moveaxis(tables[0][:, :radix, :radix], 0, -1).reshape(radix * radix, grid.shape[0]),
+              grid.reshape(grid.shape[0], -1), out=vals.reshape(radix * radix, -1))
+    keys = [(a,) for a in range(radix)]
+    key_deg = np.arange(radix)
+    row, col = a_of, b_of  # key ids of each pair
+    for g in tables[1:]:
         u = g.shape[0]
         gt = np.moveaxis(g, 0, -1)  # (a, b, i)
         span = radix - key_deg  # children of key k: ids first[k] + a for a < span[k]
@@ -200,13 +204,19 @@ def contract_axes(tables, grid, maxdeg: int):
 
 def gather_axes(mats, maxdeg: int):
     """The table prod_j mats[j][alpha_j, beta_j] of a product measure over the multi-indices of
-    degree <= maxdeg (the cached ``indices.graded_lex_keys``), gathered from its n one-axis tables."""
+    degree <= maxdeg (the cached ``indices.graded_lex_keys``), gathered from its n one-axis tables
+    with no other N x N array: factor 0 is taken straight into each row block and the rest multiply
+    it in place, in blocks of ``_BLOCK`` / 8 entries (128 KiB) that the heap reuses call after call."""
     keys, axes = graded_lex_keys(len(mats), maxdeg)
     _check_bytes(len(keys) ** 2)
-    table = np.ones((len(keys), len(keys)), dtype=complex)
-    for s in blocks(len(keys), len(keys)):  # in row blocks, so no second N x N array is formed
-        for a, m in zip(axes, mats):
-            table[s] *= np.take(m[a[s]], a, axis=1)  # m[a][:, a]: 1.7x faster than m[np.ix_(a, a)]
+    table = np.empty((len(keys), len(keys)), dtype=complex)
+    first = np.asarray(mats[0], dtype=complex)
+    for s in blocks(len(keys), 8 * len(keys)):
+        # m[a][:, a]: 1.7x faster than m[np.ix_(a, a)].  mode="clip" leaves out unbuffered and never
+        # clips: the row index first[axes[0][s]] raises IndexError on a short table with the same indices
+        np.take(first[axes[0][s]], axes[0], axis=1, out=table[s], mode="clip")
+        for a, m in zip(axes[1:], mats[1:]):
+            table[s] *= np.take(m[a[s]], a, axis=1)
     return keys, table
 
 

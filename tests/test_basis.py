@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,13 +161,8 @@ def test_weyl_matrix_is_the_product_of_its_axis_tables(n, degree):
     np.testing.assert_array_equal(weyl_matrix(h, b), math.exp(-0.5 * float(np.sum(np.abs(h) ** 2))) * out)
 
 
-def test_weyl_matrix_over_the_byte_cap_is_refused_before_allocating():
+def test_weyl_matrix_over_the_byte_cap_is_refused_before_allocating(traced_peak):
     b = enumerate_basis(2, 127)  # 8,256 elements: the complex matrix would take 1.09 GB
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=rf"needs a {16 * b.size ** 2}-byte array \(cap {MAX_BYTES}\)"):
-            weyl_matrix([0.3, -0.2j], b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    refusal, peak = traced_peak(lambda: pytest.raises(ValueError, weyl_matrix, [0.3, -0.2j], b))
+    refusal.match(rf"needs a {16 * b.size ** 2}-byte array \(cap {MAX_BYTES}\)")
     assert peak < 10e6

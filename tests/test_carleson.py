@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,13 +261,8 @@ def test_lattice_points_and_boundary_match_the_product_loop(n, window, spacing):
     np.testing.assert_array_equal(boundary, np.max(np.abs(pts), axis=1) >= axis[-1] - 1e-12)
 
 
-def test_lattice_over_the_node_cap_is_refused_before_allocating():
+def test_lattice_over_the_node_cap_is_refused_before_allocating(traced_peak):
     # 33^6 points on [-4, 4]^6 at spacing 1/4
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="discretization needs 1291467969 nodes"):
-            lattice(3, 4.0, 0.25)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    refusal, peak = traced_peak(lambda: pytest.raises(ValueError, lattice, 3, 4.0, 0.25))
+    refusal.match("discretization needs 1291467969 nodes")
     assert peak < 1e6

@@ -2,7 +2,6 @@
 block by block, commutators on the interior rows alone, and Berezin values of an operator in rows."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -60,16 +59,6 @@ def rotated_gaussian(n):
     return pushforward(Horizontal(real_gaussian(n)), frame.rotation), frame
 
 
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        out = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return out, peak
-
-
 @pytest.mark.parametrize("n, degree", [(1, 12), (2, 9), (3, 6)])
 @pytest.mark.parametrize("frame", ["diagonal", "random"])
 def test_degree_blocks_match_the_dense_recurrence(n, degree, frame):
@@ -120,7 +109,7 @@ def test_pushforward_table_is_the_dense_conjugate(n, degree):
     assert np.max(np.abs(table - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
-def test_rotated_assembly_holds_its_table_and_one_buffer():
+def test_rotated_assembly_holds_its_table_and_one_buffer(traced_peak):
     mu, _ = rotated_gaussian(3)
     b = enumerate_basis(3, 12)
     assemble_toeplitz(mu, b)

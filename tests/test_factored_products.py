@@ -9,7 +9,6 @@ measure with rho held as one n-dimensional measure, which answers no factors:
 factors' tensor product.
 """
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,15 +167,10 @@ def test_flat_samples_past_the_node_cap_are_refused_by_size():
     (lebesgue(4), 4, 20),
     (Horizontal(real_gaussian(3)), 3, 35),
 ], ids=["dense-grid", "gather-lebesgue", "gather"])
-def test_contraction_over_the_byte_cap_is_refused_before_it_allocates(mu, n, degree):
+def test_contraction_over_the_byte_cap_is_refused_before_it_allocates(mu, n, degree, traced_peak):
     # the dense pass's second step would hold 231^2 x 40^2 pairs (1.4 GB), the gathers
     # 10626^2 entries (1.8 GB) and 8436^2 entries (1.1 GB)
     b = enumerate_basis(n, degree)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=rf"needs a \d+-byte array \(cap {quadrature.MAX_BYTES}\)"):
-            assemble_toeplitz(mu, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    refusal, peak = traced_peak(lambda: pytest.raises(ValueError, assemble_toeplitz, mu, b))
+    refusal.match(rf"needs a \d+-byte array \(cap {quadrature.MAX_BYTES}\)")
     assert peak < 2e8

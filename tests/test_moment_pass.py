@@ -1,7 +1,6 @@
 """The sum-factorized moment pass against per-node sums and exact moments."""
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -139,44 +138,29 @@ def test_horizontal_gaussian_n3_exact_moments():
     assert np.max(np.abs(table - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
-def test_n4_degree8_stays_under_memory_bound():
+def test_n4_degree8_stays_under_memory_bound(traced_peak):
     # the dense (D+1)^(2n) tensor alone would be 9^8 complex values = 690 MB
-    tracemalloc.start()
-    try:
-        table = moment_table(Horizontal(real_gaussian(4)), graded_lex_indices(4, 8))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table, peak = traced_peak(lambda: moment_table(Horizontal(real_gaussian(4)), graded_lex_indices(4, 8)))
     assert peak < 512e6
     assert table.shape == (495, 495)
     assert table[0, 0] == pytest.approx((math.pi / math.sqrt(2.0)) ** 4, rel=1e-12)
 
 
-def test_one_axis_density_table_is_a_gram_product():
+def test_one_axis_density_table_is_a_gram_product(traced_peak):
     # the (q^2, D+1, D+1) per-axis table would be 3,721 x 61 x 61 complex values (221 MB) here
     b = enumerate_basis(1, 60)
-    tracemalloc.start()
-    try:
-        t = assemble_toeplitz(gaussian_density(1), b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    t, peak = traced_peak(lambda: assemble_toeplitz(gaussian_density(1), b))
     assert peak < 30e6
     assert np.max(np.abs(t.entries - np.diag(0.5 ** (np.arange(b.size) + 1.0)))) <= 1e-15
 
 
-def test_flat_two_axis_density_past_d48_is_refused_before_its_axis_table():
+def test_flat_two_axis_density_past_d48_is_refused_before_its_axis_table(traced_peak):
     # order D + 1 = 50 needs 50^4 = 6,250,000 nodes, past MAX_NODES: refused before the
     # (q^2, D+1, D+1) per-axis table (2,500 x 50 x 50 complex values, 100 MB) is built
     flat = Density(lambda p: np.exp(-np.sum(np.abs(p) ** 2, axis=1)), 2)
     b = enumerate_basis(2, 49)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="discretization needs 6250000 nodes"):
-            assemble_toeplitz(flat, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    refusal, peak = traced_peak(lambda: pytest.raises(ValueError, assemble_toeplitz, flat, b))
+    refusal.match("discretization needs 6250000 nodes")
     assert peak < 5e6
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,19 +311,14 @@ def test_eig_to_range_is_the_brute_force_distance(rho, n, degree, monkeypatch):
         assert norm_and_spectrum(op, samples).eig_to_range == brute_force_distance(eigs, samples.values)
 
 
-def test_norm_and_spectrum_stays_under_memory_bound():
+def test_norm_and_spectrum_stays_under_memory_bound(traced_peak):
     # the eigenvalue-by-sample distance array would be 231 x 6,400 complex values (24 MB)
     from focklab.toeplitz import assemble_toeplitz
 
     b = enumerate_basis(2, 20)
     samples = gamma_samples(real_gaussian(2), (0, 0), 80)
     op = assemble_toeplitz(Horizontal(real_gaussian(2)), b)
-    tracemalloc.start()
-    try:
-        rep = norm_and_spectrum(op, samples)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(lambda: norm_and_spectrum(op, samples))
     assert peak < 5e6
     assert rep.eig_to_range < 0.05
 
@@ -361,15 +355,10 @@ def test_multiplication_matrix_matches_the_per_position_phi_product(rho, two_k, 
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_multiplication_matrix_at_n3_degree16_stays_under_memory_bound():
+def test_multiplication_matrix_at_n3_degree16_stays_under_memory_bound(traced_peak):
     # the per-position Phi table alone would be N x q^n = 969 x 13,824 floats (107 MB) on a 24^3 grid
     b = enumerate_basis(3, 16)
-    tracemalloc.start()
-    try:
-        multiplication_matrix(real_gaussian(3), 0, b, 24)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: multiplication_matrix(real_gaussian(3), 0, b, 24))
     assert peak < 100e6
 
 

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -396,15 +395,10 @@ def test_float_range_refusal_of_a_product_names_the_moment(two_k):
             assemble_real_coderivative(mu, two_k, enumerate_basis(2, 4))
 
 
-def test_lebesgue_is_the_identity_at_the_largest_order():
+def test_lebesgue_is_the_identity_at_the_largest_order(traced_peak):
     # D = 199 needs 200 Gauss-Hermite nodes per axis, MAX_ORDER; the (200, 200, 200) real one-axis
     # table is 64 MB, and the pass holds little else (three such power arrays would be 384 MB more)
     b = enumerate_basis(1, 199)
-    tracemalloc.start()
-    try:
-        entries = assemble_toeplitz(lebesgue(1), b).entries
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    entries, peak = traced_peak(lambda: assemble_toeplitz(lebesgue(1), b).entries)
     assert np.max(np.abs(entries - np.eye(b.size))) <= 1e-14
     assert peak < 2e8
