@@ -25,8 +25,7 @@ from .indices import HalfIndex
 from .lagrangian import LagrangianFrame, assemble_l_real_coderivative, l_invariance_test, rotation_defect
 from .measures import DEFAULT_ORDER, parse_measure, pushforward, weight
 from .output import write_complex_grid_csv, write_matrix_csv, write_samples_csv, write_summary
-from .quadrature import check_nodes
-from .spectral import DEFAULT_SPECTRAL_ORDER, diagonalization_residual, gamma_samples, horizontal_rho, norm_and_spectrum
+from .spectral import diagonalization_residual, gamma_samples, horizontal_rho, norm_and_spectrum
 from .toeplitz import (
     assemble_real_coderivative,
     assemble_toeplitz,
@@ -34,9 +33,6 @@ from .toeplitz import (
     berezin_measure,
     interior_commutator_norm,
 )
-
-_OK = [("tolerance", "none"), ("result", "ok")]
-
 
 @dataclass
 class ExperimentConfig:
@@ -120,9 +116,15 @@ def _symbol(config: ExperimentConfig, k: HalfIndex, horizontal: bool = False):
         mu, k = weight(mu, alpha), k - alpha
     if horizontal and horizontal_rho(mu) is None:
         raise ValueError(f"field 'measure': {config.command} needs a horizontal(...) measure (after alpha reduction)")
-    if horizontal:  # gamma.csv holds the flat q^n samples: refuse past the node cap before any work
-        check_nodes(DEFAULT_SPECTRAL_ORDER ** config.n)
     return mu, k
+
+
+def _gamma(rho, k: HalfIndex, config: ExperimentConfig):
+    """gamma's samples and the flat values gamma.csv holds.  Each handler that writes gamma.csv forms
+    them here before any matrix work, so past the node cap ``SpectralSamples.values`` refuses the run
+    before anything is built or written."""
+    samples = gamma_samples(rho, k, rho_order=config.moment_order)
+    return samples, samples.values
 
 
 def _assemble(config: ExperimentConfig, k: HalfIndex, out: Path):
@@ -134,7 +136,7 @@ def _assemble(config: ExperimentConfig, k: HalfIndex, out: Path):
     else:
         op = assemble_real_coderivative(mu, k, basis, config.moment_order)
     write_matrix_csv(op, out / "matrix")
-    return [("basis-size", basis.size), ("hermitian-defect", repr(op.hermitian_defect()))] + _OK, False
+    return [("basis-size", basis.size), ("hermitian-defect", repr(op.hermitian_defect()))], None
 
 
 def _berezin(config: ExperimentConfig, k: HalfIndex, out: Path):
@@ -147,7 +149,7 @@ def _berezin(config: ExperimentConfig, k: HalfIndex, out: Path):
         cvals = berezin_coderivative(mu, k, z, config.moment_order)
         write_complex_grid_csv(z, cvals, out / "berezin_coderivative.csv")
         summary += [("sup-coderivative-berezin", repr(float(np.max(np.abs(cvals)))))]
-    return summary + _OK, False
+    return summary, None
 
 
 def _carleson(config: ExperimentConfig, k: HalfIndex, out: Path):
@@ -186,27 +188,26 @@ def _carleson(config: ExperimentConfig, k: HalfIndex, out: Path):
             ("weight-shift-normalized-lhs", repr(shift.normalized_lhs)),
             ("weight-shift-normalized-rhs", repr(shift.normalized_rhs)),
         ]
-    return summary + _OK, False
+    return summary, None
 
 
 def _spectral(config: ExperimentConfig, k: HalfIndex, out: Path):
     mu, k = _symbol(config, k, horizontal=True)
-    samples = gamma_samples(mu.rho, k, rho_order=config.moment_order)
-    write_samples_csv(samples.grid, samples.values, out / "gamma.csv")
-    return [("sup-gamma", repr(float(np.max(np.abs(samples.values)))))] + _OK, False
+    samples, values = _gamma(mu.rho, k, config)
+    write_samples_csv(samples.grid, values, out / "gamma.csv")
+    return [("sup-gamma", repr(samples.sup))], None
 
 
 def _verify_diagonalization(config: ExperimentConfig, k: HalfIndex, out: Path):
     mu, k = _symbol(config, k, horizontal=True)
+    samples, values = _gamma(mu.rho, k, config)
     basis = enumerate_basis(config.n, config.truncation)
     tolerance = config.tolerance if config.tolerance is not None else 1e-5
     report = diagonalization_residual(mu, k, basis, config.moment_order)
-    samples = gamma_samples(mu.rho, k, rho_order=config.moment_order)
     write_matrix_csv(report.toeplitz, out / "toeplitz")
     write_matrix_csv(report.multiplication, out / "multiplication")
-    write_samples_csv(samples.grid, samples.values, out / "gamma.csv")
+    write_samples_csv(samples.grid, values, out / "gamma.csv")
     spectrum = norm_and_spectrum(report.toeplitz, samples)
-    failed = report.residual > tolerance
     return [
         ("tolerance", repr(float(tolerance))),
         ("residual", repr(report.residual)),
@@ -215,8 +216,7 @@ def _verify_diagonalization(config: ExperimentConfig, k: HalfIndex, out: Path):
         ("spectral-radius", repr(spectrum.spectral_radius)),
         ("sup-gamma", repr(spectrum.gamma_sup)),
         ("eig-to-range-distance", repr(spectrum.eig_to_range)),
-        ("result", "fail" if failed else "pass"),
-    ], failed
+    ], report.residual > tolerance
 
 
 def _commutativity(config: ExperimentConfig, k: HalfIndex, out: Path):
@@ -226,12 +226,7 @@ def _commutativity(config: ExperimentConfig, k: HalfIndex, out: Path):
     tolerance = config.tolerance if config.tolerance is not None else 1e-6
     op1, op2 = (assemble_toeplitz(mu, basis, config.moment_order).entries for mu in (mu1, mu2))
     norm = interior_commutator_norm(op1, op2, basis)
-    failed = norm > tolerance
-    return [
-        ("tolerance", repr(float(tolerance))),
-        ("residual", repr(norm)),
-        ("result", "fail" if failed else "pass"),
-    ], failed
+    return [("tolerance", repr(float(tolerance))), ("residual", repr(norm))], norm > tolerance
 
 
 def _lagrangian(config: ExperimentConfig, k: HalfIndex, out: Path):
@@ -246,8 +241,8 @@ def _lagrangian(config: ExperimentConfig, k: HalfIndex, out: Path):
     if config.measure is not None:
         mu = parse_measure(config.measure, config.n)
         rho = horizontal_rho(pushforward(mu, frame.rotation.conj().T))
-        if rho is not None:  # gamma.csv holds the flat q^n samples, as in _symbol
-            check_nodes(DEFAULT_SPECTRAL_ORDER ** config.n)
+        if rho is not None:
+            samples, values = _gamma(rho, k, config)
         basis = enumerate_basis(config.n, config.truncation)
         inv = l_invariance_test(mu, frame, basis, config.moment_order)
         summary += [
@@ -258,18 +253,17 @@ def _lagrangian(config: ExperimentConfig, k: HalfIndex, out: Path):
         failed = failed or not inv.invariant
         if rho is not None:
             report = diagonalization_residual(rho, k, basis, config.moment_order)
-            samples = gamma_samples(rho, k, rho_order=config.moment_order)
             write_matrix_csv(report.toeplitz, out / "matrix")
-            write_samples_csv(samples.grid, samples.values, out / "gamma.csv")
+            write_samples_csv(samples.grid, values, out / "gamma.csv")
             failed = failed or report.residual > tolerance
             summary += [("tolerance", repr(float(tolerance))), ("residual", repr(report.residual))]
         else:
             summary += [("note", "rotated measure is not structurally horizontal; residual skipped")]
-    return summary + [("result", "fail" if failed else "pass")], failed
+    return summary, failed
 
 
-# command -> (handler, the property its summary reports on); a handler writes
-# its artifacts into ``out`` and returns its summary items and whether it failed
+# command -> (handler, the property its summary reports on); a handler writes its artifacts
+# into ``out`` and returns its summary items and whether it failed, None if it verifies nothing
 COMMANDS = {
     "assemble": (_assemble, "dense truncated operator of the measure symbol in the monomial basis"),
     "berezin": (_berezin, "Gaussian-convolution transform of the measure over a lattice"),
@@ -289,6 +283,7 @@ def run(config: ExperimentConfig) -> int:
     handler, prop = COMMANDS[config.command]
     k = HalfIndex.from_doubled(config.k if config.k is not None else [0] * config.n)
     items, failed = handler(config, k, out)
+    items += [("tolerance", "none"), ("result", "ok")] if failed is None else [("result", "fail" if failed else "pass")]
     # written only once the handler accepted the config, so a refused run leaves no resolved config
     # libyaml's emitter where PyYAML was built with it: the same bytes at a quarter of the time
     dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)

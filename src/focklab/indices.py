@@ -266,10 +266,6 @@ class HalfIndex:
             raise ValueError(f"k = {self.halves()} is not a nonnegative integer index")
         return tuple(v // 2 for v in self.doubled)
 
-    def total_order(self) -> int:
-        """|2k| = sum of the doubled entries."""
-        return sum(self.doubled)
-
     def gamma_factor(self) -> float:
         """prod_j Gamma(k_j + 1), the half-integer extension of k!."""
         if not self.is_nonnegative:

@@ -68,19 +68,22 @@ class LagrangianFrame:
     def rotation(self) -> np.ndarray:
         return rotation_to_vertical(self)
 
+    @cached_property
+    def unit_columns(self) -> np.ndarray:
+        """The identified frame columns c_j, each scaled to unit length."""
+        c = complex_identification(self.vectors)
+        return c / np.linalg.norm(c, axis=0, keepdims=True)
 
-def rotation_to_vertical(frame) -> np.ndarray:
+
+def rotation_to_vertical(frame: LagrangianFrame) -> np.ndarray:
     """A unitary X with X L = i R^n, deterministic given the frame.
 
-    ``frame`` is a LagrangianFrame, or raw vectors that are validated as one.
-    Its identified Gram matrix C*C is real (``is_lagrangian``), so polar
+    The frame's identified Gram matrix C*C is real (``is_lagrangian``), so polar
     orthonormalization U = C (C*C)^{-1/2} spans the same plane, and X = i U*
     is vertical-rotating.  The leftover real orthogonal gauge is fixed by
     sign-canonicalizing rows: the first above-tolerance entry of each row of
     X gets a positive imaginary part (positive real part as tie-break).
     """
-    if not isinstance(frame, LagrangianFrame):
-        frame = LagrangianFrame(frame)
     c = complex_identification(frame.vectors)
     evals, evecs = np.linalg.eigh((c.conj().T @ c).real)
     if np.min(evals) < 1e-12 * np.max(evals):
@@ -97,17 +100,15 @@ def rotation_to_vertical(frame) -> np.ndarray:
     return x
 
 
-def rotation_defect(frame, x: np.ndarray) -> float:
+def rotation_defect(frame: LagrangianFrame, x: np.ndarray) -> float:
     """How far X is from a valid vertical rotation of the frame.
 
     Max of the unitarity defect and |Re(X c_j)| over the identified frame
     columns; <= 1e-12 certifies X L = i R^n at working precision.
     """
-    c = complex_identification(frame.vectors if isinstance(frame, LagrangianFrame) else frame)
-    c = c / np.linalg.norm(c, axis=0, keepdims=True)
     x = np.asarray(x, dtype=complex)
     unitarity = float(np.max(np.abs(x.conj().T @ x - np.eye(x.shape[0]))))
-    vertical = float(np.max(np.abs((x @ c).real)))
+    vertical = float(np.max(np.abs((x @ frame.unit_columns).real)))
     return max(unitarity, vertical)
 
 
@@ -148,9 +149,7 @@ def l_invariance_test(mu, frame: LagrangianFrame, basis: BasisSet,
     variation_y = float(np.max(np.abs(vals - vals[:, :1])))
     scale = float(np.max(np.abs(vals)))
     t = assemble_toeplitz(mu, basis, order).entries
-    c = complex_identification(frame.vectors)
-    c = c / np.linalg.norm(c, axis=0, keepdims=True)
-    commutators = [interior_commutator_norm(t, weyl_matrix(0.4 * h, basis), basis) for h in c.T]
+    commutators = [interior_commutator_norm(t, weyl_matrix(0.4 * h, basis), basis) for h in frame.unit_columns.T]
     invariant = variation_y <= 1e-8 * max(scale, 1e-12) and all(v <= 1e-4 for v in commutators)
     return InvarianceReport(variation_y, tuple(commutators), bool(invariant))
 

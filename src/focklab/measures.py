@@ -808,7 +808,8 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER, steps=()) -> np.ndarra
     caller's order (no copy when that is the keys' order).
     ``AlphaHorizontal`` and an n >= 2 ``Density`` contract per-axis tables on the
     distinct node values one axis at a time (``quadrature.contract_axes``), about
-    (D+1)^2 operations per grid point instead of N^2 per node.  ``AlphaHorizontal``'s
+    (D+1)^2 operations per grid point instead of N^2 per node, and so does ``spectral``'s
+    Hermite-side symbol, which answers only ``axis_factors()`` and ``moments``.  ``AlphaHorizontal``'s
     tables are real (exactly, over a real-weighted rho), and on the rule's own nodes they
     contract one nu_alpha kernel per (order, D, alpha_j), kept under 16 MiB: a repeated
     size pays only the contraction, a first one also the build.  Requests whose gather

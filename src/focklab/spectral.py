@@ -5,11 +5,11 @@ e_alpha <-> h_alpha (normalized Hermite functions), to multiplication by a spect
 gamma on L2(R^n).  The Hermite-side matrix of that multiplication is built from rho, not from
 samples of gamma: with h_a = hhat_a e^{-x^2/2} and x = (y + s)/sqrt2, the x-integral against a
 rho-node y is a Gauss-Hermite sum in s, exact at order D + floor(2k_j/2) + 1, and the y-integral
-runs over rho's ``axis_grid``, which the Fock side's moment pass contracts too.  So both sides of
-``diagonalization_residual`` share one discretization of rho.  A product rho gathers one-axis
-tables (``quadrature.gather_axes``), as the moment table does.  gamma samples on the order-q
-tensor Gauss-Hermite grid serve the spectral report and gamma.csv.  Whether a measure is
-horizontal is decided in one place, ``horizontal_rho``, which the residual and the CLI read.
+runs over rho's ``axis_grid``, which the Fock side's moment pass contracts too.  The Hermite side
+is a symbol ``measures.moment_table`` integrates, so both sides of ``diagonalization_residual``
+share one discretization of rho, one order floor and one gather of a product's one-axis tables.
+gamma samples on the order-q tensor Gauss-Hermite grid serve the spectral report and gamma.csv.
+Whether a measure is horizontal is decided in one place, ``horizontal_rho``, which the residual and the CLI read.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSet
-from .indices import HalfIndex, hermite, select_table
-from .measures import DEFAULT_ORDER, AlphaHorizontal, MeasureSpec, dimension, real_sums
-from .quadrature import blocks, check_nodes, contract_axes, gather_axes, gauss_hermite, row_blocks, tensor_grid
+from .indices import HalfIndex, hermite
+from .measures import DEFAULT_ORDER, AlphaHorizontal, MeasureSpec, dimension, moment_table, real_sums
+from .quadrature import blocks, check_nodes, contract_axes, gauss_hermite, row_blocks, tensor_grid
 from .toeplitz import OperatorMatrix, assemble_real_coderivative, berezin_coderivative, berezin_operator
 
 DEFAULT_SPECTRAL_ORDER = 80
@@ -35,7 +35,7 @@ class SpectralSamples:
 
     For a product rho, gamma = prod_j gamma_{rho_j,2k_j}(x_j) and ``factors`` holds one q-vector
     per axis; otherwise it holds gamma as one array of shape (q,) * n.  The nodes and the flat
-    values are built on demand, so past ``quadrature.MAX_NODES`` they are refused.
+    values are built on demand, once, so past ``quadrature.MAX_NODES`` they are refused.
     """
 
     factors: tuple
@@ -46,10 +46,14 @@ class SpectralSamples:
     def grid(self) -> np.ndarray:
         return spectral_grid(self.k.n, self.quad_order)
 
-    @property
+    @functools.cached_property
     def values(self) -> np.ndarray:
         check_nodes(self.quad_order ** self.k.n)
         return functools.reduce(np.multiply.outer, self.factors).ravel()
+
+    @property
+    def sup(self) -> float:
+        return float(np.max(np.abs(self.values)))
 
 
 def gamma_plain(rho, grid) -> np.ndarray:
@@ -111,31 +115,33 @@ def _hermite_kernel(y, degree: int, doubled: int) -> np.ndarray:
     return np.matmul(np.swapaxes(h, 1, 2), h * w[:, None])
 
 
-def _hermite_table(rho, two_k, degree: int, order: int):
-    """``contract_axes`` of one ``_hermite_kernel`` per axis against rho's weight grid at order max(order, D + 1):
-    on the rule's own nodes where ``axis_grid`` gives None, else on an atoms axis' distinct coordinates."""
-    order = max(order, degree + 1)
-    axes, grid = rho.axis_grid(order)
-    return contract_axes([_hermite_kernel(gauss_hermite(order).nodes if y is None else y, degree, t)
-                          for y, t in zip(axes, two_k)], grid, degree)
+@dataclass(frozen=True)
+class _HermiteSide:
+    """The Hermite side of gamma_{rho,2k}, per axis rho_j with 2k_j, as a symbol ``moment_table`` integrates
+    (equal axes share one table): one ``_hermite_kernel`` per axis contracted against rho's weight grid."""
+
+    rho: object
+    two_k: tuple[int, ...]
+
+    def axis_factors(self):
+        factors = self.rho.axis_factors()
+        return None if factors is None else tuple(map(_HermiteSide, factors, zip(self.two_k)))
+
+    def moments(self, maxdeg: int, order: int):
+        axes, grid = self.rho.axis_grid(order)
+        return contract_axes([_hermite_kernel(gauss_hermite(order).nodes if y is None else y, maxdeg, t)
+                              for y, t in zip(axes, self.two_k)], grid, maxdeg)
 
 
 def multiplication_matrix(rho, k: HalfIndex, basis: BasisSet, order: int = DEFAULT_ORDER) -> OperatorMatrix:
     """Matrix of multiplication by gamma_{rho,2k} in the orthonormal Hermite-function basis,
     M[a, b] = pi^{-n/2} int e^{-|y|^2} drho(y) prod_j sum_s w_s H_{2k_j}(s) hhat_{a_j} hhat_{b_j}((y_j + s) / sqrt2),
-    on rho's nodes at the moment pass's order max(``order``, D + 1), the Fock side's discretization of rho,
-    and exact in s.  A product rho gathers one one-axis table per distinct (factor, 2k_j)."""
+    exact in s: the ``moment_table`` of the Hermite side, on rho's nodes at the moment pass's order
+    max(``order``, D + 1), the Fock side's discretization of rho."""
     two_k = HalfIndex.of(k, basis.n).order_index()
     if dimension(rho) != basis.n:
         raise ValueError(f"rho on {dimension(rho)} axes does not fit a basis on {basis.n}")
-    factors = rho.axis_factors()
-    if factors is None:
-        keys, table = _hermite_table(rho, two_k, basis.degree, order)
-    else:  # one table per distinct (factor, 2k_j), shared by its axes
-        axes = list(zip(factors, two_k))
-        shared = {(f, t): _hermite_table(f, (t,), basis.degree, order)[1] for f, t in dict.fromkeys(axes)}
-        keys, table = gather_axes([shared[a] for a in axes], basis.degree)
-    return OperatorMatrix(basis, select_table(keys, table, basis.indices))
+    return OperatorMatrix(basis, moment_table(_HermiteSide(rho, two_k), basis.indices, order))
 
 
 @dataclass(frozen=True)
@@ -217,7 +223,6 @@ def norm_and_spectrum(op: OperatorMatrix, samples: SpectralSamples) -> SpectrumR
     radius = float(np.max(np.abs(eigs)))
     opnorm = radius if defect < 1e-10 else float(np.linalg.norm(entries, 2))
     gvals = np.asarray(samples.values)
-    gsup = float(np.max(np.abs(gvals)))
     if not np.any(np.imag(gvals)):
         # the real sample nearest an eigenvalue neighbours its real part in the sorted samples
         s = np.sort(np.real(gvals))
@@ -225,4 +230,4 @@ def norm_and_spectrum(op: OperatorMatrix, samples: SpectralSamples) -> SpectrumR
         near = np.minimum(np.abs(eigs - s[np.maximum(i - 1, 0)]), np.abs(eigs - s[np.minimum(i, s.size - 1)]))
     else:  # complex samples: eigenvalue row blocks, an eigenvalue costing q^n distances, never N x q^n
         near = row_blocks(eigs, gvals.size, lambda e: np.min(np.abs(e[:, None] - gvals), axis=1))
-    return SpectrumReport(opnorm, radius, gsup, float(np.max(near)), defect)
+    return SpectrumReport(opnorm, radius, samples.sup, float(np.max(near)), defect)

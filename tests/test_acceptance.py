@@ -15,7 +15,7 @@ import pytest
 
 from focklab.basis import enumerate_basis, kernel_coefficients, weyl_matrix
 from focklab.carleson import carleson_constant, weight_shift_check
-from focklab.indices import HalfIndex, factorial, hermite, monomial_matrix
+from focklab.indices import HalfIndex, hermite, monomial_matrix
 from focklab.lagrangian import LagrangianFrame, l_invariance_test, rotation_defect
 from focklab.measures import (
     Density,
@@ -34,16 +34,6 @@ from focklab.toeplitz import (
     berezin_y_variation,
     interior_max_norm,
 )
-
-
-def derivative(coefficients, a, basis):
-    """d^a in coefficients: c_alpha moves to alpha - a scaled by sqrt(alpha! / (alpha - a)!) (reference copy)."""
-    out = np.zeros(basis.size, dtype=complex)
-    for pos, alpha in enumerate(basis.indices):
-        low = tuple(x - y for x, y in zip(alpha, a))
-        if min(low) >= 0:
-            out[basis.position[low]] = math.sqrt(factorial(alpha) // factorial(low)) * coefficients[pos]
-    return out
 
 
 K0 = HalfIndex.from_doubled((0,))
@@ -258,7 +248,7 @@ def test_criterion_10_lagrangian_pipeline():
     )
 
 
-def test_criterion_11_derivative_growth_bound():
+def test_criterion_11_derivative_growth_bound(derivative):
     rng = np.random.default_rng(2024)
     b = enumerate_basis(1, 16)
     c_const = 2.0**-1 * math.pi**-0.5 * math.exp((2 * math.sqrt(2) + 1) / 2)

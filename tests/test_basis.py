@@ -8,16 +8,6 @@ from focklab.indices import factorial, monomial_matrix
 from focklab.quadrature import MAX_BYTES
 
 
-def derivative(coefficients, a, basis):
-    """d^a in coefficients: c_alpha moves to alpha - a scaled by sqrt(alpha! / (alpha - a)!) (reference copy)."""
-    out = np.zeros(basis.size, dtype=complex)
-    for pos, alpha in enumerate(basis.indices):
-        low = tuple(x - y for x, y in zip(alpha, a))
-        if min(low) >= 0:
-            out[basis.position[low]] = math.sqrt(factorial(alpha) // factorial(low)) * coefficients[pos]
-    return out
-
-
 def test_enumeration_sizes():
     b = enumerate_basis(1, 3)
     assert b.indices == ((0,), (1,), (2,), (3,))
@@ -72,7 +62,7 @@ def test_normalized_kernel_norms():
     assert np.linalg.norm(nk6) ** 2 == pytest.approx(0.889326, abs=5e-7)
 
 
-def test_derivative_growth_bound():
+def test_derivative_growth_bound(derivative):
     # |d^k f(z)| <= C k! prod (1+x^2)^{k/2} (1+y^2)^{k/2} e^{|z|^2/2} for unit f
     rng = np.random.default_rng(11)
     b = enumerate_basis(1, 14)

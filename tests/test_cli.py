@@ -456,3 +456,21 @@ def test_resolved_config_is_the_same_bytes_from_either_emitter(tmp_path, name):
     assert written == yaml.safe_dump(fields, sort_keys=True)
     assert written == yaml.dump(fields, Dumper=yaml.CSafeDumper, sort_keys=True)
     assert load_config(tmp_path / name / "resolved_config.yaml") == config
+
+
+@pytest.mark.parametrize("command, fields, verdict", [
+    ("assemble", {"measure": "gaussian(1.0)"}, ["tolerance: none", "result: ok"]),
+    ("berezin", {"measure": "gaussian(1.0)", "k": [2], "window": 1.0}, ["tolerance: none", "result: ok"]),
+    ("carleson", {"measure": "gaussian(1.0)", "window": 1.0}, ["tolerance: none", "result: ok"]),
+    ("spectral", {"measure": "horizontal(gaussian(1.0))"}, ["tolerance: none", "result: ok"]),
+    ("verify-diagonalization", {"measure": "horizontal(gaussian(1.0))"}, ["result: pass"]),
+    ("commutativity", {"measure": "horizontal(gaussian(1.0))", "measure2": "gaussian(0.5)"}, ["result: fail"]),
+    ("lagrangian", {"frame": [[1.0, 1.0]], "measure": "horizontal(gaussian(1.0))"}, ["result: fail"]),
+])
+def test_every_summary_ends_in_one_verdict(tmp_path, command, fields, verdict):
+    # a command that verifies nothing reports no tolerance and "ok"; the others end in pass or fail
+    cfg = ExperimentConfig(command=command, n=1, truncation=6, out=str(tmp_path / "run"), **fields)
+    assert run(cfg) == (1 if verdict == ["result: fail"] else 0)
+    lines = (tmp_path / "run" / "summary.txt").read_text().splitlines()
+    assert lines[-len(verdict):] == verdict
+    assert [line.split(": ")[0] for line in lines].count("result") == 1

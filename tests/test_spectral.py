@@ -10,15 +10,16 @@ from focklab.measures import (
     Horizontal,
     Lebesgue,
     RealAtoms,
+    RealDensity,
     dirac,
     real_dirac,
     real_gaussian,
     weight,
 )
 from focklab import spectral
-from focklab.indices import hermite
+from focklab.indices import hermite, select_table
 from focklab.measures import real_nodes
-from focklab.quadrature import gauss_hermite, tensor_rule
+from focklab.quadrature import contract_axes, gather_axes, gauss_hermite, tensor_rule
 from focklab.spectral import (
     diagonalization_residual,
     gamma_2k,
@@ -398,3 +399,53 @@ def test_the_residual_samples_no_gamma(monkeypatch):
     monkeypatch.setattr(spectral, "gamma_samples", refuse)
     rep = diagonalization_residual(real_gaussian(2), (2, 0), enumerate_basis(2, 8))
     assert rep.residual <= 1e-13
+
+
+def flat_density(n):
+    """A non-product density on R^n, so its gamma samples come as one flat array."""
+    return RealDensity(lambda p: np.exp(-np.sum(p ** 2, axis=1) / 3.0) * (1.0 + p[:, 0] * p[:, -1]), n)
+
+
+@pytest.mark.parametrize("rho, two_k, order", [
+    (real_gaussian(1), (1,), 80),
+    (real_gaussian(2), (1, 3), 80),
+    (real_gaussian(3), (3, 1, 1), 24),
+    (flat_density(2), (1, 0), 40),
+    (RealAtoms([[0.3, -0.5], [-0.8, 0.2], [0.1, 0.9]], [0.6, 0.3, 0.5]), (1, 2), 60),
+], ids=["product-n1", "product-n2", "product-n3", "flat-n2", "atoms-n2"])
+def test_sup_is_the_max_modulus_of_the_flat_values(rho, two_k, order):
+    samples = gamma_samples(rho, two_k, order)
+    assert samples.sup == float(np.max(np.abs(samples.values)))
+    if any(t % 2 for t in two_k):  # an odd 2k_j makes gamma change sign, so the sup is not the max
+        assert samples.values.min() < 0.0 < samples.values.max()
+
+
+def gathered_hermite_route(rho, two_k, basis, order):
+    """The Hermite-side matrix as its own route built it: one ``_hermite_kernel`` per axis contracted
+    at order max(order, D + 1), a product's one-axis tables gathered, then the basis selected."""
+    q = max(order, basis.degree + 1)
+
+    def table(r, tk):
+        axes, grid = r.axis_grid(q)
+        return contract_axes([spectral._hermite_kernel(gauss_hermite(q).nodes if y is None else y, basis.degree, t)
+                              for y, t in zip(axes, tk)], grid, basis.degree)
+
+    factors = rho.axis_factors()
+    if factors is None:
+        keys, full = table(rho, two_k)
+    else:
+        keys, full = gather_axes([table(f, (t,))[1] for f, t in zip(factors, two_k)], basis.degree)
+    return select_table(keys, full, basis.indices)
+
+
+@pytest.mark.parametrize("rho, two_k, degree", [
+    (real_gaussian(2), (1, 2), 12),
+    (real_gaussian(3), (0, 3, 2), 8),
+    (RealAtoms([[0.3, -0.5], [-0.8, 0.2], [0.3, 0.9]], [0.6, 0.3, 0.5]), (2, 1), 10),
+    (flat_density(2), (0, 2), 10),
+], ids=["product-n2", "product-n3", "atoms-n2", "flat-n2"])
+@pytest.mark.parametrize("order", [40, 7])
+def test_multiplication_matrix_is_the_gathered_hermite_table(rho, two_k, degree, order):
+    basis = enumerate_basis(len(two_k), degree)
+    np.testing.assert_array_equal(multiplication_matrix(rho, two_k, basis, order).entries,
+                                  gathered_hermite_route(rho, two_k, basis, order))

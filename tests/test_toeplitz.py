@@ -40,16 +40,6 @@ from focklab.toeplitz import (
 )
 
 
-def derivative(coefficients, a, basis):
-    """d^a in coefficients: c_alpha moves to alpha - a scaled by sqrt(alpha! / (alpha - a)!) (reference copy)."""
-    out = np.zeros(basis.size, dtype=complex)
-    for pos, alpha in enumerate(basis.indices):
-        low = tuple(x - y for x, y in zip(alpha, a))
-        if min(low) >= 0:
-            out[basis.position[low]] = math.sqrt(factorial(alpha) // factorial(low)) * coefficients[pos]
-    return out
-
-
 def test_identity_symbol_gives_identity():
     for n, d in [(1, 10), (2, 5)]:
         b = enumerate_basis(n, d)
@@ -135,7 +125,7 @@ def test_positive_measure_gives_psd_matrix():
         assert eigs.min() >= -1e-9
 
 
-def test_coderivative_pairing_identity_against_direct_quadrature():
+def test_coderivative_pairing_identity_against_direct_quadrature(derivative):
     # <T e_alpha, e_beta> for the (a, b) coderivative equals the sesquilinear
     # pairing evaluated by brute-force tensor quadrature over R^2
     b = enumerate_basis(1, 4)
