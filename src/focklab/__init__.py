@@ -14,11 +14,13 @@ from .measures import (
     AlphaHorizontal,
     Atoms,
     Density,
+    Gaussian,
     Horizontal,
     Lebesgue,
     Product,
     RealAtoms,
     RealDensity,
+    RealGaussian,
     RealProduct,
     ball_mass,
     dirac,

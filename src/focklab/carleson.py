@@ -9,7 +9,7 @@ configured factor).  Inconclusive verdicts are data, not errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,7 +161,8 @@ class WeightShiftReport:
     ``prose`` follows the surrounding text, C_p(mu_{k-p}, r) = C_k(mu, r).
     The Gamma-normalized suprema agree exactly (the weighted measures
     coincide); the two constants differ from C_k by the ratio of their Gamma
-    factors unless those happen to match.
+    factors unless those happen to match.  ``c_k_scan`` is the C_k(mu, r) scan
+    itself, so a caller that reports it needs no second scan.
     """
 
     c_k: float
@@ -171,6 +172,7 @@ class WeightShiftReport:
     normalized_rhs: float
     stated_matches: bool
     prose_matches: bool
+    c_k_scan: CarlesonReport = field(repr=False)
 
 
 def weight_shift_check(mu, k: HalfIndex, p: HalfIndex, r, window: float = 2.0,
@@ -192,4 +194,5 @@ def weight_shift_check(mu, k: HalfIndex, p: HalfIndex, r, window: float = 2.0,
         normalized_rhs=norm_rhs,
         stated_matches=bool(abs(stated.sup_estimate - c_k.sup_estimate) <= 1e-9 * scale),
         prose_matches=bool(abs(prose.sup_estimate - c_k.sup_estimate) <= 1e-9 * scale),
+        c_k_scan=c_k,
     )

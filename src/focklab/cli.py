@@ -162,7 +162,10 @@ def _carleson(config: ExperimentConfig, k: HalfIndex, out: Path):
         ("condition-m-normalized-verdict", cm.normalized.verdict),
     ]
     r = config.r if config.r is not None else [1.0] * config.n
-    ck = carleson_mod.carleson_constant(mu, k, r, config.window, config.spacing)
+    # the weight-shift report scans C_k(mu, r) itself, so with p set that scan is the one reported
+    shift = None if config.p is None else carleson_mod.weight_shift_check(
+        mu, k, HalfIndex.from_doubled(config.p), r, config.window, config.spacing)
+    ck = carleson_mod.carleson_constant(mu, k, r, config.window, config.spacing) if shift is None else shift.c_k_scan
     summary += [
         ("carleson-constant", repr(ck.sup_estimate)),
         ("carleson-verdict", ck.verdict),
@@ -176,9 +179,7 @@ def _carleson(config: ExperimentConfig, k: HalfIndex, out: Path):
             ("kfc-omega-coarse", repr(kfc.omega_coarse)),
             ("kfc-growth-detected", kfc.growth_detected),
         ]
-    if config.p is not None:
-        p = HalfIndex.from_doubled(config.p)
-        shift = carleson_mod.weight_shift_check(mu, k, p, r, config.window, config.spacing)
+    if shift is not None:
         summary += [
             ("weight-shift-c-k", repr(shift.c_k)),
             ("weight-shift-stated", repr(shift.stated)),

@@ -21,6 +21,18 @@ distinct c_j (``_per_axis`` through ``quadrature.distinct``), and a moment table
 ``quadrature.gather_axes`` of one-axis tables.  ``gaussian_density(n)`` and
 ``real_gaussian(n)`` build products for n >= 2.
 
+Rules fitted to the weight.  The one-axis Gaussian exp(-|w|^2 / sigma^2) is a value,
+``Gaussian(sigma)`` on C and ``RealGaussian(sigma)`` on R, equal by sigma.  Against a
+Gaussian kernel it is one Gaussian per real direction, e^{-k^2 t^2} with k^2 = 1 + 1/sigma^2
+(2 + 1/sigma^2 for gamma's kernel), recentred where the kernel is centred, so its nodes and
+pairings come from the Gauss-Hermite rule of that weight, nodes s_i / k and weights w_i / k.
+Every Gaussian moment, Berezin value and gamma is then exact at the order the moment pass
+already uses (D + 1 nodes for degree D), at every width; a sampled Gaussian was off by 82%
+at sigma = 0.1 and D = 20.  A product with another density (``times``, ``weighted``) is
+sampled, as any density, and polydisk masses keep the density's fixed rules.  The
+y-density (1+v^2)^{-alpha} of nu_alpha has poles at v = +-i, so its tables and its node set
+at Im c = 0 use the Gauss rule of e^{-v^2} nu_alpha itself (``_nu_rule``), exact at D + 1 too.
+
 The module functions (``dimension``, ``variation``, ``weight``, ``pushforward``,
 ``real_nodes``, ``real_sums``, ``gaussian_nodes``, ``gaussian_pairing(s)``,
 ``ball_mass``, ``moment_table``) validate their arguments and dispatch to the
@@ -32,7 +44,8 @@ one protocol every measure type implements:
 - real measures on R^n: ``real_nodes(center, order, scale)``, its batch over
   centres ``real_sums(centers, order, scale, factor)`` of sum_i w_i(c)
   prod_j factor(j, c_j, t_ij), the moment pass's ``axis_grid(order)`` (per axis the
-  distinct node values, None on the rule's own nodes, and the weight grid) and the polydisk
+  distinct node values, or a node scale k for the rule's own nodes over k, and the
+  weight grid) and the polydisk
   masses' ``box_integral(x0, r, factor)`` of prod_j factor(j, t_j - x0_j) per row
   of x0 (offsets (1, q) shared by every row on a grid, (m, atoms) for atoms);
 - measures on C^n (``MeasureSpec``): ``nodes(center, order)``
@@ -46,7 +59,7 @@ one protocol every measure type implements:
   by fixed rules: 48-node chords, and a polar rule of 40 radii by 80 angles
   per axis for densities).
 
-Grid types (Lebesgue, of density 1, and densities) share ``grid_sums(axes,
+Grid types (Lebesgue, of density 1, densities and Gaussians) share ``grid_sums(axes,
 weights)``, per-centre sums over tensor grids: Lebesgue multiplies its axis
 sums, densities stream them through ``quadrature.tensor_sums``.  Every batched
 kernel here states only the entries one row costs (one centre's evaluations for
@@ -62,13 +75,14 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .indices import HalfIndex, as_multi_index, graded_lex_keys, lowering, monomial_matrix, orthonormal_powers
 from .indices import select_table, substitution_blocks
-from .quadrature import blocks, check_nodes, contract_axes, distinct, gather_axes, gauss_hermite, gauss_legendre
-from .quadrature import row_blocks, tensor_grid, tensor_sums
+from .quadrature import MAX_ORDER, QuadRule, blocks, check_nodes, contract_axes, distinct, gather_axes
+from .quadrature import gauss_hermite, gauss_legendre, row_blocks, tensor_grid, tensor_sums
 
 DEFAULT_ORDER = 40
 _POLAR_ORDER = 40  # Gauss-Legendre radii per axis of a density's polydisk mass, with twice as many angles
@@ -113,8 +127,8 @@ class _RealGrid(_Measure):
 
     def axis_grid(self, order: int):
         _, wts = real_nodes(self, np.zeros(self.n), order)
-        # every axis is the rule's own nodes (None), and real_nodes lays their tensor grid out in C order
-        return (None,) * self.n, wts.reshape((order,) * self.n)
+        # every axis is the rule's own nodes (node scale 1), and real_nodes lays their tensor grid out in C order
+        return (1.0,) * self.n, wts.reshape((order,) * self.n)
 
     def box_integral(self, x0, r, factor):
         # t = x0 + r sin(phi) per axis; axis j's factor gets the offsets r_j sin(phi) as one row shared
@@ -187,6 +201,43 @@ class _DensitySet(_Measure):
         return tensor_sums(axes, weights, self.density)
 
 
+@dataclass(frozen=True)
+class _GaussianAxis(_Measure):
+    """The density exp(-|w|^2 / sigma^2) on one axis, a value equal by sigma.  Against the kernel
+    e^{-(sqrt(s) t - c)^2} of each real direction it is one Gaussian, e^{-c^2 / (sigma k)^2} e^{-k^2 (t - t_c)^2}
+    with k^2 = s + 1/sigma^2 and t_c = sqrt(s) c / k^2, so its rule is the Gauss-Hermite rule of that weight:
+    nodes t_c + s_i / k, weights w_i / k times the constant, exact for polynomials of degree < 2q at every
+    sigma.  A product with any other density (``times``, ``weighted``) is sampled, and polydisk masses keep
+    the density's fixed rules."""
+
+    sigma: float
+    n = 1
+    grid_sums = _DensitySet.grid_sums
+
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"Gaussian width sigma must be positive and finite, got {self.sigma}")
+        object.__setattr__(self, "sigma", float(self.sigma))
+
+    def density(self, pts):
+        return np.exp(-np.sum(np.abs(pts) ** 2, axis=1) / self.sigma**2)
+
+    def variation(self):
+        return self
+
+    def times(self, g):
+        return self._sampled(lambda pts: self.density(pts) * g(pts), 1)
+
+    def pushed(self, x):
+        return self  # a one-axis unitary keeps |w|
+
+    def _rule(self, c, order: int, scale: float = 1.0):
+        """The rule of the combined weight at each real centre coordinate c (m,): nodes and weights (m, q)."""
+        k2 = scale + self.sigma**-2
+        rule, c, k = gauss_hermite(order), np.asarray(c, dtype=float)[:, None], np.sqrt(k2)
+        return np.sqrt(scale) * c / k2 + rule.nodes / k, rule.weights / k * np.exp(-c**2 / (self.sigma**2 * k2))
+
+
 class MeasureSpec(_Measure):
     """Base of the measures on C^n; the defaults serve atoms, densities and ``Weighted``."""
 
@@ -234,6 +285,24 @@ class RealAtoms(_AtomSet):
 
 class RealDensity(_DensitySet, _RealGrid):
     """Density g(t) dt on R^n; g is vectorized over point arrays (m, n)."""
+
+
+class RealGaussian(_GaussianAxis, _RealGrid):
+    """exp(-t^2 / sigma^2) dt on R, integrated on the rule of its combined weight (``_GaussianAxis``)."""
+
+    _sampled = RealDensity
+
+    def real_nodes(self, center, order: int, scale: float):
+        t, w = self._rule(center, order, scale)
+        return t.reshape(-1, 1), w[0]
+
+    def real_sums(self, centers, order: int, scale: float, factor):
+        t, w = self._rule(centers[:, 0], order, scale)
+        return np.sum(w * factor(0, centers, t), axis=1)
+
+    def axis_grid(self, order: int):
+        # the rule's nodes over the node scale k = sqrt(1 + 1/sigma^2)
+        return (math.sqrt(1.0 + self.sigma**-2),), self._rule(np.zeros(1), order)[1][0]
 
 
 @dataclass(frozen=True)
@@ -328,6 +397,21 @@ class Density(_DensitySet, MeasureSpec):
             [x[:, None] + d for x, d in zip(c.T, disk)], [np.broadcast_to(v, (c.shape[0], v.size)) for v in w]))
 
 
+class Gaussian(_GaussianAxis, MeasureSpec):
+    """exp(-|w|^2 / sigma^2) dnu_2(w) on C, integrated on the rule of its combined weight in x and in y
+    (``_GaussianAxis``); its pairing is the product of the two weight sums."""
+
+    _sampled = Density
+    ball_mass = Density.ball_mass
+
+    def nodes(self, center, order: int):
+        (x, wx), (y, wy) = self._rule(center.real, order), self._rule(center.imag, order)
+        return (x[0, :, None] + 1j * y[0]).reshape(-1, 1), np.multiply.outer(wx[0], wy[0]).ravel()
+
+    def pairing(self, centers, order: int):
+        return math.prod(self._rule(c, order)[1].sum(axis=1) for c in (centers[:, 0].real, centers[:, 0].imag))
+
+
 # rule-node kernels, least recently used first, 16 MiB in all: a kernel is q (D+1)^2 doubles, so every one
 # up to D = 127 at the D + 1 order floor fits, and a D = 199 one (64 MB) is built per call, never kept
 _KERNEL_BYTES = 16 << 20
@@ -339,13 +423,52 @@ def _nu_density(doubled: int, v):
     return (1.0 + v**2) ** (-doubled / 2.0)
 
 
+@lru_cache(maxsize=64)
+def _nu_rule(order: int, doubled: int) -> QuadRule:
+    """The order-q Gauss rule of the weight e^{-v^2} nu_alpha(v), exact for polynomials of degree < 2q; Gauss-Hermite
+    where alpha = 0.  Sampling nu_alpha on Gauss-Hermite converges slowly (its poles at v = +-i leave 3.3e-8 relative
+    in a D = 20 table at order 40), so the rule is fitted instead: Lanczos, reorthogonalized, reads the recurrence off
+    the order-200 Gauss-Hermite discretization of the weight (its moments within 1e-14 of the closed form), the
+    Jacobi matrix's eigenvalues take one Newton step, the weights are the Christoffel numbers 1 / sum_k p_k^2, which
+    keep their relative accuracy in the tails, and both are mirrored exactly, as ``_axis_kernel``'s half rule needs."""
+    if doubled == 0:
+        return gauss_hermite(order)
+    base = gauss_hermite(MAX_ORDER)
+    mass = base.weights * _nu_density(doubled, base.nodes)
+    lanczos, b = np.zeros((order, MAX_ORDER)), np.zeros(order)  # b[k] p_{k+1} = v p_k - b[k-1] p_{k-1}; b[-1] = 0
+    lanczos[0] = np.sqrt(mass / mass.sum())
+    for k in range(order - 1):  # the weight is even, so the diagonal of the Jacobi matrix is 0
+        r = base.nodes * lanczos[k]
+        for _ in range(2):
+            r -= lanczos[:k + 1].T @ (lanczos[:k + 1] @ r)
+        b[k] = np.linalg.norm(r)
+        lanczos[k + 1] = r / b[k]
+
+    def orthonormal(v):
+        """p_0 .. p_{q-1} at v and the Newton step p_q / p_q', in which the unknown b[q-1] cancels."""
+        p, dp = np.zeros((order + 2, v.size)), np.zeros((order + 2, v.size))  # row k + 1 holds p_k
+        p[1] = mass.sum() ** -0.5
+        for k in range(order):
+            div = b[k] if k < order - 1 else 1.0
+            p[k + 2] = (v * p[k + 1] - b[k - 1] * p[k]) / div
+            dp[k + 2] = (p[k + 1] + v * dp[k + 1] - b[k - 1] * dp[k]) / div
+        return p[1:-1], p[-1] / dp[-1]
+
+    v = np.linalg.eigvalsh(np.diag(b[:-1], 1) + np.diag(b[:-1], -1))
+    v = v - orthonormal(v)[1]
+    v = (v - v[::-1]) / 2.0
+    w = 1.0 / np.sum(orthonormal(v)[0] ** 2, axis=0)
+    return QuadRule(v, (w + w[::-1]) / 2.0, order)
+
+
 def _axis_kernel(t, maxdeg: int, order: int, doubled: int, out=None) -> np.ndarray:
     """g[i, a, b] = sum_v w(v) nu_alpha(v) Re(e_a conj(e_b))(t_i + iv), (t-values, D+1, D+1), into ``out`` if
     given: the rule and nu_alpha are even in v and e_a(t-iv) = conj(e_a(t+iv)), so one real batched product
-    over the v >= 0 half of the rule, weights doubled off v = 0, per ``quadrature.blocks`` block of t-values."""
-    rule = gauss_hermite(order)
-    half = rule.nodes >= 0  # hermgauss' nodes are mirrored exactly, with an exact 0.0 middle node for odd q
-    v, wv = rule.nodes[half], (rule.weights * _nu_density(doubled, rule.nodes))[half]
+    over the v >= 0 half of the rule, weights doubled off v = 0, per ``quadrature.blocks`` block of t-values.
+    The v-rule is ``_nu_rule``, fitted to e^{-v^2} nu_alpha, so the kernel is exact at order D + 1 for every alpha."""
+    rule = _nu_rule(order, doubled)
+    half = rule.nodes >= 0  # the nodes are mirrored exactly, with an exact 0.0 middle node for odd q
+    v, wv = rule.nodes[half], rule.weights[half]
     w2 = np.tile(np.where(v > 0, 2.0, 1.0) * wv, 2)[:, None]
     g = np.empty((t.size, maxdeg + 1, maxdeg + 1)) if out is None else out
     for s in blocks(t.size, w2.size * (maxdeg + 1)):
@@ -355,14 +478,15 @@ def _axis_kernel(t, maxdeg: int, order: int, doubled: int, out=None) -> np.ndarr
     return g
 
 
-def _rule_kernel(order: int, maxdeg: int, doubled: int) -> np.ndarray:
-    """``_axis_kernel`` on the rule's own nodes, read-only, kept if it fits.  They are mirrored exactly and
-    g(-t) = (-1)^(a+b) g(t), so only the t >= 0 rows are built; the rest flip in place, no table-sized temporary."""
-    key = (order, maxdeg, doubled)
+def _rule_kernel(order: int, maxdeg: int, doubled: int, scale: float) -> np.ndarray:
+    """``_axis_kernel`` on the rule's own nodes over the node scale, read-only, kept if it fits.  They are mirrored
+    exactly and g(-t) = (-1)^(a+b) g(t), so only the t >= 0 rows are built; the rest flip in place, no
+    table-sized temporary."""
+    key = (order, maxdeg, doubled, scale)
     g = _kernels.pop(key, None)
     if g is None:
         g, low = np.empty((order, maxdeg + 1, maxdeg + 1)), order // 2
-        _axis_kernel(gauss_hermite(order).nodes[low:], maxdeg, order, doubled, g[low:])
+        _axis_kernel(gauss_hermite(order).nodes[low:] / scale, maxdeg, order, doubled, g[low:])
         np.multiply(g[::-1][:low], (-1.0) ** np.indices(g.shape[1:]).sum(axis=0), out=g[:low])
         g.flags.writeable = False
     if g.nbytes <= _KERNEL_BYTES:
@@ -414,10 +538,15 @@ class AlphaHorizontal(MeasureSpec):
         return _nu_density(self.alpha_doubled[j], v)
 
     def _v_rule(self, center, order: int):
-        """Per-axis Gauss-Hermite nodes recentred at Im c, (q,) or (m, q), and their nu_alpha-weighted weights."""
-        rule = gauss_hermite(order)
-        vaxes = [np.asarray(y)[..., None] + rule.nodes for y in center.imag.T]
-        return vaxes, [rule.weights * self._nu(j, v) for j, v in enumerate(vaxes)]
+        """Per axis the v-nodes at Im c, (q,) or (m, q), and their nu_alpha-weighted weights: ``_nu_rule`` where
+        Im c = 0, as the moment tables are centred, and the Gauss-Hermite rule recentred at Im c, nu_alpha sampled,
+        elsewhere.  Where alpha = 0 the two are the same rule."""
+        rule, vaxes, weights = gauss_hermite(order), [], []
+        for j, y in enumerate(center.imag.T):
+            y, fitted = np.asarray(y)[..., None], _nu_rule(order, self.alpha_doubled[j])
+            vaxes.append(np.where(y == 0, fitted.nodes, y + rule.nodes))
+            weights.append(np.where(y == 0, fitted.weights, rule.weights * self._nu(j, y + rule.nodes)))
+        return vaxes, weights
 
     def pairing(self, centers, order: int):
         # the kernel factorizes: rho's pairing at Re c times one nu_alpha integral per axis
@@ -426,10 +555,11 @@ class AlphaHorizontal(MeasureSpec):
 
     def moments(self, maxdeg: int, order: int):
         """Real per-axis tables ``_axis_kernel`` on the distinct t-values of each axis, contracted against rho's
-        weight grid: the cached ``_rule_kernel`` on an axis of the rule's own nodes (None from ``axis_grid``:
-        Lebesgue and every density), a per-call build on an atoms axis."""
+        weight grid: the cached ``_rule_kernel`` on an axis of the rule's own nodes over a node scale (a scalar
+        from ``axis_grid``: 1 for Lebesgue and every sampled density, sqrt(1 + 1/sigma^2) for a Gaussian), a
+        per-call build on an atoms axis."""
         axes, grid = self.rho.axis_grid(order)
-        return contract_axes([_rule_kernel(order, maxdeg, a) if t is None else _axis_kernel(t, maxdeg, order, a)
+        return contract_axes([_axis_kernel(t, maxdeg, order, a) if np.ndim(t) else _rule_kernel(order, maxdeg, a, t)
                               for t, a in zip(axes, self.alpha_doubled)], grid, maxdeg)
 
     def nodes(self, center, order: int):
@@ -594,7 +724,7 @@ class Product(_ProductSet, MeasureSpec):
     _flat = Density
 
 
-RealMeasure = RealAtoms | RealDensity | Lebesgue | RealProduct
+RealMeasure = RealAtoms | RealDensity | RealGaussian | Lebesgue | RealProduct
 
 
 def dirac(point) -> Atoms:
@@ -607,23 +737,15 @@ def lebesgue(n: int) -> AlphaHorizontal:
     return AlphaHorizontal(Lebesgue(n))
 
 
-def _check_sigma(sigma) -> float:
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"Gaussian width sigma must be positive and finite, got {sigma}")
-    return float(sigma)
-
-
-def gaussian_density(n: int, sigma: float = 1.0) -> Density | Product:
+def gaussian_density(n: int, sigma: float = 1.0) -> Gaussian | Product:
     """Density exp(-|w|^2 / sigma^2) on C^n; for n >= 2 the product of n one-axis Gaussians."""
-    s2 = _check_sigma(sigma) ** 2
-    axis = Density(lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1) / s2), 1)
+    axis = Gaussian(sigma)
     return axis if n == 1 else Product((axis,) * n)
 
 
-def real_gaussian(n: int, sigma: float = 1.0) -> RealDensity | RealProduct:
+def real_gaussian(n: int, sigma: float = 1.0) -> RealGaussian | RealProduct:
     """Density exp(-|t|^2 / sigma^2) on R^n; for n >= 2 the product of n one-axis Gaussians."""
-    s2 = _check_sigma(sigma) ** 2
-    axis = RealDensity(lambda pts: np.exp(-np.sum(pts**2, axis=1) / s2), 1)
+    axis = RealGaussian(sigma)
     return axis if n == 1 else RealProduct((axis,) * n)
 
 
@@ -810,14 +932,15 @@ def moment_table(mu, indices, order: int = DEFAULT_ORDER, steps=()) -> np.ndarra
     distinct node values one axis at a time (``quadrature.contract_axes``), about
     (D+1)^2 operations per grid point instead of N^2 per node, and so does ``spectral``'s
     Hermite-side symbol, which answers only ``axis_factors()`` and ``moments``.  ``AlphaHorizontal``'s
-    tables are real (exactly, over a real-weighted rho), and on the rule's own nodes they
-    contract one nu_alpha kernel per (order, D, alpha_j), kept under 16 MiB: a repeated
+    tables are real (exactly, over a real-weighted rho), and on the rule's own nodes over a
+    node scale (1, or a Gaussian's k) they contract one nu_alpha kernel per (order, D,
+    alpha_j, scale), kept under 16 MiB: a repeated
     size pays only the contraction, a first one also the build.  Requests whose gather
     or contraction would hold more than ``quadrature.MAX_BYTES`` are refused.  A pushforward
     mu_X conjugates its base's table in place by the degree blocks of V_X
     (``indices.substitution_blocks``), never by an N x N matrix.
-    Complex atoms, one-axis densities and weighted pushforwards, whose weight
-    is not rotation invariant, pay a Gram product over their nodes.
+    Complex atoms, one-axis densities and Gaussians and weighted pushforwards, whose
+    weight is not rotation invariant, pay a Gram product over their nodes.
     """
     indices = [tuple(a) for a in indices]
     maxdeg = max(sum(a) for a in indices)

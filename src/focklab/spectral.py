@@ -129,7 +129,7 @@ class _HermiteSide:
 
     def moments(self, maxdeg: int, order: int):
         axes, grid = self.rho.axis_grid(order)
-        return contract_axes([_hermite_kernel(gauss_hermite(order).nodes if y is None else y, maxdeg, t)
+        return contract_axes([_hermite_kernel(y if np.ndim(y) else gauss_hermite(order).nodes / y, maxdeg, t)
                               for y, t in zip(axes, self.two_k)], grid, maxdeg)
 
 

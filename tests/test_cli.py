@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from focklab import cli, spectral
+from focklab import carleson, cli, spectral
 from focklab.carleson import lattice
 from focklab.cli import ExperimentConfig, load_config, main, run
 from focklab.indices import HalfIndex
@@ -474,3 +474,20 @@ def test_every_summary_ends_in_one_verdict(tmp_path, command, fields, verdict):
     lines = (tmp_path / "run" / "summary.txt").read_text().splitlines()
     assert lines[-len(verdict):] == verdict
     assert [line.split(": ")[0] for line in lines].count("result") == 1
+
+
+@pytest.mark.parametrize("p, scans", [([2], 3), (None, 1)], ids=["weight-shift", "no-weight-shift"])
+def test_carleson_run_scans_each_polydisk_constant_once(tmp_path, monkeypatch, p, scans):
+    # with p set the weight-shift report scans C_k(mu, r) and the run reports that scan; the two shifted
+    # constants are the other two
+    calls = []
+    scan = carleson.carleson_constant
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(carleson, "carleson_constant", spy)
+    cfg = dataclasses.replace(load_config(CONFIGS / "carleson.yaml"), p=p, out=str(tmp_path / "run"))
+    assert run(cfg) == 0
+    assert len(calls) == scans

@@ -11,11 +11,13 @@ from focklab.measures import (
     AlphaHorizontal,
     Atoms,
     Density,
+    Gaussian,
     Horizontal,
     Lebesgue,
     Pushforward,
     RealAtoms,
     RealDensity,
+    RealGaussian,
     Weighted,
     ball_mass,
     dimension,
@@ -202,8 +204,8 @@ def test_tensor_grid_is_c_ordered():
 def test_real_and_complex_grammar_share_their_built_ins():
     assert isinstance(parse_real_measure("atoms(-0.4: 0.6, 0.9: 0.4)", 1), RealAtoms)
     assert isinstance(parse_measure("atoms(-0.4: 0.6, 0.9: 0.4)", 1), Atoms)
-    assert isinstance(parse_real_measure("gaussian(2)", 1), RealDensity)
-    assert isinstance(parse_measure("gaussian(2)", 1), Density)
+    assert parse_real_measure("gaussian(2)", 1) == RealGaussian(2.0)
+    assert parse_measure("gaussian(2)", 1) == Gaussian(2.0)
     assert isinstance(parse_real_measure("lebesgue", 2), Lebesgue)
     mu = parse_measure("lebesgue", 2)
     assert isinstance(mu, Horizontal) and mu.alpha_doubled == (0, 0)

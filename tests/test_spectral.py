@@ -427,7 +427,7 @@ def gathered_hermite_route(rho, two_k, basis, order):
 
     def table(r, tk):
         axes, grid = r.axis_grid(q)
-        return contract_axes([spectral._hermite_kernel(gauss_hermite(q).nodes if y is None else y, basis.degree, t)
+        return contract_axes([spectral._hermite_kernel(y if np.ndim(y) else gauss_hermite(q).nodes / y, basis.degree, t)
                               for y, t in zip(axes, tk)], grid, basis.degree)
 
     factors = rho.axis_factors()
